@@ -5,7 +5,7 @@ resource spaces, solve feedback loops to least fixed points, and
 propagate interval uncertainty through any composition.
 """
 
-from .antichains import Antichain, min_elements
+from .antichains import Antichain
 from .dp import (
     Atom,
     BottomDP,
@@ -26,7 +26,6 @@ from .dp import (
     find_monotonicity_violation,
     kleene_solve,
     loop,
-    loop_step,
     par,
     series,
     solve,
@@ -89,9 +88,7 @@ __all__ = [
     "inject_tolerance",
     "kleene_solve",
     "loop",
-    "loop_step",
     "lower_from_points",
-    "min_elements",
     "par",
     "product",
     "relax_plus_uniform",

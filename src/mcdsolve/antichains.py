@@ -6,15 +6,20 @@ upper sets: S1 is below S2 when every point of S2 is dominated by some
 point of S1 (S1 offers at least everything S2 offers).  Under this order
 the empty antichain is the greatest element and encodes infeasibility,
 while {bottom} is the least.
+
+The public constructor checks that every point is a member of the poset;
+it is where values from outside the kernel (MonotoneMap outputs, model
+constants, relaxation samples) enter.  Fronts derived from existing
+fronts (cross, union_min, filter_above, and the DP algebra's series,
+catalogue and loop steps) are built by _unchecked_front, which trusts
+its points and only minimises them.
 """
 
 from .errors import DomainError
-from .posets import Poset, product, concat_elements
+from .posets import Poset, RealPlus, product, concat_elements
 
 
-def _minimize(points, poset):
-    # drop duplicates first so only strict domination remains
-    unique = list(dict.fromkeys(points))
+def _minimize_pairwise(unique, poset):
     kept = []
     for i, p in enumerate(unique):
         dominated = False
@@ -27,9 +32,57 @@ def _minimize(points, poset):
     return kept
 
 
-def min_elements(points, poset: Poset) -> "Antichain":
-    """Antichain of minimal elements of an arbitrary finite point set."""
-    return Antichain(poset, points)
+def _minimize_real(unique, dims):
+    # On a product of real chains the lexicographic order extends the
+    # componentwise one, so a point can only be dominated by points
+    # sorted before it (Kung, Luccio & Preparata 1975).
+    if dims == 1:
+        return [min(unique)]
+    order = sorted(range(len(unique)), key=unique.__getitem__)
+    first = order[0]
+    kept = [first]
+    if dims == 2:
+        lowest = unique[first][1]
+        for i in order[1:]:
+            y = unique[i][1]
+            if y < lowest:
+                kept.append(i)
+                lowest = y
+    else:
+        minima = [unique[first]]
+        for i in order[1:]:
+            p = unique[i]
+            if not any(all(u <= v for u, v in zip(q, p)) for q in minima):
+                kept.append(i)
+                minima.append(p)
+    # emit in input order, so fronts are the same frozensets as built by
+    # the pairwise path
+    kept.sort()
+    return [unique[i] for i in kept]
+
+
+def _minimize(points, poset):
+    # drop duplicates first so only strict domination remains; the first
+    # of equal values (0, 0.0, -0.0) is the one kept
+    unique = list(dict.fromkeys(points))
+    if len(unique) < 2:
+        return unique
+    factors = poset.factors
+    if all(isinstance(p, RealPlus) for p in factors):
+        return _minimize_real(unique, len(factors))
+    return _minimize_pairwise(unique, poset)
+
+
+def _fill(front, poset, points):
+    object.__setattr__(front, "poset", poset)
+    object.__setattr__(front, "points", frozenset(_minimize(points, poset)))
+
+
+def _unchecked_front(poset: Poset, points) -> "Antichain":
+    """Antichain of points already known to be members of poset."""
+    front = object.__new__(Antichain)
+    _fill(front, poset, points)
+    return front
 
 
 class Antichain:
@@ -41,8 +94,7 @@ class Antichain:
         points = list(points)
         for p in points:
             poset.check_member(p)
-        object.__setattr__(self, "poset", poset)
-        object.__setattr__(self, "points", frozenset(_minimize(points, poset)))
+        _fill(self, poset, points)
 
     def __setattr__(self, name, value):
         raise AttributeError("antichains are immutable")
@@ -88,7 +140,7 @@ class Antichain:
     def union_min(self, other: "Antichain") -> "Antichain":
         """Minimal elements of the union; the meet of the two fronts."""
         self._check_same_space(other)
-        return Antichain(self.poset, list(self.points) + list(other.points))
+        return _unchecked_front(self.poset, list(self.points) + list(other.points))
 
     def cross(self, other: "Antichain") -> "Antichain":
         """Antichain product over the flat product poset."""
@@ -98,12 +150,14 @@ class Antichain:
             for a in self.points
             for b in other.points
         ]
-        return Antichain(prod, pts)
+        return _unchecked_front(prod, pts)
 
     def filter_above(self, r) -> "Antichain":
         """Points of the front that dominate r."""
         self.poset.check_member(r)
-        return Antichain(self.poset, [p for p in self.points if self.poset.leq(r, p)])
+        return _unchecked_front(
+            self.poset, [p for p in self.points if self.poset.leq(r, p)]
+        )
 
     def up_contains(self, r) -> bool:
         """Whether r belongs to the upper set of the front."""

@@ -12,17 +12,25 @@ Least-fixed-point reasoning assumes the step map is monotone; on
 infinite posets convergence additionally relies on the ascent reaching a
 fixed point within the iteration cap, and a capped run is reported as a
 (valid) lower bound with converged=False.
+
+Queries are checked once, by evaluate, solve and kleene_solve; composites
+call their parts' _eval directly and build fronts without re-checking
+points that are already members.  Atom outputs still enter through
+checked construction: MonotoneMap results via the Antichain constructor,
+catalogue rows in the Catalogue constructor.
 """
 
+import bisect
 import contextvars
 from dataclasses import dataclass, field
 
-from .antichains import Antichain
+from .antichains import Antichain, _unchecked_front
 from .errors import CompositionError, DomainError
 from .posets import (
     FinitePoset,
     Poset,
     ProductPoset,
+    RealPlus,
     arity,
     concat_elements,
     product,
@@ -89,6 +97,10 @@ class Catalogue(DesignProblem):
     A query f is answered by the minimal resources among implementations
     providing at least f; no such implementation means infeasible.
     Catalogues are monotone by construction.
+
+    When the first functionality axis is a real chain, rows are indexed
+    by that coordinate: a query bisects to the rows whose first
+    coordinate reaches f's and compares only those.
     """
 
     def __init__(self, funsp, ressp, entries, name: str = ""):
@@ -99,10 +111,25 @@ class Catalogue(DesignProblem):
             ressp.check_member(r)
         self.entries = entries
         self.name = name
+        self._order = None
+        if isinstance(funsp.factors[0], RealPlus):
+            lead = [self._lead(fi) for fi, _ in entries]
+            self._order = sorted(range(len(entries)), key=lead.__getitem__)
+            self._keys = [lead[i] for i in self._order]
+
+    def _lead(self, f):
+        return f if isinstance(self.funsp, RealPlus) else f[0]
 
     def _eval(self, f) -> Antichain:
-        pts = [r for fi, r in self.entries if self.funsp.leq(f, fi)]
-        return Antichain(self.ressp, pts)
+        entries, leq = self.entries, self.funsp.leq
+        if self._order is None:
+            pts = [r for fi, r in entries if leq(f, fi)]
+        else:
+            start = bisect.bisect_left(self._keys, self._lead(f))
+            # rows in entry order, so the front is built exactly as by a full scan
+            hits = sorted(i for i in self._order[start:] if leq(f, entries[i][0]))
+            pts = [entries[i][1] for i in hits]
+        return _unchecked_front(self.ressp, pts)
 
 
 class ConstantResource(DesignProblem):
@@ -120,14 +147,14 @@ class BottomDP(DesignProblem):
     """Least DP: everything is free."""
 
     def _eval(self, f) -> Antichain:
-        return Antichain(self.ressp, [self.ressp.bottom()])
+        return _unchecked_front(self.ressp, [self.ressp.bottom()])
 
 
 class TopDP(DesignProblem):
     """Greatest DP: nothing is feasible."""
 
     def _eval(self, f) -> Antichain:
-        return Antichain(self.ressp, [])
+        return _unchecked_front(self.ressp, [])
 
 
 class IdentityDP(DesignProblem):
@@ -137,7 +164,7 @@ class IdentityDP(DesignProblem):
         super().__init__(space, space)
 
     def _eval(self, f) -> Antichain:
-        return Antichain(self.ressp, [f])
+        return _unchecked_front(self.ressp, [f])
 
 
 class SeriesDP(DesignProblem):
@@ -154,8 +181,8 @@ class SeriesDP(DesignProblem):
     def _eval(self, f) -> Antichain:
         pts = []
         for r1 in self.first._eval(f):
-            pts.extend(self.second.evaluate(r1).points)
-        return Antichain(self.ressp, pts)
+            pts.extend(self.second._eval(r1).points)
+        return _unchecked_front(self.ressp, pts)
 
 
 class ParDP(DesignProblem):
@@ -168,7 +195,7 @@ class ParDP(DesignProblem):
 
     def _eval(self, f) -> Antichain:
         fl, fr = split_element(self.left.funsp, self.right.funsp, f)
-        return self.left.evaluate(fl).cross(self.right.evaluate(fr))
+        return self.left._eval(fl).cross(self.right._eval(fr))
 
 
 def loop_signature(dp: DesignProblem) -> tuple[Poset, Poset]:
@@ -224,24 +251,6 @@ def loop(body: DesignProblem, max_iter: int | None = None) -> LoopDP:
     return LoopDP(body, max_iter=max_iter)
 
 
-def loop_step(dp: DesignProblem, f1, front: Antichain) -> Antichain:
-    """One step of the loop map: re-evaluate the body at each point of
-    the current front and keep only outputs consistent with (above) the
-    point that produced them."""
-    f1sp, rsp = loop_signature(dp)
-    f1sp.check_member(f1)
-    if front.poset != rsp:
-        raise DomainError(
-            "front lives in %s, loop resources are %s"
-            % (front.poset.describe(), rsp.describe())
-        )
-    pts = []
-    for r in front.points:
-        out = dp.evaluate(_combine_loop_input(f1sp, f1, rsp, r))
-        pts.extend(p for p in out.points if rsp.leq(r, p))
-    return Antichain(rsp, pts)
-
-
 @dataclass
 class SolveReport:
     """Outcome of a solve: the front plus loop-iteration bookkeeping."""
@@ -272,10 +281,11 @@ def kleene_solve(
 ) -> SolveReport:
     """Least fixed point of the loop map by Kleene ascent from {bottom}.
 
-    Iterations count loop_step applications including the one that
-    confirms the front stopped changing.  Hitting the cap returns the
-    last iterate, which under-approximates the true front, with
-    converged=False.
+    Iterations count applications of the loop map (re-evaluate the body
+    at each point of the current front and keep only outputs above the
+    point that produced them), including the one that confirms the
+    front stopped changing.  Hitting the cap returns the last iterate,
+    which under-approximates the true front, with converged=False.
     """
     f1sp, rsp = loop_signature(dp)
     f1sp.check_member(f1)
@@ -286,10 +296,10 @@ def kleene_solve(
     def eval_at(r):
         hit = cache.get(r)
         if hit is None:
-            hit = cache[r] = dp.evaluate(_combine_loop_input(f1sp, f1, rsp, r))
+            hit = cache[r] = dp._eval(_combine_loop_input(f1sp, f1, rsp, r))
         return hit
 
-    front = Antichain(rsp, [rsp.bottom()])
+    front = _unchecked_front(rsp, [rsp.bottom()])
     history = [front] if keep_history else None
     iterations = 0
     converged = False
@@ -297,7 +307,7 @@ def kleene_solve(
         pts = []
         for r in front.points:
             pts.extend(p for p in eval_at(r).points if rsp.leq(r, p))
-        nxt = Antichain(rsp, pts)
+        nxt = _unchecked_front(rsp, pts)
         iterations += 1
         if keep_history:
             history.append(nxt)
@@ -314,7 +324,7 @@ _loop_trace: contextvars.ContextVar = contextvars.ContextVar("loop_trace", defau
 def solve(dp: DesignProblem, f, max_iter: int | None = None) -> SolveReport:
     """Evaluate dp at f, aggregating loop work across the whole run.
 
-    iterations sums the loop_step applications of every loop solved on
+    iterations sums the loop-map applications of every loop solved on
     the way (nested loops re-solve under each outer step); converged is
     the conjunction.  A loop-free evaluation reports 0 iterations.
     """

@@ -5,6 +5,14 @@ supported: nonnegative real chains with a unit tag (including +inf as the
 top element), finite posets given by an explicit order-pair list, and
 flat n-ary products ordered componentwise.
 
+Membership is checked where values enter the program: the public
+Antichain constructor (and so every MonotoneMap output), the Catalogue
+constructor, DesignProblem.evaluate, solve and kleene_solve on their
+query, model queries (build_query) and lower_from_points.  Past those
+points values are trusted: leq and meet do not re-validate their
+arguments, and a non-member passed to them gives an unspecified result
+or an arbitrary exception.
+
 Products are kept flat: the product of two products concatenates their
 factor lists, and elements of a product are plain tuples with one slot
 per factor.  Scalars are never wrapped in 1-tuples.
@@ -26,13 +34,16 @@ class Poset:
             raise DomainError("%r is not an element of %s" % (x, self.describe()))
 
     def leq(self, a, b) -> bool:
+        """Whether a <= b.  Trusts its arguments: both must already be
+        members (see check_member); they are not validated here."""
         raise NotImplementedError
 
     def bottom(self):
         raise NotImplementedError
 
     def meet(self, a, b):
-        """Greatest lower bound of a and b."""
+        """Greatest lower bound of a and b.  Like leq, trusts that both
+        arguments are members."""
         raise NotImplementedError
 
     @property
@@ -80,16 +91,12 @@ class RealPlus(Poset):
         return not math.isnan(x) and x >= 0
 
     def leq(self, a, b) -> bool:
-        self.check_member(a)
-        self.check_member(b)
         return a <= b
 
     def bottom(self):
         return 0.0
 
     def meet(self, a, b):
-        self.check_member(a)
-        self.check_member(b)
         return min(a, b)
 
     @property
@@ -175,16 +182,12 @@ class FinitePoset(Poset):
             return False
 
     def leq(self, a, b) -> bool:
-        self.check_member(a)
-        self.check_member(b)
         return b in self._up[a]
 
     def bottom(self):
         return self._bottom
 
     def meet(self, a, b):
-        self.check_member(a)
-        self.check_member(b)
         common = self._down[a] & self._down[b]
         greatest = [c for c in common if all(d in self._down[c] for d in common)]
         if len(greatest) != 1:
@@ -243,16 +246,12 @@ class ProductPoset(Poset):
         return all(p.contains(v) for p, v in zip(self._factors, x))
 
     def leq(self, a, b) -> bool:
-        self.check_member(a)
-        self.check_member(b)
         return all(p.leq(u, v) for p, u, v in zip(self._factors, a, b))
 
     def bottom(self):
         return tuple(p.bottom() for p in self._factors)
 
     def meet(self, a, b):
-        self.check_member(a)
-        self.check_member(b)
         return tuple(p.meet(u, v) for p, u, v in zip(self._factors, a, b))
 
     @property

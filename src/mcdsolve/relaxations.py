@@ -195,8 +195,9 @@ def relax_times_vdc(
 
     Both factors are confined to the bracket; sampling is log-uniform at
     Van der Corput parameters.  f1 below rmin*rmin is served exactly by
-    the corner (rmin, rmin); f1 above rmax*rmax is not representable and
-    raises.
+    the corner (rmin, rmin).  f1 above rmax*rmax (f1 = inf included) has
+    no split inside the bracket, so both sides return the empty front:
+    the requirement is certainly infeasible.
     """
     if n < 1:
         raise DomainError("need at least one sample point")
@@ -208,9 +209,7 @@ def relax_times_vdc(
 
     def curve_points(f1, extra_extrema: bool):
         if f1 > rmax * rmax:
-            raise DomainError(
-                "required product %r exceeds bracket [%r, %r]" % (f1, rmin, rmax)
-            )
+            return []
         if f1 <= rmin * rmin:
             return [(rmin, rmin)]
         r1_lo = max(rmin, f1 / rmax)

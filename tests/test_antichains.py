@@ -1,6 +1,9 @@
 import math
 
-from mcdsolve.antichains import Antichain, min_elements
+import pytest
+
+from mcdsolve.antichains import Antichain
+from mcdsolve.errors import DomainError
 from mcdsolve.posets import FinitePoset, RealPlus, product
 
 R2 = product(RealPlus("g"), RealPlus("$"))
@@ -14,6 +17,7 @@ class TestConstruction:
     def test_minimizes(self):
         a = ac((1.0, 2.0), (2.0, 3.0), (0.5, 5.0))
         assert a.points == frozenset({(1.0, 2.0), (0.5, 5.0)})
+        assert ac((1.0, 2.0), (1.0, 1.0)).points == frozenset({(1.0, 1.0)})
 
     def test_deduplicates(self):
         a = ac((1.0, 1.0), (1.0, 1.0))
@@ -22,9 +26,11 @@ class TestConstruction:
     def test_empty_is_allowed(self):
         assert ac().points == frozenset()
 
-    def test_min_elements_helper(self):
-        front = min_elements([(1.0, 2.0), (1.0, 1.0)], R2)
-        assert front.points == frozenset({(1.0, 1.0)})
+    def test_rejects_non_member(self):
+        with pytest.raises(DomainError):
+            Antichain(R2, [(-1.0, 0.0)])
+        with pytest.raises(DomainError):
+            Antichain(RealPlus(), [math.nan])
 
 
 class TestOrder:

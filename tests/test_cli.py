@@ -13,6 +13,7 @@ from mcdsolve.cli import (
     EXIT_OK,
     main,
 )
+from mcdsolve.examples import example_path
 
 LOOP_MODEL = """\
 model demo "loop with uncertain catalogue"
@@ -81,6 +82,18 @@ class TestSolve:
         out = capsys.readouterr().out
         line = out.splitlines()[1]
         assert line.startswith("2000.0,,,infeasible")
+
+    def test_distance_beyond_route_bracket_is_infeasible(self, capsys):
+        # 30000 km needs velocity * hours above the route bracket's 150 * 150
+        code = main([
+            "solve", str(example_path("uav")), "--f", "endurance=1",
+            "--f", "distance=30000", "--f", "payload=300", "--f", "missions=200",
+        ])
+        assert code == EXIT_INFEASIBLE
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdict"] == "infeasible"
+        assert payload["lower"]["antichain"] == []
+        assert payload["upper"]["antichain"] == []
 
     def test_indeterminate_exit(self, loop_model):
         assert main(["solve", loop_model, "--f", "payload=900"]) == EXIT_INDETERMINATE
@@ -191,7 +204,7 @@ class TestSweep:
         assert code == EXIT_ERROR
 
     def test_solve_errors_stay_row_local(self, tmp_path, capsys):
-        # sweeping the demand past the relaxation bracket raises per query
+        # sweeping the area below zero gives a non-member query in one row
         path = tmp_path / "times.mcd"
         path.write_text(
             "dp demand = identity R(area[km])\n"
@@ -200,7 +213,7 @@ class TestSweep:
         )
         code = main([
             "sweep", str(path),
-            "--axis", "area", "--from", "2", "--to", "32", "--steps", "2",
+            "--axis", "area", "--from", "2", "--to", "-32", "--steps", "2",
         ])
         assert code == EXIT_OK
         payload = json.loads(capsys.readouterr().out)

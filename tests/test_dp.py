@@ -22,7 +22,6 @@ from mcdsolve.dp import (
     kleene_solve,
     loop,
     loop_signature,
-    loop_step,
     par,
     series,
     solve,
@@ -178,9 +177,8 @@ class TestKleene:
         assert not report.feasible
 
     def test_loop_step_single_application(self):
-        front = Antichain(FIVE, [0])
-        stepped = loop_step(ladder_body(), 0, front)
-        assert stepped.points == {1}
+        report = kleene_solve(ladder_body(), 0, keep_history=True)
+        assert report.history[1].points == {1}
 
     def test_loop_dp_equals_kleene(self):
         lp = loop(ladder_body())
@@ -231,6 +229,74 @@ class TestSolveAggregation:
             "iterations": 0,
             "converged": True,
         }
+
+
+class TestEntryChecks:
+    # values are checked where they enter; composites pass them on unchecked
+
+    def test_map_output_outside_resources(self):
+        for bad in (-1.0, math.nan):
+            m = MonotoneMap(RW, RW, lambda f, bad=bad: bad)
+            with pytest.raises(DomainError):
+                m.evaluate(1.0)
+
+    def test_bad_map_output_deep_inside_series(self):
+        for bad in (-1.0, math.nan):
+            # fine at the query itself, bad once doubled twice
+            sink = MonotoneMap(RW, RW, lambda f, bad=bad: bad if f > 2.0 else f)
+            fan = MonotoneMap(RW, product(RW, RG), lambda f: (2.0 * f, f))
+            deep = series(
+                fan,
+                series(par(doubler(), IdentityDP(RG)), par(sink, IdentityDP(RG))),
+            )
+            assert deep.evaluate(0.5).points == {(2.0, 0.5)}
+            with pytest.raises(DomainError):
+                deep.evaluate(1.0)
+            with pytest.raises(DomainError):
+                solve(deep, 1.0)
+
+    def test_bad_map_output_deep_inside_loop(self):
+        for bad in (-1.0, math.nan):
+            # the ascent 0 -> 1 -> 2 reaches the bad branch on its third step
+            step = MonotoneMap(
+                product(RW, RW), RW, lambda f, bad=bad: bad if f[1] >= 2.0 else f[1] + 1.0
+            )
+            body = series(IdentityDP(product(RW, RW)), step)
+            with pytest.raises(DomainError):
+                solve(series(doubler(), loop(body)), 1.0)
+            with pytest.raises(DomainError):
+                kleene_solve(body, 1.0)
+
+    def test_catalogue_row_outside_spaces(self):
+        for rows in (
+            [(1.0, -5.0)],
+            [(-1.0, 5.0)],
+            [(math.nan, 5.0)],
+            [(1.0, (5.0, 1.0))],
+            [((1.0, 2.0), 5.0)],
+        ):
+            with pytest.raises(DomainError):
+                Catalogue(RW, RG, rows)
+        with pytest.raises(DomainError):
+            Catalogue(product(RW, FIVE), RG, [((1.0, 7), 5.0)])
+
+    def test_non_member_query(self):
+        cat = Catalogue(RW, RG, [(1.0, 10.0), (2.0, 5.0)])
+        for dp, bad in (
+            (doubler(), -1.0),
+            (cat, -1.0),
+            (cat, math.nan),
+            (cat, "1.0"),
+            (series(doubler(), cat), -0.5),
+            (par(doubler(), cat), (1.0, -1.0)),
+            (loop(ladder_body()), 7),
+        ):
+            with pytest.raises(DomainError):
+                dp.evaluate(bad)
+            with pytest.raises(DomainError):
+                solve(dp, bad)
+        with pytest.raises(DomainError):
+            kleene_solve(ladder_body(), 7)
 
 
 class TestTerms:

@@ -187,9 +187,12 @@ class TestRelaxTimesVdc:
         assert v.lower.evaluate(0.5).points == {(1.0, 1.0)}
 
     def test_demand_above_bracket_ceiling(self):
+        # no split inside the bracket: certainly infeasible on both sides
         v = relax_times_vdc(3, 1.0, 4.0)
-        with pytest.raises(DomainError):
-            v.upper.evaluate(17.0)
+        assert v.upper.evaluate(16.0).points == {(4.0, 4.0)}
+        for f in (17.0, math.inf):
+            assert v.upper.evaluate(f).points == frozenset()
+            assert v.lower.evaluate(f).points == frozenset()
 
     def test_upper_points_lie_on_curve(self):
         v = relax_times_vdc(6, 1.0, 16.0)
