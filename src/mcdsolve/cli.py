@@ -13,6 +13,7 @@ import os
 import re
 import sys
 
+from . import uncertainty
 from .dp import find_monotonicity_violation
 from .errors import CodesignError, DomainError
 from .modellang import load_model
@@ -72,26 +73,9 @@ def _parse_f_args(model, f_args):
         key, rest = m.group(1), m.group(2)
         vm = _VALUE_RE.match(rest)
         text, unit = vm.group(1), vm.group(2)
-        idx, _, poset = _resolve_axis(model, key)
-        assignments[str(idx + 1)] = _convert_value(poset, text, unit, key)
+        idx = model.axis_index(key)
+        assignments[str(idx + 1)] = _convert_value(model.funsp.factors[idx], text, unit, key)
     return assignments
-
-
-def _resolve_axis(model, key):
-    axes = model.query_axes()
-    if key.isdigit():
-        idx = int(key) - 1
-        if not 0 <= idx < len(axes):
-            raise DomainError("axis index %s out of range 1..%d" % (key, len(axes)))
-        return idx, axes[idx][0], axes[idx][1]
-    hits = [i for i, (n, _) in enumerate(axes) if n == key]
-    if not hits:
-        raise DomainError(
-            "unknown axis %r; axes are: %s" % (key, ", ".join(n for n, _ in axes))
-        )
-    if len(hits) > 1:
-        raise DomainError("axis name %r is ambiguous; use its 1-based index" % key)
-    return hits[0], key, axes[hits[0]][1]
 
 
 def _convert_value(poset, text, unit, axis_name):
@@ -319,7 +303,8 @@ def cmd_sweep(args) -> int:
 def _sweep_rows(model, args, assignments, max_iter):
     rows = []
     if args.axis is not None:
-        idx, name, poset = _resolve_axis(model, args.axis)
+        idx = model.axis_index(args.axis)
+        name, poset = model.query_axes()[idx]
         if not isinstance(poset, RealPlus):
             raise DomainError("swept axis %r must be a real chain" % args.axis)
         if str(idx + 1) in assignments:
@@ -335,10 +320,12 @@ def _sweep_rows(model, args, assignments, max_iter):
             grid = [
                 args.frm + i * (args.to - args.frm) / (steps - 1) for i in range(steps)
             ]
+        # every row asks the same pair, so its loops' memos carry over
+        udp = uncertainty.evaluate_uncertain(model.term, model.uvaluation)
         for v in grid:
             qa = dict(assignments)
             qa[str(idx + 1)] = v
-            rows.append(_one_row(model, repr(v), qa, model.uvaluation, max_iter))
+            rows.append(_one_row(model, repr(v), qa, lambda f: udp.solve(f, max_iter)))
         return rows, name
     # a bad atom or parameter fails the whole sweep; only per-query
     # solve errors are row-local
@@ -346,7 +333,7 @@ def _sweep_rows(model, args, assignments, max_iter):
         atom, alphas = _parse_sweep_spec(args.tolerance, "--tolerance", float)
         for alpha in alphas:
             uval = inject_tolerance(model.uvaluation, atom, alpha)
-            rows.append(_one_row(model, repr(alpha), assignments, uval, max_iter))
+            rows.append(_one_row(model, repr(alpha), assignments, _solver(model, uval, max_iter)))
         return rows, "tolerance:%s" % atom
 
     def to_int(x):
@@ -358,15 +345,18 @@ def _sweep_rows(model, args, assignments, max_iter):
     atom, ns = _parse_sweep_spec(args.relax_n, "--relax-n", to_int)
     for n in ns:
         uval = model.override_relaxation(atom, n)
-        rows.append(_one_row(model, str(n), assignments, uval, max_iter))
+        rows.append(_one_row(model, str(n), assignments, _solver(model, uval, max_iter)))
     return rows, "relax:%s" % atom
 
 
-def _one_row(model, value_text, assignments, uvaluation, max_iter):
+def _solver(model, uvaluation, max_iter):
+    return lambda f: solve_uncertain(model.term, uvaluation, f, max_iter)
+
+
+def _one_row(model, value_text, assignments, solve_at):
     try:
         f = model.build_query(assignments)
-        sol = solve_uncertain(model.term, uvaluation, f, max_iter)
-        return (value_text, sol, "ok")
+        return (value_text, solve_at(f), "ok")
     except CodesignError as e:
         return (value_text, None, "error: %s" % e)
 

@@ -11,7 +11,19 @@ resource fronts, computed by Kleene iteration from the bottom front.
 Least-fixed-point reasoning assumes the step map is monotone; on
 infinite posets convergence additionally relies on the ascent reaching a
 fixed point within the iteration cap, and a capped run is reported as a
-(valid) lower bound with converged=False.
+(valid) lower bound with converged=False.  The cap is an argument of
+solve and kleene_solve, not part of the tree.
+
+The ascent asks a loop body the same questions over and over: parts of
+the body that never see the fed-back resources get the same input at
+every front point of every iteration.  So a LoopDP switches on a bounded
+memo (query -> front) in each series and par node of its body that
+contains no loop.  Outside loops, where a node is asked once per solve,
+a memo would only cost time; atoms are never memoised, as they live as
+long as the model.  Loops, and composites containing one, are not
+memoised either: each Kleene solve reports its iterations to solve, and
+a remembered front would drop them from the count.  A memo lives as
+long as its tree, so queries solved on one tree share it.
 
 Queries are checked once, by evaluate, solve and kleene_solve; composites
 call their parts' _eval directly and build fronts without re-checking
@@ -22,6 +34,7 @@ catalogue rows in the Catalogue constructor.
 
 import bisect
 import contextvars
+import marshal
 from dataclasses import dataclass, field
 
 from .antichains import Antichain, _unchecked_front
@@ -38,6 +51,8 @@ from .posets import (
 )
 
 DEFAULT_MAX_ITER = 10**6
+
+MEMO_SIZE = 1024  # fronts a memoised node remembers; once full it adds no more
 
 UNIT_POSET = FinitePoset.chain(["*"], name="unit")
 
@@ -167,7 +182,19 @@ class IdentityDP(DesignProblem):
         return _unchecked_front(self.ressp, [f])
 
 
+def _memo_key(f):
+    # Equal values can print differently (0, 0.0 and -0.0; 1 and 1.0) and
+    # an atom may pass its input through to its front, so the key keeps
+    # the representation: marshal format 2 writes type and bits, no refs.
+    try:
+        return marshal.dumps(f, 2)
+    except ValueError:  # not a builtin value
+        return (f, repr(f))
+
+
 class SeriesDP(DesignProblem):
+    _memo = None  # dict key -> front, switched on under loops
+
     def __init__(self, first: DesignProblem, second: DesignProblem):
         if first.ressp != second.funsp:
             raise CompositionError(
@@ -179,13 +206,24 @@ class SeriesDP(DesignProblem):
         self.second = second
 
     def _eval(self, f) -> Antichain:
+        memo = self._memo
+        if memo is not None:
+            key = _memo_key(f)
+            front = memo.get(key)
+            if front is not None:
+                return front
         pts = []
         for r1 in self.first._eval(f):
             pts.extend(self.second._eval(r1).points)
-        return _unchecked_front(self.ressp, pts)
+        front = _unchecked_front(self.ressp, pts)
+        if memo is not None and len(memo) < MEMO_SIZE:
+            memo[key] = front
+        return front
 
 
 class ParDP(DesignProblem):
+    _memo = None  # as in SeriesDP
+
     def __init__(self, left: DesignProblem, right: DesignProblem):
         super().__init__(
             product(left.funsp, right.funsp), product(left.ressp, right.ressp)
@@ -194,48 +232,72 @@ class ParDP(DesignProblem):
         self.right = right
 
     def _eval(self, f) -> Antichain:
+        memo = self._memo
+        if memo is not None:
+            key = _memo_key(f)
+            front = memo.get(key)
+            if front is not None:
+                return front
         fl, fr = split_element(self.left.funsp, self.right.funsp, f)
-        return self.left._eval(fl).cross(self.right._eval(fr))
+        front = self.left._eval(fl).cross(self.right._eval(fr))
+        if memo is not None and len(memo) < MEMO_SIZE:
+            memo[key] = front
+        return front
 
 
-def loop_signature(dp: DesignProblem) -> tuple[Poset, Poset]:
-    """Split dp's functionality into (kept, fed-back) parts for a loop.
+def loop_signature(funsp: Poset, ressp: Poset) -> tuple[Poset, Poset]:
+    """Split a loop body's functionality into (kept, fed-back) parts.
 
     The fed-back part must equal the resource space and must leave at
     least one leading functionality factor.
     """
-    ffac = dp.funsp.factors
-    rfac = dp.ressp.factors
+    ffac = funsp.factors
+    rfac = ressp.factors
     n = len(rfac)
     if len(ffac) <= n or tuple(ffac[-n:]) != tuple(rfac):
         raise CompositionError(
             "loop mismatch: functionality %s does not end with resources %s"
-            % (dp.funsp.describe(), dp.ressp.describe())
+            % (funsp.describe(), ressp.describe())
         )
     lead = ffac[:-n]
     f1sp = lead[0] if len(lead) == 1 else ProductPoset(lead)
-    return f1sp, dp.ressp
+    return f1sp, ressp
 
 
-def _combine_loop_input(f1sp: Poset, f1, rsp: Poset, r):
-    return concat_elements(f1sp, f1, rsp, r)
+def _enable_memos(dp: DesignProblem) -> bool:
+    """Switch memos on in the loop-free series/par nodes under dp, not
+    looking inside loops; returns whether dp itself is loop-free."""
+    if isinstance(dp, LoopDP):
+        return False
+    if isinstance(dp, SeriesDP):
+        parts = (dp.first, dp.second)
+    elif isinstance(dp, ParDP):
+        parts = (dp.left, dp.right)
+    else:
+        return True
+    loop_free = [_enable_memos(p) for p in parts]  # visit both parts
+    if not all(loop_free):
+        return False
+    if dp._memo is None:
+        dp._memo = {}
+    return True
 
 
 class LoopDP(DesignProblem):
     """Feedback closure: the trailing functionality inputs are the DP's
     own resources, solved to the least fixed point."""
 
-    def __init__(self, body: DesignProblem, max_iter: int | None = None):
-        f1sp, rsp = loop_signature(body)
-        super().__init__(f1sp, rsp)
+    def __init__(self, body: DesignProblem):
+        self.signature = loop_signature(body.funsp, body.ressp)
+        super().__init__(*self.signature)
         self.body = body
-        self.max_iter = max_iter
+        _enable_memos(body)
 
     def _eval(self, f1) -> Antichain:
-        report = kleene_solve(self.body, f1, max_iter=self.max_iter)
-        trace = _loop_trace.get()
-        if trace is not None:
-            trace.append(report)
+        max_iter, reports = _solve_run.get()
+        report = kleene_solve(self.body, f1, max_iter, signature=self.signature)
+        if reports is not None:
+            reports.append(report)
         return report.front
 
 
@@ -247,8 +309,8 @@ def par(left: DesignProblem, right: DesignProblem) -> ParDP:
     return ParDP(left, right)
 
 
-def loop(body: DesignProblem, max_iter: int | None = None) -> LoopDP:
-    return LoopDP(body, max_iter=max_iter)
+def loop(body: DesignProblem) -> LoopDP:
+    return LoopDP(body)
 
 
 @dataclass
@@ -278,6 +340,7 @@ def kleene_solve(
     f1,
     max_iter: int | None = None,
     keep_history: bool = False,
+    signature: tuple[Poset, Poset] | None = None,
 ) -> SolveReport:
     """Least fixed point of the loop map by Kleene ascent from {bottom}.
 
@@ -286,9 +349,15 @@ def kleene_solve(
     point that produced them), including the one that confirms the
     front stopped changing.  Hitting the cap returns the last iterate,
     which under-approximates the true front, with converged=False.
+
+    A caller passing the body's loop signature (LoopDP, which derived it
+    once) vouches for it and for f1; otherwise both are checked here.
     """
-    f1sp, rsp = loop_signature(dp)
-    f1sp.check_member(f1)
+    if signature is None:
+        f1sp, rsp = loop_signature(dp.funsp, dp.ressp)
+        f1sp.check_member(f1)
+    else:
+        f1sp, rsp = signature
     if max_iter is None:
         max_iter = DEFAULT_MAX_ITER
     cache: dict = {}
@@ -296,7 +365,7 @@ def kleene_solve(
     def eval_at(r):
         hit = cache.get(r)
         if hit is None:
-            hit = cache[r] = dp._eval(_combine_loop_input(f1sp, f1, rsp, r))
+            hit = cache[r] = dp._eval(concat_elements(f1sp, f1, rsp, r))
         return hit
 
     front = _unchecked_front(rsp, [rsp.bottom()])
@@ -318,43 +387,30 @@ def kleene_solve(
     return SolveReport(front=front, iterations=iterations, converged=converged, history=history)
 
 
-_loop_trace: contextvars.ContextVar = contextvars.ContextVar("loop_trace", default=None)
+# (cap, reports) of the solve in progress: each loop it solves takes the
+# cap and appends its report
+_solve_run: contextvars.ContextVar = contextvars.ContextVar("solve_run", default=(None, None))
 
 
 def solve(dp: DesignProblem, f, max_iter: int | None = None) -> SolveReport:
     """Evaluate dp at f, aggregating loop work across the whole run.
 
-    iterations sums the loop-map applications of every loop solved on
-    the way (nested loops re-solve under each outer step); converged is
-    the conjunction.  A loop-free evaluation reports 0 iterations.
+    max_iter caps every loop solved on the way (DEFAULT_MAX_ITER when
+    None).  iterations sums the loop-map applications of those loops
+    (nested loops re-solve under each outer step); converged is the
+    conjunction.  A loop-free evaluation reports 0 iterations.
     """
-    if max_iter is not None:
-        dp = _override_max_iter(dp, max_iter)
     reports: list[SolveReport] = []
-    token = _loop_trace.set(reports)
+    token = _solve_run.set((max_iter, reports))
     try:
         front = dp.evaluate(f)
     finally:
-        _loop_trace.reset(token)
+        _solve_run.reset(token)
     return SolveReport(
         front=front,
         iterations=sum(r.iterations for r in reports),
         converged=all(r.converged for r in reports),
     )
-
-
-def _override_max_iter(dp: DesignProblem, max_iter: int) -> DesignProblem:
-    if isinstance(dp, SeriesDP):
-        return SeriesDP(
-            _override_max_iter(dp.first, max_iter), _override_max_iter(dp.second, max_iter)
-        )
-    if isinstance(dp, ParDP):
-        return ParDP(
-            _override_max_iter(dp.left, max_iter), _override_max_iter(dp.right, max_iter)
-        )
-    if isinstance(dp, LoopDP):
-        return LoopDP(_override_max_iter(dp.body, max_iter), max_iter=max_iter)
-    return dp
 
 
 # --- term algebra ---------------------------------------------------------
@@ -417,7 +473,7 @@ def term_to_text(term: Term) -> str:
     raise TypeError("not a term: %r" % (term,))
 
 
-def evaluate_term(term: Term, valuation, max_iter: int | None = None, path: str = "term") -> DesignProblem:
+def evaluate_term(term: Term, valuation, path: str = "term") -> DesignProblem:
     """Interpret a term over a valuation of its atoms.
 
     Composition type errors carry the path of the offending sub-term.
@@ -428,20 +484,20 @@ def evaluate_term(term: Term, valuation, max_iter: int | None = None, path: str 
         except KeyError:
             raise DomainError("%s: no design problem named %r" % (path, term.name)) from None
     if isinstance(term, Series):
-        left = evaluate_term(term.left, valuation, max_iter, path + ".series.left")
-        right = evaluate_term(term.right, valuation, max_iter, path + ".series.right")
+        left = evaluate_term(term.left, valuation, path + ".series.left")
+        right = evaluate_term(term.right, valuation, path + ".series.right")
         try:
             return series(left, right)
         except CompositionError as e:
             raise CompositionError("%s: %s" % (path, e)) from None
     if isinstance(term, Par):
-        left = evaluate_term(term.left, valuation, max_iter, path + ".par.left")
-        right = evaluate_term(term.right, valuation, max_iter, path + ".par.right")
+        left = evaluate_term(term.left, valuation, path + ".par.left")
+        right = evaluate_term(term.right, valuation, path + ".par.right")
         return par(left, right)
     if isinstance(term, Loop):
-        body = evaluate_term(term.body, valuation, max_iter, path + ".loop")
+        body = evaluate_term(term.body, valuation, path + ".loop")
         try:
-            return loop(body, max_iter=max_iter)
+            return loop(body)
         except CompositionError as e:
             raise CompositionError("%s: %s" % (path, e)) from None
     raise TypeError("not a term: %r" % (term,))

@@ -66,8 +66,9 @@ from .dp import (
     UNIT_POSET,
     BottomDP,
     TopDP,
+    loop_signature,
 )
-from .errors import DomainError
+from .errors import CompositionError, DomainError
 from .posets import FinitePoset, Poset, ProductPoset, RealPlus
 from .uncertainty import UncertainDP, check_udp, degenerate, scale_catalogue
 
@@ -1027,11 +1028,28 @@ class ElaboratedModel:
     fnames: list
     rnames: list
     builtin_decls: dict
-    atom_spans: dict
     document: Document
 
     def query_axes(self) -> list:
         return list(zip(self.fnames, self.funsp.factors))
+
+    def axis_index(self, key) -> int:
+        """0-based index of a functionality axis given by name or by
+        1-based index (an int or a digit string)."""
+        axes = self.query_axes()
+        if isinstance(key, int) or (isinstance(key, str) and key.isdigit()):
+            idx = int(key) - 1
+            if not 0 <= idx < len(axes):
+                raise DomainError("axis index %s out of range 1..%d" % (key, len(axes)))
+            return idx
+        hits = [i for i, (n, _) in enumerate(axes) if n == key]
+        if not hits:
+            raise DomainError(
+                "unknown axis %r; axes are: %s" % (key, ", ".join(n for n, _ in axes))
+            )
+        if len(hits) > 1:
+            raise DomainError("axis name %r is ambiguous; use its 1-based index" % key)
+        return hits[0]
 
     def build_query(self, assignments: dict):
         """Functionality element from axis-name (or 1-based index) keys.
@@ -1046,24 +1064,7 @@ class ElaboratedModel:
         axes = self.query_axes()
         slots: list = [None] * len(axes)
         for key, value in assignments.items():
-            if isinstance(key, int) or (isinstance(key, str) and key.isdigit()):
-                idx = int(key) - 1
-                if not 0 <= idx < len(axes):
-                    raise DomainError(
-                        "axis index %s out of range 1..%d" % (key, len(axes))
-                    )
-            else:
-                hits = [i for i, (n, _) in enumerate(axes) if n == key]
-                if not hits:
-                    raise DomainError(
-                        "unknown axis %r; axes are: %s"
-                        % (key, ", ".join(n for n, _ in axes))
-                    )
-                if len(hits) > 1:
-                    raise DomainError(
-                        "axis name %r is ambiguous; use its 1-based index" % key
-                    )
-                idx = hits[0]
+            idx = self.axis_index(key)
             if slots[idx] is not None:
                 raise DomainError("axis %r assigned twice" % key)
             slots[idx] = value
@@ -1122,7 +1123,6 @@ class _Elaborator:
         self.uvaluation: dict[str, UncertainDP] = {}
         self.axis_names: dict[str, tuple] = {}
         self.builtin_decls: dict[str, KBuiltin] = {}
-        self.atom_spans: dict[str, Span] = {}
         self.model_name = ""
         self.model_desc = ""
 
@@ -1166,7 +1166,6 @@ class _Elaborator:
             fnames=fnames,
             rnames=rnames,
             builtin_decls=self.builtin_decls,
-            atom_spans=self.atom_spans,
             document=self.doc,
         )
 
@@ -1234,7 +1233,6 @@ class _Elaborator:
 
     def do_dp(self, st: StDp):
         k = st.kind
-        self.atom_spans[st.name] = st.span
         if isinstance(k, KBuiltin):
             try:
                 udp = _build_builtin(k)
@@ -1399,7 +1397,6 @@ class _Elaborator:
 
     def do_uncertain(self, st: StUncertain):
         k = st.kind
-        self.atom_spans[st.name] = st.span
         if isinstance(k, UPm):
             dp = self.plain_dps.get(k.dp_name)
             if dp is None:
@@ -1485,8 +1482,9 @@ class _Elaborator:
             if body is None:
                 return None
             bt, bf, br, bfn, brn = body
-            n = len(br.factors)
-            if len(bf.factors) <= n or tuple(bf.factors[-n:]) != tuple(br.factors):
+            try:
+                f1sp, _ = loop_signature(bf, br)
+            except CompositionError:
                 self.error(
                     "loop mismatch: body functionality %s must end with its "
                     "resources %s (body at %d:%d)"
@@ -1499,9 +1497,7 @@ class _Elaborator:
                     tex.span,
                 )
                 return None
-            lead = bf.factors[:-n]
-            f1sp = lead[0] if len(lead) == 1 else ProductPoset(lead)
-            return Loop(bt), f1sp, br, bfn[: len(lead)], brn
+            return Loop(bt), f1sp, br, bfn[: len(f1sp.factors)], brn
         raise TypeError("not a term expression: %r" % (tex,))
 
 

@@ -86,7 +86,7 @@ def brute_lfp(dp: DesignProblem, f1) -> Antichain:
     Validates the iterative solver: no ascent, no iteration cap, just
     every antichain tested for being a fixed point.
     """
-    f1sp, rsp = loop_signature(dp)
+    f1sp, rsp = loop_signature(dp.funsp, dp.ressp)
     f1sp.check_member(f1)
 
     def step(s: frozenset) -> frozenset:

@@ -246,7 +246,10 @@ class ProductPoset(Poset):
         return all(p.contains(v) for p, v in zip(self._factors, x))
 
     def leq(self, a, b) -> bool:
-        return all(p.leq(u, v) for p, u, v in zip(self._factors, a, b))
+        for p, u, v in zip(self._factors, a, b):
+            if not p.leq(u, v):
+                return False
+        return True
 
     def bottom(self):
         return tuple(p.bottom() for p in self._factors)

@@ -8,6 +8,10 @@ interpreting it once with all lower sides and once with all upper sides.
 Anything the upper run achieves is certainly feasible; anything the
 lower run rules out is certainly infeasible; in between the answer is
 indeterminate.
+
+Build a pair once with evaluate_uncertain and solve it at many queries
+with UncertainDP.solve: the trees, and the fronts their loops remember,
+are reused.  solve_uncertain builds and solves in one call.
 """
 
 from dataclasses import dataclass
@@ -54,6 +58,18 @@ class UncertainDP:
 
     def describe(self) -> str:
         return "uncertain[%s .. %s]" % (self.lower.describe(), self.upper.describe())
+
+    def solve(self, f, max_iter: int | None = None) -> "UncertainSolution":
+        """Solve both bounds at f and classify the verdict.
+
+        The lower front under-approximates and the upper front
+        over-approximates the true minimal resources.
+        """
+        lo = solve(self.lower, f, max_iter)
+        hi = solve(self.upper, f, max_iter)
+        return UncertainSolution(
+            funsp=self.funsp, query=f, lower=lo, upper=hi, verdict=classify(lo, hi)
+        )
 
     def __repr__(self):
         return "<%s>" % self.describe()
@@ -107,10 +123,10 @@ def default_query_grid(funsp: Poset, cap: int = 512) -> list:
     return pts[:cap]
 
 
-def evaluate_uncertain(term: Term, uvaluation, max_iter: int | None = None) -> UncertainDP:
+def evaluate_uncertain(term: Term, uvaluation) -> UncertainDP:
     """Interpret a term twice, over all lower and all upper bounds."""
-    lower = evaluate_term(term, {k: u.lower for k, u in uvaluation.items()}, max_iter)
-    upper = evaluate_term(term, {k: u.upper for k, u in uvaluation.items()}, max_iter)
+    lower = evaluate_term(term, {k: u.lower for k, u in uvaluation.items()})
+    upper = evaluate_term(term, {k: u.upper for k, u in uvaluation.items()})
     return UncertainDP(lower, upper)
 
 
@@ -148,21 +164,8 @@ def classify(lower: SolveReport, upper: SolveReport) -> str:
 def solve_uncertain(
     term: Term, uvaluation, f, max_iter: int | None = None
 ) -> UncertainSolution:
-    """Solve both bounds at f and classify the verdict.
-
-    The lower front under-approximates and the upper front
-    over-approximates the true minimal resources.
-    """
-    udp = evaluate_uncertain(term, uvaluation, max_iter)
-    lo = solve(udp.lower, f)
-    hi = solve(udp.upper, f)
-    return UncertainSolution(
-        funsp=udp.funsp,
-        query=f,
-        lower=lo,
-        upper=hi,
-        verdict=classify(lo, hi),
-    )
+    """Build the pair for term and solve it at f (see UncertainDP.solve)."""
+    return evaluate_uncertain(term, uvaluation).solve(f, max_iter)
 
 
 def _scale_point(ressp: Poset, r, divisor: float):

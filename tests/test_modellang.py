@@ -187,6 +187,16 @@ class TestElaborate:
         with pytest.raises(DomainError, match="twice"):
             model.build_query({"f": 1.0, "1": 2.0, "grade": "low"})
 
+    def test_axis_index(self):
+        model = elaborate_ok("dp a = identity R(x[W])\ndp b = identity R(x[W])\nterm par(a, b)\n")
+        assert [model.axis_index(k) for k in ("1", 2, "2")] == [0, 1, 1]
+        with pytest.raises(DomainError, match="ambiguous"):
+            model.axis_index("x")
+        with pytest.raises(DomainError, match="out of range"):
+            model.axis_index(0)
+        with pytest.raises(DomainError, match="unknown axis 'y'; axes are: x, x"):
+            model.axis_index("y")
+
     def test_series_mismatch_reports_both_sides(self):
         text = (
             "dp a = identity R(x[W])\n"
