@@ -158,7 +158,13 @@ def cmd_check(args) -> int:
     for name in sorted(model.uvaluation):
         udp = model.uvaluation[name]
         for side_name, side in (("lower", udp.lower), ("upper", udp.upper)):
-            grid = _atom_grid(side)
+            grid = []
+            for f in uncertainty.default_query_grid(side.funsp, cap=64):
+                try:
+                    side.evaluate(f)
+                except CodesignError:
+                    continue
+                grid.append(f)
             if len(grid) < 2:
                 continue
             checked += 1
@@ -193,42 +199,6 @@ def cmd_check(args) -> int:
         )
     )
     return EXIT_OK
-
-
-_CHECK_GRID = [0.0, 0.5, 1.0, 2.0, 5.0]
-
-
-def _atom_grid(dp) -> list:
-    """Deterministic small query grid for monotonicity spot-checks."""
-    import itertools
-
-    from .dp import Catalogue
-
-    per_axis = []
-    for i, p in enumerate(dp.funsp.factors):
-        if p.is_finite:
-            per_axis.append(p.elements())
-            continue
-        vals = set(_CHECK_GRID)
-        if isinstance(dp, Catalogue):
-            for f, _ in dp.entries:
-                parts = f if isinstance(f, tuple) else (f,)
-                if not math.isinf(parts[i]):
-                    vals.add(float(parts[i]))
-        per_axis.append(sorted(vals)[:12])
-    if len(per_axis) == 1:
-        pts = list(per_axis[0])
-    else:
-        pts = [tuple(t) for t in itertools.product(*per_axis)]
-    pts = pts[:64]
-    usable = []
-    for f in pts:
-        try:
-            dp.evaluate(f)
-        except CodesignError:
-            continue
-        usable.append(f)
-    return usable
 
 
 def cmd_solve(args) -> int:
@@ -280,9 +250,20 @@ def cmd_sweep(args) -> int:
     try:
         max_iter = _max_iter_from(args)
         assignments = _parse_f_args(model, args.f)
-        rows, label = _sweep_rows(model, args, assignments, max_iter)
+        plan, label = _sweep_rows(model, args, assignments)
     except CodesignError as e:
         return _fail(str(e))
+    rows = []
+    built_for = udp = None
+    for value_text, uvaluation, query in plan:
+        # rows on one valuation share its pair, and the fronts its loops remember
+        if uvaluation is not built_for:
+            udp = uncertainty.evaluate_uncertain(model.term, uvaluation)
+            built_for = uvaluation
+        try:
+            rows.append((value_text, udp.solve(model.build_query(query), max_iter), "ok"))
+        except CodesignError as e:
+            rows.append((value_text, None, "error: %s" % e))
     if args.format == "csv":
         print(_CSV_HEADER)
         for value_text, sol, status in rows:
@@ -300,8 +281,10 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _sweep_rows(model, args, assignments, max_iter):
-    rows = []
+def _sweep_rows(model, args, assignments):
+    """Rows of (value text, valuation, query assignments) and the sweep's
+    label.  A bad atom or parameter fails the whole sweep; only per-query
+    solve errors are row-local."""
     if args.axis is not None:
         idx = model.axis_index(args.axis)
         name, poset = model.query_axes()[idx]
@@ -320,21 +303,15 @@ def _sweep_rows(model, args, assignments, max_iter):
             grid = [
                 args.frm + i * (args.to - args.frm) / (steps - 1) for i in range(steps)
             ]
-        # every row asks the same pair, so its loops' memos carry over
-        udp = uncertainty.evaluate_uncertain(model.term, model.uvaluation)
-        for v in grid:
-            qa = dict(assignments)
-            qa[str(idx + 1)] = v
-            rows.append(_one_row(model, repr(v), qa, lambda f: udp.solve(f, max_iter)))
-        return rows, name
-    # a bad atom or parameter fails the whole sweep; only per-query
-    # solve errors are row-local
+        return [
+            (repr(v), model.uvaluation, {**assignments, str(idx + 1): v}) for v in grid
+        ], name
     if args.tolerance is not None:
         atom, alphas = _parse_sweep_spec(args.tolerance, "--tolerance", float)
-        for alpha in alphas:
-            uval = inject_tolerance(model.uvaluation, atom, alpha)
-            rows.append(_one_row(model, repr(alpha), assignments, _solver(model, uval, max_iter)))
-        return rows, "tolerance:%s" % atom
+        return [
+            (repr(alpha), inject_tolerance(model.uvaluation, atom, alpha), assignments)
+            for alpha in alphas
+        ], "tolerance:%s" % atom
 
     def to_int(x):
         v = int(x)
@@ -343,22 +320,9 @@ def _sweep_rows(model, args, assignments, max_iter):
         return v
 
     atom, ns = _parse_sweep_spec(args.relax_n, "--relax-n", to_int)
-    for n in ns:
-        uval = model.override_relaxation(atom, n)
-        rows.append(_one_row(model, str(n), assignments, _solver(model, uval, max_iter)))
-    return rows, "relax:%s" % atom
-
-
-def _solver(model, uvaluation, max_iter):
-    return lambda f: solve_uncertain(model.term, uvaluation, f, max_iter)
-
-
-def _one_row(model, value_text, assignments, solve_at):
-    try:
-        f = model.build_query(assignments)
-        return (value_text, solve_at(f), "ok")
-    except CodesignError as e:
-        return (value_text, None, "error: %s" % e)
+    return [
+        (str(n), model.override_relaxation(atom, n), assignments) for n in ns
+    ], "relax:%s" % atom
 
 
 def build_parser() -> _ArgumentParser:

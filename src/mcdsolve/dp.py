@@ -17,13 +17,17 @@ solve and kleene_solve, not part of the tree.
 The ascent asks a loop body the same questions over and over: parts of
 the body that never see the fed-back resources get the same input at
 every front point of every iteration.  So a LoopDP switches on a bounded
-memo (query -> front) in each series and par node of its body that
-contains no loop.  Outside loops, where a node is asked once per solve,
-a memo would only cost time; atoms are never memoised, as they live as
-long as the model.  Loops, and composites containing one, are not
-memoised either: each Kleene solve reports its iterations to solve, and
-a remembered front would drop them from the count.  A memo lives as
-long as its tree, so queries solved on one tree share it.
+memo (query -> front) in each series node of its body that contains no
+loop.  Par nodes get none: a par node's input is the input of the
+series above it or the output of that series' first part (at the body
+root, the loop's own per-solve cache), so a repeat is answered above it
+first; on the drone sweeps and random finite loops they never hit.
+Outside loops, where a node is asked once per solve, a memo would only
+cost time; atoms are never memoised, as they live as long as the model.
+Loops, and composites containing one, are not memoised either: each
+Kleene solve reports its iterations to solve, and a remembered front
+would drop them from the count.  A memo lives as long as its tree, so
+queries solved on one tree share it.
 
 Queries are checked once, by evaluate, solve and kleene_solve; composites
 call their parts' _eval directly and build fronts without re-checking
@@ -44,7 +48,6 @@ from .posets import (
     Poset,
     ProductPoset,
     RealPlus,
-    arity,
     concat_elements,
     product,
     split_element,
@@ -222,8 +225,6 @@ class SeriesDP(DesignProblem):
 
 
 class ParDP(DesignProblem):
-    _memo = None  # as in SeriesDP
-
     def __init__(self, left: DesignProblem, right: DesignProblem):
         super().__init__(
             product(left.funsp, right.funsp), product(left.ressp, right.ressp)
@@ -232,17 +233,8 @@ class ParDP(DesignProblem):
         self.right = right
 
     def _eval(self, f) -> Antichain:
-        memo = self._memo
-        if memo is not None:
-            key = _memo_key(f)
-            front = memo.get(key)
-            if front is not None:
-                return front
         fl, fr = split_element(self.left.funsp, self.right.funsp, f)
-        front = self.left._eval(fl).cross(self.right._eval(fr))
-        if memo is not None and len(memo) < MEMO_SIZE:
-            memo[key] = front
-        return front
+        return self.left._eval(fl).cross(self.right._eval(fr))
 
 
 def loop_signature(funsp: Poset, ressp: Poset) -> tuple[Poset, Poset]:
@@ -265,7 +257,7 @@ def loop_signature(funsp: Poset, ressp: Poset) -> tuple[Poset, Poset]:
 
 
 def _enable_memos(dp: DesignProblem) -> bool:
-    """Switch memos on in the loop-free series/par nodes under dp, not
+    """Switch memos on in the loop-free series nodes under dp, not
     looking inside loops; returns whether dp itself is loop-free."""
     if isinstance(dp, LoopDP):
         return False
@@ -278,7 +270,7 @@ def _enable_memos(dp: DesignProblem) -> bool:
     loop_free = [_enable_memos(p) for p in parts]  # visit both parts
     if not all(loop_free):
         return False
-    if dp._memo is None:
+    if isinstance(dp, SeriesDP) and dp._memo is None:
         dp._memo = {}
     return True
 

@@ -21,7 +21,7 @@ import json
 import math
 from importlib import resources
 
-from ..modellang import elaborate, parse
+from ..modellang import load_model, parse
 from ..uncertainty import solve_uncertain
 
 EXAMPLE_NAMES = ("uav", "energy_meter", "power_split")
@@ -162,11 +162,7 @@ def example_path(name):
 
 def load_example(name):
     """Parse and elaborate a shipped model; raises on any diagnostic."""
-    text = example_path(name).read_text(encoding="utf-8")
-    result = parse(text)
-    model, diags = (None, result.diagnostics)
-    if result.ok:
-        model, diags = elaborate(result.document)
+    model, diags = load_model(example_path(name).read_text(encoding="utf-8"))
     if model is None:
         raise AssertionError(
             "example %s has errors: %s"

@@ -300,19 +300,8 @@ class KMap:
 
 
 @dataclass
-class KIdentity:
-    sig: Sig
-    span: Span = _sp()
-
-
-@dataclass
-class KBottom:
-    sig: Sig
-    span: Span = _sp()
-
-
-@dataclass
-class KTop:
+class KSig:
+    word: str  # identity, bottom or top: kinds given by their signature alone
     sig: Sig
     span: Span = _sp()
 
@@ -453,11 +442,6 @@ class _Parser:
     def expect(self, text: str) -> Token:
         if not self.at(text):
             self.fail("expected %r, found %s" % (text, self._describe(self.cur())))
-        return self.advance()
-
-    def expect_kind(self, kind: str, what: str) -> Token:
-        if self.cur().kind != kind:
-            self.fail("expected %s, found %s" % (what, self._describe(self.cur())))
         return self.advance()
 
     def expect_name(self, what: str = "a name") -> Token:
@@ -655,19 +639,11 @@ class _Parser:
                 assigns.append(self.parse_assign())
             close = self.expect("}")
             return KMap(sig, assigns, span=merge_spans(start.span, close.span))
-        if tok.text == "identity":
+        if tok.text in ("identity", "bottom", "top"):
             start = self.advance()
             sig = self.parse_sig()
-            return KIdentity(sig, span=merge_spans(start.span, sig.span))
-        if tok.text == "bottom":
-            start = self.advance()
-            sig = self.parse_sig()
-            return KBottom(sig, span=merge_spans(start.span, sig.span))
-        if tok.text == "top":
-            start = self.advance()
-            sig = self.parse_sig()
-            return KTop(sig, span=merge_spans(start.span, sig.span))
-        if tok.text in ("uid", "invplus_uniform", "invplus_vdc", "invtimes_vdc"):
+            return KSig(start.text, sig, span=merge_spans(start.span, sig.span))
+        if tok.text in _BUILTIN_AXIS_NAMES:
             return self.parse_builtin()
         self.fail("unknown design problem kind %s" % self._describe(tok))
 
@@ -985,12 +961,8 @@ def _render_statement(st) -> str:
                 _fmt_sig(k.sig),
                 "; ".join("%s = %s" % (a.name, _fmt_expr(a.expr)) for a in k.assigns),
             )
-        elif isinstance(k, KIdentity):
-            body = "identity %s" % _fmt_sig(k.sig)
-        elif isinstance(k, KBottom):
-            body = "bottom %s" % _fmt_sig(k.sig)
-        elif isinstance(k, KTop):
-            body = "top %s" % _fmt_sig(k.sig)
+        elif isinstance(k, KSig):
+            body = "%s %s" % (k.word, _fmt_sig(k.sig))
         else:
             body = _fmt_builtin(k)
         return "dp %s = %s" % (st.name, body)
@@ -1151,7 +1123,10 @@ class _Elaborator:
             return None
         for extra in terms[1:]:
             self.error("more than one term statement", extra.span)
-        checked = self.check_texpr(terms[0].expr)
+        if self.has_errors():
+            # poset/dp diagnostics already make the model unusable
+            return None
+        checked = self._texpr(terms[0].expr)
         if self.has_errors():
             return None
         term, funsp, ressp, fnames, rnames = checked
@@ -1307,7 +1282,7 @@ class _Elaborator:
             return Catalogue(f_space, r_space, entries, name=name)
         if isinstance(k, KMap):
             return self.build_map_dp(name, k, f_space, r_space, fnames, rnames)
-        if isinstance(k, KIdentity):
+        if isinstance(k, KSig) and k.word == "identity":
             if k.sig.f_axes is not None:
                 fsp = self.space_from_axes(k.sig.f_axes)
                 if fsp is None:
@@ -1320,10 +1295,8 @@ class _Elaborator:
                     )
                     return None
             return IdentityDP(r_space)
-        if isinstance(k, KBottom):
-            return BottomDP(f_space, r_space)
-        if isinstance(k, KTop):
-            return TopDP(f_space, r_space)
+        if isinstance(k, KSig):
+            return (BottomDP if k.word == "bottom" else TopDP)(f_space, r_space)
         raise TypeError("unknown dp kind %r" % (k,))
 
     def scalars_of_width(self, node: PointNode, width: int, what: str):
@@ -1431,13 +1404,6 @@ class _Elaborator:
         self.axis_names[st.name] = self.axis_names[k.lower_name]
 
     # term type checking
-
-    def check_texpr(self, tex):
-        if self.has_errors():
-            # poset/dp diagnostics already make the model unusable
-            return None
-        result = self._texpr(tex)
-        return result
 
     def _texpr(self, tex):
         if isinstance(tex, TAtom):

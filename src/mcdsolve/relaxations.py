@@ -108,29 +108,36 @@ def vdc(n: int) -> list[float]:
 
 
 def _segment_point(f1: float, t: float) -> tuple:
-    # guard 0*inf when f1 is the top element
+    # (f1*t, f1*(1-t)) on the additive trade-off segment; guard 0*inf
+    # when f1 is the top element
     x = f1 * t if t > 0 else 0.0
     y = f1 * (1 - t) if t < 1 else 0.0
     return (x, y)
 
 
-class SegmentSample:
-    """Points (f1*t, f1*(1-t)) on the additive trade-off segment."""
-
-    __slots__ = ("f1", "params")
-
-    def __init__(self, f1: float, params):
-        self.f1 = f1
-        self.params = list(params)
-
-    def points(self) -> list[tuple]:
-        return [_segment_point(self.f1, t) for t in self.params]
-
-
-def _plus_spaces(unit: str):
+def _relax_plus(family: str, n: int, unit: str) -> UncertainDP:
+    # the sampled inverse of + at the parameters of one family
+    if n < 1:
+        raise DomainError("need at least one sample point")
     fsp = RealPlus(unit)
     rsp = ProductPoset((RealPlus(unit), RealPlus(unit)))
-    return fsp, rsp
+    if family == "uniform":
+        upper_params = [0.5] if n == 1 else [i / (n - 1) for i in range(n)]
+        lower_params = [i / n for i in range(n + 1)]
+    else:
+        upper_params = vdc(n)
+        lower_params = upper_params + [0.0, 1.0]
+
+    def upper_fn(f1):
+        return [_segment_point(f1, t) for t in upper_params]
+
+    def lower_fn(f1):
+        pts = [_segment_point(f1, t) for t in lower_params]
+        return list(lower_from_points(pts, rsp).points)
+
+    upper = MonotoneMap(fsp, rsp, upper_fn, name="invplus_%s_hi(%d)" % (family, n))
+    lower = MonotoneMap(fsp, rsp, lower_fn, name="invplus_%s_lo(%d)" % (family, n))
+    return UncertainDP(lower, upper)
 
 
 def relax_plus_uniform(n: int, unit: str = "") -> UncertainDP:
@@ -141,22 +148,7 @@ def relax_plus_uniform(n: int, unit: str = "") -> UncertainDP:
     the family is not monotone in n; prefer the Van der Corput variant
     when sweeping n.
     """
-    if n < 1:
-        raise DomainError("need at least one sample point")
-    fsp, rsp = _plus_spaces(unit)
-    upper_params = [0.5] if n == 1 else [i / (n - 1) for i in range(n)]
-    lower_params = [i / n for i in range(n + 1)]
-
-    def upper_fn(f1):
-        return SegmentSample(f1, upper_params).points()
-
-    def lower_fn(f1):
-        pts = SegmentSample(f1, lower_params).points()
-        return list(lower_from_points(pts, rsp).points)
-
-    upper = MonotoneMap(fsp, rsp, upper_fn, name="invplus_uniform_hi(%d)" % n)
-    lower = MonotoneMap(fsp, rsp, lower_fn, name="invplus_uniform_lo(%d)" % n)
-    return UncertainDP(lower, upper)
+    return _relax_plus("uniform", n, unit)
 
 
 def relax_plus_vdc(n: int, unit: str = "") -> UncertainDP:
@@ -166,21 +158,7 @@ def relax_plus_vdc(n: int, unit: str = "") -> UncertainDP:
     both segment endpoints.  Prefix stability of the sequence makes
     n+1 samples always at least as tight as n.
     """
-    if n < 1:
-        raise DomainError("need at least one sample point")
-    fsp, rsp = _plus_spaces(unit)
-    params = vdc(n)
-
-    def upper_fn(f1):
-        return SegmentSample(f1, params).points()
-
-    def lower_fn(f1):
-        pts = SegmentSample(f1, params + [0.0, 1.0]).points()
-        return list(lower_from_points(pts, rsp).points)
-
-    upper = MonotoneMap(fsp, rsp, upper_fn, name="invplus_vdc_hi(%d)" % n)
-    lower = MonotoneMap(fsp, rsp, lower_fn, name="invplus_vdc_lo(%d)" % n)
-    return UncertainDP(lower, upper)
+    return _relax_plus("vdc", n, unit)
 
 
 def relax_times_vdc(

@@ -16,7 +16,6 @@ are reused.  solve_uncertain builds and solves in one call.
 
 from dataclasses import dataclass
 
-from .antichains import Antichain
 from .dp import (
     Catalogue,
     DesignProblem,
@@ -168,7 +167,7 @@ def solve_uncertain(
     return evaluate_uncertain(term, uvaluation).solve(f, max_iter)
 
 
-def _scale_point(ressp: Poset, r, divisor: float):
+def _scale_point(r, divisor: float):
     parts = r if isinstance(r, tuple) else (r,)
     scaled = tuple(v / divisor for v in parts)
     return scaled if isinstance(r, tuple) else scaled[0]
@@ -190,13 +189,13 @@ def scale_catalogue(cat: Catalogue, p: float) -> UncertainDP:
     lower = Catalogue(
         cat.funsp,
         cat.ressp,
-        [(f, _scale_point(cat.ressp, r, 1 + p)) for f, r in cat.entries],
+        [(f, _scale_point(r, 1 + p)) for f, r in cat.entries],
         name=(cat.name + "_lo") if cat.name else "",
     )
     upper = Catalogue(
         cat.funsp,
         cat.ressp,
-        [(f, _scale_point(cat.ressp, r, 1 - p)) for f, r in cat.entries],
+        [(f, _scale_point(r, 1 - p)) for f, r in cat.entries],
         name=(cat.name + "_hi") if cat.name else "",
     )
     return UncertainDP(lower, upper)

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from mcdsolve import uncertainty
 from mcdsolve.cli import (
     EXIT_ERROR,
     EXIT_INDETERMINATE,
@@ -57,6 +58,29 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "monotonicity" in out
         assert "functionality: payload:R+[g]" in out
+
+    @pytest.mark.parametrize("name, lines", [
+        ("uav", [
+            "uav: 13 atoms, 26 monotonicity spot-checks passed",
+            "functionality: endurance:R+[h], distance:R+[km], payload:R+[g], missions:missions",
+            "resources: mass:R+[g], cost:R+[$]",
+        ]),
+        ("energy_meter", [
+            "energy_meter: 3 atoms, 6 monotonicity spot-checks passed",
+            "functionality: power:R+[W]",
+            "resources: cost:R+[$]",
+        ]),
+        ("power_split", [
+            "power_split: 5 atoms, 10 monotonicity spot-checks passed",
+            "functionality: demand:R+[W]",
+            "resources: cost:R+[$]",
+        ]),
+    ])
+    def test_example_output(self, name, lines, capsys):
+        assert main(["check", str(example_path(name))]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out == "\n".join(lines) + "\n"
+        assert captured.err == ""
 
     def test_parse_error(self, tmp_path, capsys):
         path = tmp_path / "bad.mcd"
@@ -220,6 +244,55 @@ class TestSweep:
         statuses = [row["status"] for row in payload["rows"]]
         assert statuses[0] == "ok"
         assert statuses[1].startswith("error:")
+
+
+class TestPairReuse:
+    """A sweep builds one lower/upper pair per distinct valuation."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        build = uncertainty.evaluate_uncertain
+
+        def counted(term, uvaluation):
+            calls.append(uvaluation)
+            return build(term, uvaluation)
+
+        monkeypatch.setattr(uncertainty, "evaluate_uncertain", counted)
+        return calls
+
+    @pytest.mark.parametrize("mode, expected", [
+        (["--axis", "demand", "--from", "0", "--to", "8", "--steps", "5"], 1),
+        (["--tolerance", "solar=1.0,0.5,0.25", "--f", "demand=6"], 3),
+        (["--relax-n", "split=1,2,4,8", "--f", "demand=6"], 4),
+    ])
+    def test_builds_per_sweep(self, split_model, builds, mode, expected, capsys):
+        assert main(["sweep", split_model, *mode]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert all(row["status"] == "ok" for row in payload["rows"])
+        assert len(builds) == expected
+
+    def test_bad_atom_fails_before_any_build(self, split_model, builds, capsys):
+        code = main(["sweep", split_model, "--tolerance", "ghost=0.5", "--f", "demand=1"])
+        assert code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "ghost" in captured.err
+        assert builds == []
+
+    def test_bad_query_fails_only_its_row(self, split_model, builds, capsys):
+        code = main([
+            "sweep", split_model, "--axis", "demand", "--from", "2", "--to", "-2",
+            "--steps", "3",
+        ])
+        assert code == EXIT_OK
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [row["status"][:6] for row in rows] == ["ok", "ok", "error:"]
+        assert len(builds) == 1
+        code = main(["sweep", split_model, "--relax-n", "split=1,2", "--f", "demand=-1"])
+        assert code == EXIT_OK
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert all(row["status"].startswith("error:") for row in rows)
 
 
 class TestDeterminism:

@@ -1,5 +1,5 @@
 """The fronts that loop bodies remember: they change no answer, sit only
-in the loop-free composites under a loop, and cut the work of a sweep."""
+in the loop-free series nodes under a loop, and cut the work of a sweep."""
 
 import contextlib
 import io
@@ -166,13 +166,14 @@ class TestWhereMemosSit:
             nodes = []
             composites(side, nodes)
             assert isinstance(side, LoopDP) and getattr(side, "_memo", None) is None
-            memoised = [n for n, under, loops in nodes if under and loops is False]
-            assert len(memoised) == 11
+            loop_free = [n for n, under, loops in nodes if under and loops is False]
+            assert len(loop_free) == 11
+            assert sum(isinstance(n, SeriesDP) for n in loop_free) == 7
             for node, under, loops in nodes:
                 if loops is None:  # an atom
                     assert "_memo" not in vars(node), node
                 else:
-                    want = under and not loops
+                    want = under and not loops and isinstance(node, SeriesDP)
                     assert (getattr(node, "_memo", None) is not None) == want, node
 
     def test_no_memo_outside_loops(self):
@@ -192,7 +193,7 @@ class TestWhereMemosSit:
         around = par(inner, IdentityDP(ladder))
         outer = LoopDP(series(around, joiner))
         assert inner.body._memo is not None  # switched on by the inner loop
-        assert around._memo is None and outer.body._memo is None
+        assert not hasattr(around, "_memo") and outer.body._memo is None
         assert getattr(inner, "_memo", None) is None
         assert solve(outer, 0).front.points == {2}
 
