@@ -14,7 +14,7 @@ import re
 import sys
 
 from . import uncertainty
-from .dp import find_monotonicity_violation
+from .dp import _violating_pair
 from .errors import CodesignError, DomainError
 from .modellang import load_model
 from .posets import RealPlus
@@ -46,18 +46,18 @@ def _fail(message: str) -> int:
 
 
 def _load(path: str):
+    """The elaborated model, or None after its diagnostics or the read
+    error have gone to stderr."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as e:
-        return None, [], str(e)
+        _fail(str(e))
+        return None
     model, diags = load_model(text)
-    return model, diags, None
-
-
-def _print_diags(diags, filename):
     for d in diags:
-        print(d.format(filename), file=sys.stderr)
+        print(d.format(path), file=sys.stderr)
+    return model
 
 
 _F_ARG_RE = re.compile(r"^([^=]+)=(.*)$")
@@ -74,6 +74,8 @@ def _parse_f_args(model, f_args):
         vm = _VALUE_RE.match(rest)
         text, unit = vm.group(1), vm.group(2)
         idx = model.axis_index(key)
+        if str(idx + 1) in assignments:
+            raise DomainError("axis %r assigned twice" % key)
         assignments[str(idx + 1)] = _convert_value(model.funsp.factors[idx], text, unit, key)
     return assignments
 
@@ -147,10 +149,7 @@ def _csv_row(value_text: str, sol, status: str = "ok") -> str:
 
 
 def cmd_check(args) -> int:
-    model, diags, oserr = _load(args.file)
-    if oserr:
-        return _fail(oserr)
-    _print_diags(diags, args.file)
+    model = _load(args.file)
     if model is None:
         return EXIT_ERROR
     problems = 0
@@ -158,17 +157,16 @@ def cmd_check(args) -> int:
     for name in sorted(model.uvaluation):
         udp = model.uvaluation[name]
         for side_name, side in (("lower", udp.lower), ("upper", udp.upper)):
-            grid = []
+            fronts = {}
             for f in uncertainty.default_query_grid(side.funsp, cap=64):
                 try:
-                    side.evaluate(f)
+                    fronts[f] = side.evaluate(f)
                 except CodesignError:
                     continue
-                grid.append(f)
-            if len(grid) < 2:
+            if len(fronts) < 2:
                 continue
             checked += 1
-            witness = find_monotonicity_violation(side, grid)
+            witness = _violating_pair(side.funsp, fronts)
             if witness is not None:
                 problems += 1
                 print(
@@ -202,10 +200,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    model, diags, oserr = _load(args.file)
-    if oserr:
-        return _fail(oserr)
-    _print_diags(diags, args.file)
+    model = _load(args.file)
     if model is None:
         return EXIT_ERROR
     try:
@@ -238,10 +233,7 @@ def _parse_sweep_spec(spec: str, what: str, convert) -> tuple[str, list]:
 
 
 def cmd_sweep(args) -> int:
-    model, diags, oserr = _load(args.file)
-    if oserr:
-        return _fail(oserr)
-    _print_diags(diags, args.file)
+    model = _load(args.file)
     if model is None:
         return EXIT_ERROR
     modes = [m for m in (args.axis, args.tolerance, args.relax_n) if m is not None]
@@ -294,6 +286,8 @@ def _sweep_rows(model, args, assignments):
             raise DomainError("axis %r is both swept and fixed via --f" % args.axis)
         if args.frm is None or args.to is None:
             raise DomainError("--axis needs --from and --to")
+        if not (math.isfinite(args.frm) and math.isfinite(args.to)):
+            raise DomainError("--from and --to must be finite")
         steps = args.steps
         if steps < 1:
             raise DomainError("--steps must be at least 1")

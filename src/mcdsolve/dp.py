@@ -410,29 +410,35 @@ def solve(dp: DesignProblem, f, max_iter: int | None = None) -> SolveReport:
 
 @dataclass(frozen=True)
 class Term:
-    pass
+    """A composition of named atoms.  A node's span is where the parser
+    found it in the model text (None when built in code); it takes no
+    part in equality, hashing or repr."""
 
 
 @dataclass(frozen=True)
 class Atom(Term):
     name: str
+    span: object = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Series(Term):
     left: Term
     right: Term
+    span: object = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Par(Term):
     left: Term
     right: Term
+    span: object = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Loop(Term):
     body: Term
+    span: object = field(default=None, compare=False, repr=False)
 
 
 def atoms_of(term: Term) -> list[str]:
@@ -522,11 +528,15 @@ def find_monotonicity_violation(dp: DesignProblem, fs=None):
     Returns a witness pair or None.  Exhaustive on finite spaces, else
     checks the given sample points.
     """
-    pts = _query_points(dp, fs)
-    fronts = {f: dp.evaluate(f) for f in pts}
-    for f in pts:
-        for g in pts:
-            if f != g and dp.funsp.leq(f, g):
-                if not fronts[f].leq(fronts[g]):
-                    return (f, g)
+    fronts = {f: dp.evaluate(f) for f in _query_points(dp, fs)}
+    return _violating_pair(dp.funsp, fronts)
+
+
+def _violating_pair(funsp: Poset, fronts: dict):
+    """First pair f <= g (f != g) of evaluated points whose fronts are out
+    of order, or None; fronts maps each point to its front."""
+    for f in fronts:
+        for g in fronts:
+            if f != g and funsp.leq(f, g) and not fronts[f].leq(fronts[g]):
+                return (f, g)
     return None

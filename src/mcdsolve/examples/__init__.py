@@ -12,9 +12,11 @@ Three models, one per application style:
 * ``power_split.mcd``: a demand split across two supplies via the
   sampled relaxation of addition.
 
-`build_uav_model(percent)` rebuilds the UAV document at any battery
-uncertainty level; the shipped file is the percent=10 rendering and
-`test_examples` keeps the two in sync.
+`uav_model_text(percent)` derives the UAV source at any battery
+uncertainty level from the shipped ``uav.mcd`` (written at 10 %) by
+rewriting its three percent sites; `build_uav_model(percent)` parses it.
+The battery block of ``uav.mcd`` is `_battery_block()`, the rendering of
+`BATTERY_TABLE` that `test_examples` keeps in sync with the file.
 """
 
 import json
@@ -67,79 +69,14 @@ def _battery_block():
     return "\n".join(lines)
 
 
-_UAV_HEADER = '''\
-# Drone sizing with an uncertain battery catalogue.
-#
-# Functionality: endurance [h], distance [km], payload [g], missions.
-# Resources: total mass [g] and total cost [$], which feed back into
-# the lift requirement, closing the co-design loop.
-#
-# Coefficients are desk-scale placeholders, not measurements:
-#   perception power   0.4 W per km/h of speed, 2 W floor
-#   actuation          0.05 W and 0.005 $ per gram of lift, 1 W / 5 $ floor
-#   avionics           3 W always on
-#   airframe           150 g and 20 $ on top of battery and actuation
-# The battery table itself (density, price, cycle life) is the part
-# worth trusting; its mass and cost carry the +-{percent}% uncertainty.
-'''
-
-_UAV_BODY = '''\
-model uav "drone sizing loop, battery known to +-{percent}%"
-
-poset missions = chain {{200, 1000}}
-
-# reorder the loop inputs for the two branches below; the fed-back
-# cost does not influence any requirement, so it is dropped here
-dp requirements = map F(endurance[h], distance[km], payload[g], missions:missions, mass[g], cost[$])
-                    R(distance[km], payload[g], mass[g], endurance[h], missions:missions) {{
-    distance = distance; payload = payload; mass = mass;
-    endurance = endurance; missions = missions }}
-
-# velocity * flight time must cover the distance
-dp route = invtimes_vdc(8, 0.2, 150.0, km, km/h, h)
-dp perception = map F(velocity[km/h]) R(ppcpt[W]) {{ ppcpt = 0.4 * velocity + 2.0 }}
-dp idtime = identity R(flight[h])
-
-dp loading = map F(payload[g], mass[g], endurance[h], missions:missions)
-               R(lift[g], endurance[h], missions:missions) {{
-    lift = payload + mass; endurance = endurance; missions = missions }}
-dp actuation = affine F(lift[g]) R(pact[W], cact[$]) gain (0.05, 0.005) offset (1.0, 5.0)
-dp idreq = identity R(endurance[h], missions:missions)
-
-# battery must hold power for the longer of loiter and transit
-dp power_budget = map F(ppcpt[W], flight[h], pact[W], cact[$], endurance[h], missions:missions)
-                    R(ptot[W], hours[h], cact[$], missions:missions) {{
-    ptot = ppcpt + pact + 3.0; hours = max(flight, endurance);
-    cact = cact; missions = missions }}
-dp capacity = map F(ptot[W], hours[h], cact[$], missions:missions)
-                R(cap[Wh], missions:missions, cact[$]) {{
-    cap = ptot * hours; missions = missions; cact = cact }}
-
-dp battery = catalogue F(cap[Wh], missions:missions) R(mb[g], cb[$]) {{
-{battery_block}
-}}
-uncertain ubattery = pm(battery, {percent} %)
-
-dp idcost = identity R(cact[$])
-dp assembly = map F(mb[g], cb[$], cact[$]) R(mass[g], cost[$]) {{
-    mass = mb + 150.0; cost = cb + cact + 20.0 }}
-
-term loop(series(requirements,
-          series(par(series(route, par(perception, idtime)),
-                     series(loading, par(actuation, idreq))),
-          series(power_budget,
-          series(capacity,
-          series(par(ubattery, idcost), assembly))))))
-'''
-
-
 def uav_model_text(percent=10):
-    """Model source for the drone example at a battery uncertainty level."""
+    """Model source for the drone example at a battery uncertainty level:
+    the shipped uav.mcd, written at 10 %, with its percent sites rewritten."""
     if not 0 < percent < 100:
         raise ValueError("percent must be in (0, 100), got %r" % (percent,))
-    return (_UAV_HEADER + _UAV_BODY).format(
-        percent=percent, battery_block=_battery_block()
-    )
+    text = example_path("uav").read_text(encoding="utf-8")
+    text = text.replace("+-10%", "+-%s%%" % (percent,))
+    return text.replace("pm(battery, 10 %)", "pm(battery, %s %%)" % (percent,))
 
 
 def build_uav_model(percent=10):
@@ -147,7 +84,7 @@ def build_uav_model(percent=10):
     result = parse(uav_model_text(percent))
     if not result.ok:
         raise AssertionError(
-            "uav template failed to parse: %s"
+            "uav model failed to parse: %s"
             % "; ".join(d.format("uav.mcd") for d in result.diagnostics)
         )
     return result.document

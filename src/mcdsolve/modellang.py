@@ -41,9 +41,13 @@ Grammar (EBNF; # starts a comment, statements begin at column 1):
 
 Omitting F(...) gives a constant a trivial one-point functionality.
 `map` bodies are monotone by construction: nonnegative constants,
-functionality names, +, *, max, min.  Parsing recovers at statement
-boundaries, so one file yields every diagnostic at once; a duplicate
-name anywhere (posets, dps, uncertains share one namespace) is an error.
+functionality names, +, *, max, min.  Elaboration compiles each body
+once into closures over the argument positions, reporting unknown names
+on the way.  Parsing recovers at statement boundaries, so one file yields
+every diagnostic at once; a duplicate name anywhere (posets, dps,
+uncertains share one namespace) is an error.  A term statement parses
+straight into the kernel's term type (dp.Atom, Series, Par, Loop), each
+node carrying its span.
 """
 
 import math
@@ -67,6 +71,7 @@ from .dp import (
     BottomDP,
     TopDP,
     loop_signature,
+    term_to_text,
 )
 from .errors import CompositionError, DomainError
 from .posets import FinitePoset, Poset, ProductPoset, RealPlus
@@ -325,32 +330,6 @@ class UPm:
 class UInterval:
     lower_name: str
     upper_name: str
-    span: Span = _sp()
-
-
-@dataclass
-class TAtom:
-    name: str
-    span: Span = _sp()
-
-
-@dataclass
-class TSeries:
-    left: object
-    right: object
-    span: Span = _sp()
-
-
-@dataclass
-class TPar:
-    left: object
-    right: object
-    span: Span = _sp()
-
-
-@dataclass
-class TLoop:
-    body: object
     span: Span = _sp()
 
 
@@ -823,16 +802,16 @@ class _Parser:
             self.expect(",")
             right = self.parse_texpr()
             close = self.expect(")")
-            cls = TSeries if tok.text == "series" else TPar
+            cls = Series if tok.text == "series" else Par
             return cls(left, right, span=merge_spans(tok.span, close.span))
         if tok.text == "loop":
             self.advance()
             self.expect("(")
             body = self.parse_texpr()
             close = self.expect(")")
-            return TLoop(body, span=merge_spans(tok.span, close.span))
+            return Loop(body, span=merge_spans(tok.span, close.span))
         name = self.expect_name("a design problem name")
-        return TAtom(name.text, span=name.span)
+        return Atom(name.text, span=name.span)
 
 
 def parse(text: str) -> ParseResult:
@@ -895,16 +874,6 @@ def _fmt_expr(e, parent_prec: int = 0) -> str:
     prec = _PREC[e.op]
     body = "%s %s %s" % (_fmt_expr(e.left, prec), e.op, _fmt_expr(e.right, prec + 1))
     return "(%s)" % body if prec < parent_prec else body
-
-
-def _fmt_texpr(t) -> str:
-    if isinstance(t, TAtom):
-        return t.name
-    if isinstance(t, TSeries):
-        return "series(%s, %s)" % (_fmt_texpr(t.left), _fmt_texpr(t.right))
-    if isinstance(t, TPar):
-        return "par(%s, %s)" % (_fmt_texpr(t.left), _fmt_texpr(t.right))
-    return "loop(%s)" % _fmt_texpr(t.body)
 
 
 def _fmt_builtin(k: KBuiltin) -> str:
@@ -974,7 +943,7 @@ def _render_statement(st) -> str:
             body = "interval(%s, %s)" % (k.lower_name, k.upper_name)
         return "uncertain %s = %s" % (st.name, body)
     if isinstance(st, StTerm):
-        return "term %s" % _fmt_texpr(st.expr)
+        return "term %s" % term_to_text(st.expr)
     raise TypeError("not a statement: %r" % (st,))
 
 
@@ -991,8 +960,6 @@ class ElaboratedModel:
     """A checked model ready to solve."""
 
     name: str
-    description: str
-    posets: dict
     uvaluation: dict
     term: Term
     funsp: Poset
@@ -1000,7 +967,6 @@ class ElaboratedModel:
     fnames: list
     rnames: list
     builtin_decls: dict
-    document: Document
 
     def query_axes(self) -> list:
         return list(zip(self.fnames, self.funsp.factors))
@@ -1096,7 +1062,6 @@ class _Elaborator:
         self.axis_names: dict[str, tuple] = {}
         self.builtin_decls: dict[str, KBuiltin] = {}
         self.model_name = ""
-        self.model_desc = ""
 
     def error(self, message: str, span: Span):
         self.diags.append(Diagnostic("error", message, span))
@@ -1109,7 +1074,6 @@ class _Elaborator:
                     self.error("model already named %r" % self.model_name, st.span)
                 else:
                     self.model_name = st.name
-                    self.model_desc = st.description
             elif isinstance(st, StPoset):
                 self.do_poset(st)
             elif isinstance(st, StDp):
@@ -1129,19 +1093,16 @@ class _Elaborator:
         checked = self._texpr(terms[0].expr)
         if self.has_errors():
             return None
-        term, funsp, ressp, fnames, rnames = checked
+        funsp, ressp, fnames, rnames = checked
         return ElaboratedModel(
             name=self.model_name,
-            description=self.model_desc,
-            posets=self.posets,
             uvaluation=self.uvaluation,
-            term=term,
+            term=terms[0].expr,
             funsp=funsp,
             ressp=ressp,
             fnames=fnames,
             rnames=rnames,
             builtin_decls=self.builtin_decls,
-            document=self.doc,
         )
 
     def has_errors(self) -> bool:
@@ -1322,6 +1283,7 @@ class _Elaborator:
         if k.sig.f_axes is None:
             self.error("map needs an explicit F(...) signature", k.sig.span)
             return None
+        index = {n: i for i, n in enumerate(fnames)}  # a repeated name reads its last axis
         assigned = {}
         for a in k.assigns:
             if a.name not in rnames:
@@ -1332,10 +1294,10 @@ class _Elaborator:
             if a.name in assigned:
                 self.error("output axis %r assigned twice" % a.name, a.span)
                 return None
-            ok = self.check_expr_vars(a.expr, fnames)
-            if not ok:
+            compiled = self.compile_expr(a.expr, index)
+            if compiled is None:
                 return None
-            assigned[a.name] = a.expr
+            assigned[a.name] = compiled
         missing = [n for n in rnames if n not in assigned]
         if missing:
             self.error(
@@ -1343,30 +1305,40 @@ class _Elaborator:
                 k.span,
             )
             return None
-        exprs = [assigned[n] for n in rnames]
-        width = len(r_space.factors)
+        parts = tuple(assigned[n] for n in rnames)
+        if len(parts) == 1:
+            (part,) = parts
 
-        def fn(f, _exprs=tuple(exprs), _names=tuple(fnames), _w=width):
-            parts = f if isinstance(f, tuple) else (f,)
-            env = dict(zip(_names, parts))
-            vals = tuple(_eval_expr(e, env) for e in _exprs)
-            return vals if _w > 1 else vals[0]
+            def fn(f):
+                return part(f if isinstance(f, tuple) else (f,))
+
+        else:
+
+            def fn(f):
+                x = f if isinstance(f, tuple) else (f,)
+                return tuple(p(x) for p in parts)
 
         return MonotoneMap(f_space, r_space, fn, name=name)
 
-    def check_expr_vars(self, e, fnames) -> bool:
+    def compile_expr(self, e, index: dict):
+        """Closure computing e from the tuple of functionality values, or
+        None after reporting the first unknown name, left to right."""
+        if isinstance(e, ENum):
+            value = e.value
+            return lambda x: value
         if isinstance(e, EVar):
-            if e.name not in fnames:
+            i = index.get(e.name)
+            if i is None:
                 self.error(
                     "unknown functionality %r in map expression" % e.name, e.span
                 )
-                return False
-            return True
-        if isinstance(e, EBin):
-            return self.check_expr_vars(e.left, fnames) and self.check_expr_vars(
-                e.right, fnames
-            )
-        return True
+                return None
+            return lambda x: x[i]
+        left = self.compile_expr(e.left, index)
+        right = left and self.compile_expr(e.right, index)
+        if right is None:
+            return None
+        return _combine(e.op, left, right)
 
     def do_uncertain(self, st: StUncertain):
         k = st.kind
@@ -1406,20 +1378,23 @@ class _Elaborator:
     # term type checking
 
     def _texpr(self, tex):
-        if isinstance(tex, TAtom):
+        """(funsp, ressp, fnames, rnames) of a parsed term, or None."""
+        if isinstance(tex, Atom):
             udp = self.uvaluation.get(tex.name)
             if udp is None:
                 self.error("no design problem named %r" % tex.name, tex.span)
                 return None
             fnames, rnames = self.axis_names[tex.name]
-            return Atom(tex.name), udp.funsp, udp.ressp, list(fnames), list(rnames)
-        if isinstance(tex, TSeries):
+            return udp.funsp, udp.ressp, list(fnames), list(rnames)
+        if isinstance(tex, (Series, Par)):
             left = self._texpr(tex.left)
             right = self._texpr(tex.right)
             if left is None or right is None:
                 return None
-            lt, lf, lr, lfn, lrn = left
-            rt, rf, rr, rfn, rrn = right
+            lf, lr, lfn, lrn = left
+            rf, rr, rfn, rrn = right
+            if isinstance(tex, Par):
+                return ProductPoset((lf, rf)), ProductPoset((lr, rr)), lfn + rfn, lrn + rrn
             if lr != rf:
                 self.error(
                     "series mismatch: left side (%d:%d) produces %s but right "
@@ -1428,26 +1403,12 @@ class _Elaborator:
                     tex.right.span,
                 )
                 return None
-            return Series(lt, rt), lf, rr, lfn, rrn
-        if isinstance(tex, TPar):
-            left = self._texpr(tex.left)
-            right = self._texpr(tex.right)
-            if left is None or right is None:
-                return None
-            lt, lf, lr, lfn, lrn = left
-            rt, rf, rr, rfn, rrn = right
-            return (
-                Par(lt, rt),
-                ProductPoset((lf, rf)),
-                ProductPoset((lr, rr)),
-                lfn + rfn,
-                lrn + rrn,
-            )
-        if isinstance(tex, TLoop):
+            return lf, rr, lfn, rrn
+        if isinstance(tex, Loop):
             body = self._texpr(tex.body)
             if body is None:
                 return None
-            bt, bf, br, bfn, brn = body
+            bf, br, bfn, brn = body
             try:
                 f1sp, _ = loop_signature(bf, br)
             except CompositionError:
@@ -1463,25 +1424,25 @@ class _Elaborator:
                     tex.span,
                 )
                 return None
-            return Loop(bt), f1sp, br, bfn[: len(f1sp.factors)], brn
+            return f1sp, br, bfn[: len(f1sp.factors)], brn
         raise TypeError("not a term expression: %r" % (tex,))
 
 
-def _eval_expr(e, env: dict) -> float:
-    if isinstance(e, ENum):
-        return e.value
-    if isinstance(e, EVar):
-        return env[e.name]
-    a = _eval_expr(e.left, env)
-    b = _eval_expr(e.right, env)
-    if e.op == "+":
-        return a + b
-    if e.op == "*":
-        # 0 * inf is 0 here: a zero gain switches a contribution off
-        return 0.0 if a == 0 or b == 0 else a * b
-    if e.op == "max":
-        return max(a, b)
-    return min(a, b)
+def _combine(op: str, a, b):
+    """Closure applying a map operator to two compiled operands."""
+    if op == "+":
+        return lambda x: a(x) + b(x)
+    if op == "*":
+
+        def times(x):
+            u, v = a(x), b(x)
+            # 0 * inf is 0 here: a zero gain switches a contribution off
+            return 0.0 if u == 0 or v == 0 else u * v
+
+        return times
+    if op == "max":
+        return lambda x: max(a(x), b(x))
+    return lambda x: min(a(x), b(x))
 
 
 def elaborate(doc: Document) -> tuple[ElaboratedModel | None, list[Diagnostic]]:

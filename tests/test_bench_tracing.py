@@ -52,3 +52,23 @@ def test_install_then_undo_restores_every_attribute(capsys):
         changed = [k for k, v in attrs.items() if now.get(k, object()) is not v]
         assert changed == [], (obj, changed)
         assert set(now) - set(attrs) == set(), obj
+
+
+def test_traced_uav_solve_counts_maps_and_relaxations():
+    # the drone model's map atoms count under dp.map, its route atom
+    # (a sampled relaxation) under relaxations.eval
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    undo = tracing.install(tracer)
+    try:
+        tracer.active = True
+        code = cli.main([
+            "solve", str(example_path("uav")), "--f", "endurance=1", "--f", "distance=20",
+            "--f", "payload=300", "--f", "missions=200",
+        ])
+        tracer.active = False
+    finally:
+        undo()
+    assert code == cli.EXIT_OK
+    assert tracer.count["dp.map"] > 0
+    assert tracer.count["relaxations.eval"] > 0

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from mcdsolve import uncertainty
+from mcdsolve import dp, uncertainty
 from mcdsolve.cli import (
     EXIT_ERROR,
     EXIT_INDETERMINATE,
@@ -82,6 +82,21 @@ class TestCheck:
         assert captured.out == "\n".join(lines) + "\n"
         assert captured.err == ""
 
+    @pytest.mark.parametrize("name, points", [
+        ("uav", 794), ("energy_meter", 42), ("power_split", 154),
+    ])
+    def test_evaluates_each_point_once(self, name, points, monkeypatch, capsys):
+        calls = []
+        evaluate = dp.DesignProblem.evaluate
+
+        def counted(self, f):
+            calls.append(f)
+            return evaluate(self, f)
+
+        monkeypatch.setattr(dp.DesignProblem, "evaluate", counted)
+        assert main(["check", str(example_path(name))]) == EXIT_OK
+        assert len(calls) == points
+
     def test_parse_error(self, tmp_path, capsys):
         path = tmp_path / "bad.mcd"
         path.write_text("dp a = wigget\nterm a\n")
@@ -145,6 +160,14 @@ class TestSolve:
     def test_missing_axis_rejected(self, loop_model):
         assert main(["solve", loop_model]) == EXIT_ERROR
 
+    @pytest.mark.parametrize("second", ["demand=2", "1=2"])
+    def test_repeated_axis_rejected(self, split_model, second, capsys):
+        code = main(["solve", split_model, "--f", "demand=6", "--f", second])
+        assert code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: axis %r assigned twice\n" % second.split("=")[0]
+
     def test_csv_header(self, split_model, capsys):
         main(["solve", split_model, "--f", "demand=6", "--format", "csv"])
         out = capsys.readouterr().out.splitlines()
@@ -170,6 +193,17 @@ class TestSweep:
 
     def test_axis_sweep_needs_bounds(self, split_model):
         assert main(["sweep", split_model, "--axis", "demand"]) == EXIT_ERROR
+
+    @pytest.mark.parametrize("bounds", [("1", "inf"), ("nan", "2")])
+    def test_axis_sweep_needs_finite_bounds(self, split_model, bounds, capsys):
+        code = main([
+            "sweep", split_model, "--axis", "demand",
+            "--from", bounds[0], "--to", bounds[1], "--steps", "3",
+        ])
+        assert code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --from and --to must be finite\n"
 
     def test_relax_sweep_lower_ascends(self, split_model, capsys):
         code = main([

@@ -9,6 +9,7 @@ from mcdsolve.examples import (
     BATTERY_TABLE,
     EXAMPLE_NAMES,
     PINNED_QUERIES,
+    _battery_block,
     battery_entries,
     build_uav_model,
     example_path,
@@ -64,7 +65,20 @@ class TestBatteryData:
 class TestShippedFiles:
     def test_uav_file_matches_template(self):
         shipped = example_path("uav").read_text(encoding="utf-8")
-        assert shipped == uav_model_text(10)
+        block = shipped.split("R(mb[g], cb[$]) {\n", 1)[1].split("\n}\n", 1)[0]
+        assert block == _battery_block()
+        # another percent level differs only at the three percent sites
+        other = uav_model_text(25).splitlines()
+        assert len(other) == len(shipped.splitlines())
+        assert [(a, b) for a, b in zip(shipped.splitlines(), other) if a != b] == [
+            ("# worth trusting; its mass and cost carry the +-10% uncertainty.",
+             "# worth trusting; its mass and cost carry the +-25% uncertainty."),
+            ('model uav "drone sizing loop, battery known to +-10%"',
+             'model uav "drone sizing loop, battery known to +-25%"'),
+            ("uncertain ubattery = pm(battery, 10 %)",
+             "uncertain ubattery = pm(battery, 25 %)"),
+        ]
+        assert uav_model_text(10) == shipped
 
     @pytest.mark.parametrize("name", EXAMPLE_NAMES)
     def test_cmd_check_passes(self, name):

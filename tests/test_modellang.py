@@ -235,16 +235,40 @@ class TestElaborate:
         assert model.build_query({"x": 2.0}) == 2.0
 
     def test_map_rejects_unknown_variable(self):
-        model, diags = load_model(
-            "dp m = map F(x[W]) R(y[W]) { y = x + z }\nterm m\n"
-        )
+        # only the first unknown name, left to right, is reported
+        line = "dp m = map F(x[W]) R(y[W], w[W]) { y = x + z * q; w = v }"
+        model, diags = load_model(line + "\nterm m\n")
         assert model is None
-        assert any("z" in d.message for d in diags)
+        assert [d.format("t.mcd") for d in diags] == [
+            "t.mcd:1:%d: error: unknown functionality 'z' in map expression"
+            % (line.index("z *") + 1)
+        ]
 
     def test_map_zero_times_inf_is_zero(self):
         model = elaborate_ok("dp m = map F(x[W]) R(y[W]) { y = 0.0 * x }\nterm m\n")
         sol = solve_uncertain(model.term, model.uvaluation, math.inf)
         assert sol.upper.front.points == {0.0}
+
+    def test_map_compiled_body(self):
+        text = (
+            "poset g = chain {200, 1000}\n"
+            "dp m = map F(a[W], b[W], c:g) R(x[W], y[W], z[W], w:g, v[W]) {\n"
+            "    x = max(a, b); y = min(a, b); z = a * b; w = c; v = 2.0 * a }\n"
+            "term m\n"
+        )
+        fn = elaborate_ok(text).uvaluation["m"].lower.fn
+        # 0 * inf is 0, either way round
+        assert repr(fn((0.0, math.inf, 200))) == "(inf, 0.0, 0.0, 200, 0.0)"
+        assert repr(fn((math.inf, 0.0, 200))) == "(inf, 0.0, 0.0, 200, inf)"
+        # max and min keep their first argument on a tie; inputs pass
+        # through unchanged, an int label as an int and -0.0 as -0.0
+        assert repr(fn((200, 200.0, 1000))) == "(200, 200, 40000.0, 1000, 400.0)"
+        assert repr(fn((200.0, 200, 200))) == "(200.0, 200.0, 40000.0, 200, 400.0)"
+        assert repr(fn((-0.0, 0.0, 200))) == "(-0.0, -0.0, 0.0, 200, 0.0)"
+        single = elaborate_ok(
+            "poset g = chain {200, 1000}\ndp m = map F(c:g) R(w:g) { w = c }\nterm m\n"
+        )
+        assert repr(single.uvaluation["m"].lower.fn(200)) == "200"
 
     def test_chain_poset_numeric_labels(self):
         model = elaborate_ok(
