@@ -245,17 +245,7 @@ def cmd_sweep(args) -> int:
         plan, label = _sweep_rows(model, args, assignments)
     except CodesignError as e:
         return _fail(str(e))
-    rows = []
-    built_for = udp = None
-    for value_text, uvaluation, query in plan:
-        # rows on one valuation share its pair, and the fronts its loops remember
-        if uvaluation is not built_for:
-            udp = uncertainty.evaluate_uncertain(model.term, uvaluation)
-            built_for = uvaluation
-        try:
-            rows.append((value_text, udp.solve(model.build_query(query), max_iter), "ok"))
-        except CodesignError as e:
-            rows.append((value_text, None, "error: %s" % e))
+    rows = _solve_rows(model, plan, max_iter)
     if args.format == "csv":
         print(_CSV_HEADER)
         for value_text, sol, status in rows:
@@ -273,10 +263,26 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _solve_rows(model, plan, max_iter):
+    """(value text, solution or None, status) for each planned row, solved
+    as the caller asks for it."""
+    built_for = udp = None
+    for value_text, uvaluation, query in plan:
+        # rows on one valuation share its pair, and the fronts its loops remember
+        if uvaluation is not built_for:
+            udp = uncertainty.evaluate_uncertain(model.term, uvaluation)
+            built_for = uvaluation
+        try:
+            yield value_text, udp.solve(model.build_query(query), max_iter), "ok"
+        except CodesignError as e:
+            yield value_text, None, "error: %s" % e
+
+
 def _sweep_rows(model, args, assignments):
     """Rows of (value text, valuation, query assignments) and the sweep's
     label.  A bad atom or parameter fails the whole sweep; only per-query
-    solve errors are row-local."""
+    solve errors are row-local.  The rows of an --axis sweep are made
+    one at a time, as they are asked for."""
     if args.axis is not None:
         idx = model.axis_index(args.axis)
         name, poset = model.query_axes()[idx]
@@ -294,12 +300,10 @@ def _sweep_rows(model, args, assignments):
         if steps == 1:
             grid = [args.frm]
         else:
-            grid = [
-                args.frm + i * (args.to - args.frm) / (steps - 1) for i in range(steps)
-            ]
-        return [
+            grid = (args.frm + i * (args.to - args.frm) / (steps - 1) for i in range(steps))
+        return (
             (repr(v), model.uvaluation, {**assignments, str(idx + 1): v}) for v in grid
-        ], name
+        ), name
     if args.tolerance is not None:
         atom, alphas = _parse_sweep_spec(args.tolerance, "--tolerance", float)
         return [

@@ -47,12 +47,15 @@ on the way.  Parsing recovers at statement boundaries, so one file yields
 every diagnostic at once; a duplicate name anywhere (posets, dps,
 uncertains share one namespace) is an error.  A term statement parses
 straight into the kernel's term type (dp.Atom, Series, Par, Loop), each
-node carrying its span.
+node carrying its span.  Each builtin's argument layout, axis names and
+relaxations constructor live in one table, _BUILTINS, which the parser,
+renderer, elaborator and reserved words all read.
 """
 
 import math
 import re
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from . import relaxations
 from .antichains import Antichain
@@ -79,8 +82,30 @@ from .uncertainty import UncertainDP, check_udp, degenerate, scale_catalogue
 
 KEYWORDS = ("model", "poset", "dp", "uncertain", "term")
 
+
+class _Builtin(NamedTuple):
+    """Argument layout and constructor of a builtin relaxation."""
+
+    numbers: int  # numeric arguments, always given
+    units: int  # trailing units, all given or none
+    sep: str  # text between the numbers and the units
+    counts_samples: bool  # the first number is a sample count
+    axes: tuple  # (functionality names, resource names)
+    build: Callable  # relaxations constructor, called as build(*numbers, *units)
+
+
+_SPLIT = (("f",), ("r1", "r2"))  # an inverse splits f into r1 and r2
+
+_BUILTINS = {
+    "uid": _Builtin(1, 1, " ", False, (("x",), ("x",)), relaxations.uid),
+    "invplus_uniform": _Builtin(1, 1, ", ", True, _SPLIT, relaxations.relax_plus_uniform),
+    "invplus_vdc": _Builtin(1, 1, ", ", True, _SPLIT, relaxations.relax_plus_vdc),
+    "invtimes_vdc": _Builtin(3, 3, ", ", True, _SPLIT, relaxations.relax_times_vdc),
+}
+
 RESERVED = frozenset(
     KEYWORDS
+    + tuple(_BUILTINS)
     + (
         "chain",
         "product",
@@ -98,10 +123,6 @@ RESERVED = frozenset(
         "loop",
         "pm",
         "interval",
-        "uid",
-        "invplus_uniform",
-        "invplus_vdc",
-        "invtimes_vdc",
         "inf",
         "max",
         "min",
@@ -110,13 +131,12 @@ RESERVED = frozenset(
     )
 )
 
-SAMPLING_BUILTINS = ("invplus_uniform", "invplus_vdc", "invtimes_vdc")
-
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
+_PREC = {"+": 1, "*": 2}  # how tightly map operators bind, for parsing and printing
 
-@dataclass(frozen=True)
-class Span:
+
+class Span(NamedTuple):
     line: int
     col: int
     start: int
@@ -133,35 +153,23 @@ def merge_spans(a: Span, b: Span) -> Span:
 
 @dataclass
 class Diagnostic:
-    severity: str
+    """An error in a model text; any diagnostic makes the model unusable."""
+
     message: str
     span: Span
 
     def format(self, filename: str = "<model>") -> str:
-        return "%s:%d:%d: %s: %s" % (
-            filename,
-            self.span.line,
-            self.span.col,
-            self.severity,
-            self.message,
-        )
+        return "%s:%d:%d: error: %s" % (filename, self.span.line, self.span.col, self.message)
 
 
 # --- lexer ------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)  # one per token: slots keep a model's token list small
 class Token:
     kind: str
     text: str
-    line: int
-    col: int
-    start: int
-    end: int
-
-    @property
-    def span(self) -> Span:
-        return Span(self.line, self.col, self.start, self.end)
+    span: Span
 
 
 _TOKEN_RE = re.compile(
@@ -173,36 +181,29 @@ _TOKEN_RE = re.compile(
     r"|(?P<word>[A-Za-z_$][A-Za-z0-9_$/^]*)"
     r"|(?P<string>\"[^\"\n]*\")"
     r"|(?P<punct>[(){}\[\],;=:%+*])"
+    r"|(?P<bad>.)"
 )
 
 
 def tokenize(text: str, diagnostics: list) -> list[Token]:
     toks: list[Token] = []
-    pos = 0
     line = 1
     line_start = 0
-    n = len(text)
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            span = Span(line, pos - line_start + 1, pos, pos + 1)
-            diagnostics.append(
-                Diagnostic("error", "unexpected character %r" % text[pos], span)
-            )
-            pos += 1
-            continue
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        tok_text = m.group()
         if kind == "nl":
             line += 1
             line_start = m.end()
         elif kind != "skip":
-            col = m.start() - line_start + 1
-            if kind == "punct" or kind in ("arrow", "le"):
-                kind = tok_text
-            toks.append(Token(kind, tok_text, line, col, m.start(), m.end()))
-        pos = m.end()
-    toks.append(Token("eof", "", line, pos - line_start + 1, pos, pos))
+            span = Span(line, m.start() - line_start + 1, m.start(), m.end())
+            if kind == "bad":
+                diagnostics.append(Diagnostic("unexpected character %r" % m.group(), span))
+            else:
+                if kind in ("punct", "arrow", "le"):
+                    kind = m.group()
+                toks.append(Token(kind, m.group(), span))
+    end = len(text)
+    toks.append(Token("eof", "", Span(line, end - line_start + 1, end, end)))
     return toks
 
 
@@ -380,7 +381,7 @@ class ParseResult:
 
     @property
     def ok(self) -> bool:
-        return not any(d.severity == "error" for d in self.diagnostics)
+        return not self.diagnostics
 
 
 # --- parser -------------------------------------------------------------------
@@ -416,7 +417,7 @@ class _Parser:
 
     def fail(self, message: str, tok: Token | None = None):
         tok = tok or self.cur()
-        raise _ParseError(Diagnostic("error", message, tok.span))
+        raise _ParseError(Diagnostic(message, tok.span))
 
     def expect(self, text: str) -> Token:
         if not self.at(text):
@@ -437,12 +438,20 @@ class _Parser:
             self.fail("expected a unit, found %s" % self._describe(tok))
         return self.advance()
 
-    def expect_num(self) -> tuple[float, Token]:
+    def expect_num(self) -> float:
         tok = self.cur()
         if tok.kind != "num":
             self.fail("expected a number, found %s" % self._describe(tok))
         self.advance()
-        return float(tok.text), tok
+        return float(tok.text)
+
+    def comma_list(self, item, count: int = 0) -> list:
+        """item { "," item }, or exactly count items when count is given."""
+        items = [item()]
+        while len(items) < count if count else self.at(","):
+            self.expect(",")
+            items.append(item())
+        return items
 
     def declare(self, tok: Token):
         name = tok.text
@@ -450,7 +459,6 @@ class _Parser:
             first = self.declared[name]
             self.diags.append(
                 Diagnostic(
-                    "error",
                     "duplicate identifier %r (first declared at %d:%d)"
                     % (name, first.line, first.col),
                     tok.span,
@@ -498,7 +506,7 @@ class _Parser:
         """
         while self.cur().kind != "eof":
             tok = self.cur()
-            if tok.text in KEYWORDS and tok.col == 1:
+            if tok.text in KEYWORDS and tok.span.col == 1:
                 return
             self.advance()
 
@@ -532,24 +540,21 @@ class _Parser:
         if tok.text == "chain":
             start = self.advance()
             self.expect("{")
-            labels = [self.parse_elem()]
-            while self.at(","):
-                self.advance()
-                labels.append(self.parse_elem())
+            labels = self.comma_list(self.parse_elem)
             close = self.expect("}")
             return PosetChain(labels, span=merge_spans(start.span, close.span))
         if tok.text == "product":
             start = self.advance()
             self.expect("(")
-            refs = [self.expect_name("a poset name").text]
+            refs = [self.parse_ref()]
             self.expect(",")
-            refs.append(self.expect_name("a poset name").text)
-            while self.at(","):
-                self.advance()
-                refs.append(self.expect_name("a poset name").text)
+            refs += self.comma_list(self.parse_ref)
             close = self.expect(")")
             return PosetProduct(refs, span=merge_spans(start.span, close.span))
         self.fail("expected a poset expression (R+[...], chain, product)")
+
+    def parse_ref(self) -> str:
+        return self.expect_name("a poset name").text
 
     def parse_elem(self):
         tok = self.cur()
@@ -576,10 +581,7 @@ class _Parser:
             start = self.advance()
             sig = self.parse_sig()
             self.expect("{")
-            points = [self.parse_point()]
-            while self.at(","):
-                self.advance()
-                points.append(self.parse_point())
+            points = self.comma_list(self.parse_point)
             close = self.expect("}")
             return KConstant(sig, points, span=merge_spans(start.span, close.span))
         if tok.text == "affine":
@@ -622,36 +624,21 @@ class _Parser:
             start = self.advance()
             sig = self.parse_sig()
             return KSig(start.text, sig, span=merge_spans(start.span, sig.span))
-        if tok.text in _BUILTIN_AXIS_NAMES:
+        if tok.text in _BUILTINS:
             return self.parse_builtin()
         self.fail("unknown design problem kind %s" % self._describe(tok))
 
     def parse_builtin(self) -> KBuiltin:
         fn = self.advance()
+        spec = _BUILTINS[fn.text]
         self.expect("(")
-        numbers = []
+        numbers = self.comma_list(self.expect_num, spec.numbers)
         units = []
-        v, _ = self.expect_num()
-        numbers.append(v)
-        if fn.text == "uid":
-            if self.cur().kind == "word":
-                units.append(self.expect_unit().text)
-        elif fn.text in ("invplus_uniform", "invplus_vdc"):
-            if self.at(","):
+        comma = spec.sep != " "
+        if self.at(",") if comma else self.cur().kind == "word":
+            if comma:
                 self.advance()
-                units.append(self.expect_unit().text)
-        else:  # invtimes_vdc
-            self.expect(",")
-            numbers.append(self.expect_num()[0])
-            self.expect(",")
-            numbers.append(self.expect_num()[0])
-            if self.at(","):
-                self.advance()
-                units.append(self.expect_unit().text)
-                self.expect(",")
-                units.append(self.expect_unit().text)
-                self.expect(",")
-                units.append(self.expect_unit().text)
+            units = self.comma_list(lambda: self.expect_unit().text, spec.units)
         close = self.expect(")")
         return KBuiltin(fn.text, numbers, units, span=merge_spans(fn.span, close.span))
 
@@ -661,21 +648,14 @@ class _Parser:
         if self.at("F"):
             self.advance()
             self.expect("(")
-            f_axes = self.parse_axes()
+            f_axes = self.comma_list(self.parse_axis)
             self.expect(")")
         r_kw = self.expect("R")
         self.expect("(")
-        r_axes = self.parse_axes()
+        r_axes = self.comma_list(self.parse_axis)
         close = self.expect(")")
         first = start if f_axes is not None else r_kw
         return Sig(f_axes, r_axes, span=merge_spans(first.span, close.span))
-
-    def parse_axes(self) -> list:
-        axes = [self.parse_axis()]
-        while self.at(","):
-            self.advance()
-            axes.append(self.parse_axis())
-        return axes
 
     def parse_axis(self) -> Axis:
         name = self.expect_name("an axis name")
@@ -694,10 +674,7 @@ class _Parser:
         tok = self.cur()
         if self.at("("):
             start = self.advance()
-            values = [self.parse_scalar()]
-            while self.at(","):
-                self.advance()
-                values.append(self.parse_scalar())
+            values = self.comma_list(self.parse_scalar)
             close = self.expect(")")
             return PointNode(values, span=merge_spans(start.span, close.span))
         value = self.parse_scalar()
@@ -722,20 +699,14 @@ class _Parser:
         expr = self.parse_mexpr()
         return Assign(name.text, expr, span=merge_spans(name.span, expr.span))
 
-    def parse_mexpr(self):
-        left = self.parse_mterm()
-        while self.at("+"):
-            self.advance()
-            right = self.parse_mterm()
-            left = EBin("+", left, right, span=merge_spans(left.span, right.span))
-        return left
-
-    def parse_mterm(self):
+    def parse_mexpr(self, min_prec: int = 1):
+        """Operands joined by + and * at precedence min_prec or above,
+        grouped to the left."""
         left = self.parse_mfactor()
-        while self.at("*"):
-            self.advance()
-            right = self.parse_mfactor()
-            left = EBin("*", left, right, span=merge_spans(left.span, right.span))
+        while _PREC.get(self.cur().text, 0) >= min_prec:
+            op = self.advance().text
+            right = self.parse_mexpr(_PREC[op] + 1)
+            left = EBin(op, left, right, span=merge_spans(left.span, right.span))
         return left
 
     def parse_mfactor(self):
@@ -772,7 +743,7 @@ class _Parser:
             self.expect("(")
             target = self.expect_name("a design problem name")
             self.expect(",")
-            pct, _ = self.expect_num()
+            pct = self.expect_num()
             self.expect("%")
             close = self.expect(")")
             kind = UPm(target.text, pct, span=merge_spans(tok.span, close.span))
@@ -841,7 +812,7 @@ def _fmt_label(v) -> str:
 
 
 def _fmt_point(p: PointNode) -> str:
-    parts = [_fmt_num(v) if isinstance(v, float) else str(v) for v in p.values]
+    parts = [_fmt_label(v) for v in p.values]
     if len(parts) == 1:
         return parts[0]
     return "(%s)" % ", ".join(parts)
@@ -861,9 +832,6 @@ def _fmt_sig(sig: Sig) -> str:
     return out
 
 
-_PREC = {"+": 1, "*": 2}
-
-
 def _fmt_expr(e, parent_prec: int = 0) -> str:
     if isinstance(e, ENum):
         return _fmt_num(e.value)
@@ -877,20 +845,12 @@ def _fmt_expr(e, parent_prec: int = 0) -> str:
 
 
 def _fmt_builtin(k: KBuiltin) -> str:
-    if k.fn == "uid":
-        inner = _fmt_num(k.numbers[0])
-        if k.units:
-            inner += " " + k.units[0]
-        return "uid(%s)" % inner
-    if k.fn in ("invplus_uniform", "invplus_vdc"):
-        inner = repr(int(k.numbers[0]))
-        if k.units:
-            inner += ", " + k.units[0]
-        return "%s(%s)" % (k.fn, inner)
-    inner = "%d, %s, %s" % (int(k.numbers[0]), _fmt_num(k.numbers[1]), _fmt_num(k.numbers[2]))
+    spec = _BUILTINS[k.fn]
+    first = repr(int(k.numbers[0])) if spec.counts_samples else _fmt_num(k.numbers[0])
+    inner = ", ".join([first] + [_fmt_num(v) for v in k.numbers[1:]])
     if k.units:
-        inner += ", " + ", ".join(k.units)
-    return "invtimes_vdc(%s)" % inner
+        inner += spec.sep + ", ".join(k.units)
+    return "%s(%s)" % (k.fn, inner)
 
 
 def _render_statement(st) -> str:
@@ -1016,11 +976,9 @@ class ElaboratedModel:
     def override_relaxation(self, atom: str, n: int) -> dict:
         """New valuation with a sampling builtin re-instantiated at n."""
         decl = self.builtin_decls.get(atom)
-        if decl is None or decl.fn not in SAMPLING_BUILTINS:
-            raise DomainError(
-                "%r is not a sampling builtin (invplus_uniform, invplus_vdc, "
-                "invtimes_vdc)" % atom
-            )
+        if decl is None or not _BUILTINS[decl.fn].counts_samples:
+            sampling = (name for name, spec in _BUILTINS.items() if spec.counts_samples)
+            raise DomainError("%r is not a sampling builtin (%s)" % (atom, ", ".join(sampling)))
         replaced = KBuiltin(decl.fn, [float(n)] + decl.numbers[1:], decl.units, decl.span)
         out = dict(self.uvaluation)
         out[atom] = _build_builtin(replaced)
@@ -1028,28 +986,13 @@ class ElaboratedModel:
 
 
 def _build_builtin(k: KBuiltin) -> UncertainDP:
-    if k.fn == "uid":
-        unit = k.units[0] if k.units else ""
-        return relaxations.uid(k.numbers[0], unit)
-    n = int(k.numbers[0])
-    if n != k.numbers[0] or n < 1:
-        raise DomainError("sample count must be a positive integer")
-    if k.fn == "invplus_uniform":
-        return relaxations.relax_plus_uniform(n, k.units[0] if k.units else "")
-    if k.fn == "invplus_vdc":
-        return relaxations.relax_plus_vdc(n, k.units[0] if k.units else "")
-    units = k.units if k.units else ["", "", ""]
-    return relaxations.relax_times_vdc(
-        n, k.numbers[1], k.numbers[2], units[0], units[1], units[2]
-    )
-
-
-_BUILTIN_AXIS_NAMES = {
-    "uid": (["x"], ["x"]),
-    "invplus_uniform": (["f"], ["r1", "r2"]),
-    "invplus_vdc": (["f"], ["r1", "r2"]),
-    "invtimes_vdc": (["f"], ["r1", "r2"]),
-}
+    spec = _BUILTINS[k.fn]
+    numbers = list(k.numbers)
+    if spec.counts_samples:
+        if not (numbers[0].is_integer() and numbers[0] >= 1):
+            raise DomainError("sample count must be a positive integer")
+        numbers[0] = int(numbers[0])
+    return spec.build(*numbers, *k.units)
 
 
 class _Elaborator:
@@ -1064,7 +1007,7 @@ class _Elaborator:
         self.model_name = ""
 
     def error(self, message: str, span: Span):
-        self.diags.append(Diagnostic("error", message, span))
+        self.diags.append(Diagnostic(message, span))
 
     def run(self) -> ElaboratedModel | None:
         terms = []
@@ -1106,7 +1049,7 @@ class _Elaborator:
         )
 
     def has_errors(self) -> bool:
-        return any(d.severity == "error" for d in self.diags)
+        return bool(self.diags)
 
     # declarations
 
@@ -1176,7 +1119,7 @@ class _Elaborator:
                 self.error(str(err), k.span)
                 return
             self.uvaluation[st.name] = udp
-            self.axis_names[st.name] = _BUILTIN_AXIS_NAMES[k.fn]
+            self.axis_names[st.name] = _BUILTINS[k.fn].axes
             self.builtin_decls[st.name] = k
             return
         sig = k.sig
@@ -1244,17 +1187,13 @@ class _Elaborator:
         if isinstance(k, KMap):
             return self.build_map_dp(name, k, f_space, r_space, fnames, rnames)
         if isinstance(k, KSig) and k.word == "identity":
-            if k.sig.f_axes is not None:
-                fsp = self.space_from_axes(k.sig.f_axes)
-                if fsp is None:
-                    return None
-                if fsp != r_space:
-                    self.error(
-                        "identity must have equal sides, got %s and %s"
-                        % (fsp.describe(), r_space.describe()),
-                        k.sig.span,
-                    )
-                    return None
+            if k.sig.f_axes is not None and f_space != r_space:
+                self.error(
+                    "identity must have equal sides, got %s and %s"
+                    % (f_space.describe(), r_space.describe()),
+                    k.sig.span,
+                )
+                return None
             return IdentityDP(r_space)
         if isinstance(k, KSig):
             return (BottomDP if k.word == "bottom" else TopDP)(f_space, r_space)

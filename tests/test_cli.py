@@ -15,6 +15,7 @@ from mcdsolve.cli import (
     main,
 )
 from mcdsolve.examples import example_path
+from mcdsolve.modellang import _BUILTINS
 
 LOOP_MODEL = """\
 model demo "loop with uncertain catalogue"
@@ -278,6 +279,66 @@ class TestSweep:
         statuses = [row["status"] for row in payload["rows"]]
         assert statuses[0] == "ok"
         assert statuses[1].startswith("error:")
+
+    def test_csv_rows_print_as_solved(self, monkeypatch, capsys):
+        # the 4th solve fails past the CLI's error handling: the three
+        # rows solved before it are already out, the other 99,996 never made
+        solve = uncertainty.UncertainDP.solve
+        calls = []
+
+        def failing_fourth(udp, *args):
+            calls.append(None)
+            if len(calls) == 4:
+                raise RuntimeError("stop")
+            return solve(udp, *args)
+
+        monkeypatch.setattr(uncertainty.UncertainDP, "solve", failing_fourth)
+        with pytest.raises(RuntimeError):
+            main([
+                "sweep", str(example_path("power_split")), "--axis", "demand",
+                "--from", "0", "--to", "8", "--steps", "100000", "--format", "csv",
+            ])
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("value,lower_front,")
+        assert [row.split(",")[0] for row in out[1:]] == [repr(i * 8.0 / 99999) for i in range(3)]
+        assert all(row.endswith(",ok") for row in out[1:])
+
+    @pytest.mark.parametrize("mode", [
+        ["--relax-n", "split=2,0"],
+        ["--tolerance", "solar=1.0,-1.0"],
+    ])
+    def test_bad_parameter_fails_csv_sweep_before_output(self, split_model, mode, capsys):
+        code = main(["sweep", split_model, *mode, "--f", "demand=6", "--format", "csv"])
+        assert code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_relax_n_rejects_uid(self, capsys):
+        code = main([
+            "sweep", str(example_path("energy_meter")), "--relax-n", "meter=1,2", "--f", "power=3",
+        ])
+        assert code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: 'meter' is not a sampling builtin "
+            "(invplus_uniform, invplus_vdc, invtimes_vdc)\n"
+        )
+
+    @pytest.mark.parametrize("name", sorted(
+        name for name, spec in _BUILTINS.items() if spec.counts_samples
+    ))
+    def test_every_sampling_builtin_sweeps_relax_n(self, name, tmp_path, capsys):
+        # numbers after the sample count are 1, a valid bracket for invtimes_vdc
+        args = ", ".join(["2"] + ["1"] * (_BUILTINS[name].numbers - 1))
+        path = tmp_path / "one.mcd"
+        path.write_text("dp s = %s(%s)\nterm s\n" % (name, args))
+        code = main(["sweep", str(path), "--relax-n", "s=1,3", "--f", "f=1", "--format", "csv"])
+        assert code == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["1", "3"]
+        assert all(row.endswith(",ok") for row in rows)
 
 
 class TestPairReuse:

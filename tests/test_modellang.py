@@ -1,9 +1,13 @@
 import math
+from pathlib import Path
 
 import pytest
 
+from mcdsolve import modellang
 from mcdsolve.errors import DomainError
 from mcdsolve.modellang import (
+    _BUILTINS,
+    RESERVED,
     Diagnostic,
     Span,
     elaborate,
@@ -60,7 +64,7 @@ class TestTokenize:
     def test_bad_character_reported(self):
         diags = []
         tokenize("dp a = ?", diags)
-        assert diags and diags[0].severity == "error"
+        assert [d.format("m.mcd") for d in diags] == ["m.mcd:1:8: error: unexpected character '?'"]
 
 
 class TestParse:
@@ -92,7 +96,7 @@ class TestParse:
             assert d.span.line >= 1 and d.span.col >= 1
 
     def test_diagnostic_format(self):
-        d = Diagnostic(span=Span(3, 7, 3, 9), severity="error", message="boom")
+        d = Diagnostic(span=Span(3, 7, 3, 9), message="boom")
         assert d.format("m.mcd") == "m.mcd:3:7: error: boom"
 
     def test_never_crashes_on_truncations(self):
@@ -303,3 +307,62 @@ class TestElaborate:
         model, diags = load_model(text)
         assert model is None
         assert any("lower" in d.message or "upper" in d.message for d in diags)
+
+
+class TestBuiltinSpellings:
+    """Every spelling of a builtin, pinned: the text it renders to (None
+    when it does not parse) and the first diagnostic of loading it, as
+    column and message (None when it loads)."""
+
+    SAMPLE = "sample count must be a positive integer"
+
+    CASES = [
+        ("uid(0.25 W)", "uid(0.25 W)", None),
+        ("uid(2)", "uid(2.0)", None),
+        ("uid(0.25, W)", None, (16, "expected ')', found ','")),
+        ("invplus_uniform(3, W)", "invplus_uniform(3, W)", None),
+        ("invplus_vdc(4)", "invplus_vdc(4)", None),
+        ("invplus_vdc(4 W)", None, (22, "expected ')', found 'W'")),
+        ("invplus_vdc(2.5)", "invplus_vdc(2)", (8, SAMPLE)),
+        ("invplus_vdc(0)", "invplus_vdc(0)", (8, SAMPLE)),
+        (
+            "invtimes_vdc(8, 0.2, 150.0, km, km/h, h)",
+            "invtimes_vdc(8, 0.2, 150.0, km, km/h, h)",
+            None,
+        ),
+        ("invtimes_vdc(8, 0.2, 150)", "invtimes_vdc(8, 0.2, 150.0)", None),
+        ("invtimes_vdc(8, 0.2, 150, km)", None, (36, "expected ',', found ')'")),
+    ]
+
+    @pytest.mark.parametrize("spelling, rendered, diagnostic", CASES)
+    def test_spelling(self, spelling, rendered, diagnostic):
+        text = "dp a = %s\nterm a\n" % spelling
+        result = parse(text)
+        assert result.ok == (rendered is not None)
+        if result.ok:
+            assert render(result.document) == "dp a = %s\nterm a\n" % rendered
+        model, diags = load_model(text)
+        if diagnostic is None:
+            assert model is not None and diags == []
+        else:
+            assert model is None
+            assert (diags[0].span.line, diags[0].span.col, diags[0].message) == (1, *diagnostic)
+
+    def test_infinite_sample_count_is_a_diagnostic(self):
+        model, diags = load_model("dp a = invplus_uniform(1e999)\nterm a\n")
+        assert model is None
+        assert [d.format("m.mcd") for d in diags] == ["m.mcd:1:8: error: " + self.SAMPLE]
+
+
+class TestBuiltinTable:
+    def test_names_reserved_and_documented(self):
+        grammar = modellang.__doc__
+        rule = grammar[grammar.index("builtin    ="):]
+        rule = rule[: rule.index(";")]
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme[readme.index("## Model language"):]
+        block = block[: block.index("```", block.index("```") + 3)]
+        for name in _BUILTINS:
+            assert name in RESERVED
+            assert '"%s" "("' % name in rule
+            assert "dp NAME = %s(" % name in block
