@@ -43,9 +43,10 @@ Omitting F(...) gives a constant a trivial one-point functionality.
 `map` bodies are monotone by construction: nonnegative constants,
 functionality names, +, *, max, min.  Elaboration compiles each body
 once into closures over the argument positions, reporting unknown names
-on the way.  Parsing recovers at statement boundaries, so one file yields
-every diagnostic at once; a duplicate name anywhere (posets, dps,
-uncertains share one namespace) is an error.  A term statement parses
+on the way; affine is built from the same closures, as the map
+r_i = o_i + g_i * f.  Parsing recovers at statement boundaries, so one
+file yields every diagnostic at once; a duplicate name anywhere (posets,
+dps, uncertains share one namespace) is an error.  A term statement parses
 straight into the kernel's term type (dp.Atom, Series, Par, Loop), each
 node carrying its span.  Each builtin's argument layout, axis names and
 relaxations constructor live in one table, _BUILTINS, which the parser,
@@ -846,8 +847,9 @@ def _fmt_expr(e, parent_prec: int = 0) -> str:
 
 def _fmt_builtin(k: KBuiltin) -> str:
     spec = _BUILTINS[k.fn]
-    first = repr(int(k.numbers[0])) if spec.counts_samples else _fmt_num(k.numbers[0])
-    inner = ", ".join([first] + [_fmt_num(v) for v in k.numbers[1:]])
+    n, *rest = k.numbers
+    first = repr(int(n)) if spec.counts_samples and n.is_integer() else _fmt_num(n)
+    inner = ", ".join([first] + [_fmt_num(v) for v in rest])
     if k.units:
         inner += spec.sep + ", ".join(k.units)
     return "%s(%s)" % (k.fn, inner)
@@ -979,7 +981,11 @@ class ElaboratedModel:
         if decl is None or not _BUILTINS[decl.fn].counts_samples:
             sampling = (name for name, spec in _BUILTINS.items() if spec.counts_samples)
             raise DomainError("%r is not a sampling builtin (%s)" % (atom, ", ".join(sampling)))
-        replaced = KBuiltin(decl.fn, [float(n)] + decl.numbers[1:], decl.units, decl.span)
+        try:
+            count = float(n)
+        except OverflowError:
+            raise DomainError("sample count is too large") from None
+        replaced = KBuiltin(decl.fn, [count] + decl.numbers[1:], decl.units, decl.span)
         out = dict(self.uvaluation)
         out[atom] = _build_builtin(replaced)
         return out
@@ -1169,12 +1175,11 @@ class _Elaborator:
                 if not (math.isfinite(g) and g >= 0):
                     self.error("gains must be finite and nonnegative", k.gain.span)
                     return None
-
-            def fn(f, _g=tuple(gain), _o=tuple(offset), _w=width):
-                vals = tuple(o + g * f for g, o in zip(_g, _o))
-                return vals if _w > 1 else vals[0]
-
-            return MonotoneMap(f_space, r_space, fn, name=name)
+            parts = [
+                _combine("+", _constant(o), _combine("*", _constant(g), _axis(0)))
+                for g, o in zip(gain, offset)
+            ]
+            return _map_dp(name, f_space, r_space, parts)
         if isinstance(k, KCatalogue):
             entries = []
             for fnode, rnode in k.entries:
@@ -1244,27 +1249,13 @@ class _Elaborator:
                 k.span,
             )
             return None
-        parts = tuple(assigned[n] for n in rnames)
-        if len(parts) == 1:
-            (part,) = parts
-
-            def fn(f):
-                return part(f if isinstance(f, tuple) else (f,))
-
-        else:
-
-            def fn(f):
-                x = f if isinstance(f, tuple) else (f,)
-                return tuple(p(x) for p in parts)
-
-        return MonotoneMap(f_space, r_space, fn, name=name)
+        return _map_dp(name, f_space, r_space, [assigned[n] for n in rnames])
 
     def compile_expr(self, e, index: dict):
         """Closure computing e from the tuple of functionality values, or
         None after reporting the first unknown name, left to right."""
         if isinstance(e, ENum):
-            value = e.value
-            return lambda x: value
+            return _constant(e.value)
         if isinstance(e, EVar):
             i = index.get(e.name)
             if i is None:
@@ -1272,7 +1263,7 @@ class _Elaborator:
                     "unknown functionality %r in map expression" % e.name, e.span
                 )
                 return None
-            return lambda x: x[i]
+            return _axis(i)
         left = self.compile_expr(e.left, index)
         right = left and self.compile_expr(e.right, index)
         if right is None:
@@ -1367,6 +1358,14 @@ class _Elaborator:
         raise TypeError("not a term expression: %r" % (tex,))
 
 
+def _constant(value):
+    return lambda x: value
+
+
+def _axis(i: int):
+    return lambda x: x[i]
+
+
 def _combine(op: str, a, b):
     """Closure applying a map operator to two compiled operands."""
     if op == "+":
@@ -1382,6 +1381,15 @@ def _combine(op: str, a, b):
     if op == "max":
         return lambda x: max(a(x), b(x))
     return lambda x: min(a(x), b(x))
+
+
+def _map_dp(name: str, f_space, r_space, parts: list) -> MonotoneMap:
+    # one compiled closure per output axis, each given the tuple of inputs
+    def fn(f):
+        x = f if isinstance(f, tuple) else (f,)
+        return parts[0](x) if len(parts) == 1 else tuple(p(x) for p in parts)
+
+    return MonotoneMap(f_space, r_space, fn, name=name)
 
 
 def elaborate(doc: Document) -> tuple[ElaboratedModel | None, list[Diagnostic]]:

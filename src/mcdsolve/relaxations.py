@@ -13,6 +13,10 @@ Two families of uncertain DPs deliberately coarsen a problem:
   from below by the meets of successive samples, again a bracket.
   Uniform sampling is not monotone as n grows; the Van der Corput
   sequence is, because each prefix extends the previous one.
+
+One builder, _sampled_inverse, makes all three sampled inverses; a
+family only says where its samples lie.  Samples of a member demand are
+members, so each atom output is checked and minimised once, by MonotoneMap.
 """
 
 import math
@@ -68,6 +72,15 @@ def inject_tolerance(uvaluation, atom: str, alpha: float) -> dict:
     return out
 
 
+def _meets(points, poset) -> list:
+    # meets of successive distinct points in sort order; fewer than two pass as they are
+    unique = list(dict.fromkeys(points))
+    if len(unique) < 2:
+        return unique
+    unique.sort(key=poset.sort_key)
+    return [poset.meet(a, b) for a, b in zip(unique, unique[1:])]
+
+
 def lower_from_points(points, poset: Poset) -> Antichain:
     """Antichain of meets of successive points, sorted by first coordinate.
 
@@ -76,14 +89,9 @@ def lower_from_points(points, poset: Poset) -> Antichain:
     meet.  The caller must include the curve's extreme points for the
     bound to cover the ends.
     """
-    unique = list(dict.fromkeys(points))
-    for p in unique:
+    for p in dict.fromkeys(points):
         poset.check_member(p)
-    if len(unique) < 2:
-        return Antichain(poset, unique)
-    unique.sort(key=poset.sort_key)
-    meets = [poset.meet(unique[i], unique[i + 1]) for i in range(len(unique) - 1)]
-    return Antichain(poset, meets)
+    return Antichain(poset, _meets(points, poset))
 
 
 def vdc(n: int) -> list[float]:
@@ -107,20 +115,23 @@ def vdc(n: int) -> list[float]:
     return out
 
 
-def _segment_point(f1: float, t: float) -> tuple:
-    # (f1*t, f1*(1-t)) on the additive trade-off segment; guard 0*inf
-    # when f1 is the top element
-    x = f1 * t if t > 0 else 0.0
-    y = f1 * (1 - t) if t < 1 else 0.0
-    return (x, y)
+def _sampled_inverse(name: str, n: int, fsp, rsp, samples) -> UncertainDP:
+    # samples(f1, lower) gives one side's points: the upper side keeps
+    # them, the lower side takes the meets of successive ones
+    def upper_fn(f1):
+        return samples(f1, False)
+
+    def lower_fn(f1):
+        return _meets(samples(f1, True), rsp)
+
+    upper = MonotoneMap(fsp, rsp, upper_fn, name="%s_hi(%d)" % (name, n))
+    lower = MonotoneMap(fsp, rsp, lower_fn, name="%s_lo(%d)" % (name, n))
+    return UncertainDP(lower, upper)
 
 
 def _relax_plus(family: str, n: int, unit: str) -> UncertainDP:
-    # the sampled inverse of + at the parameters of one family
     if n < 1:
         raise DomainError("need at least one sample point")
-    fsp = RealPlus(unit)
-    rsp = ProductPoset((RealPlus(unit), RealPlus(unit)))
     if family == "uniform":
         upper_params = [0.5] if n == 1 else [i / (n - 1) for i in range(n)]
         lower_params = [i / n for i in range(n + 1)]
@@ -128,16 +139,15 @@ def _relax_plus(family: str, n: int, unit: str) -> UncertainDP:
         upper_params = vdc(n)
         lower_params = upper_params + [0.0, 1.0]
 
-    def upper_fn(f1):
-        return [_segment_point(f1, t) for t in upper_params]
+    def samples(f1, lower):
+        # (f1*t, f1*(1-t)) on the trade-off segment; guard 0*inf when f1 is the top
+        return [
+            (f1 * t if t > 0 else 0.0, f1 * (1 - t) if t < 1 else 0.0)
+            for t in (lower_params if lower else upper_params)
+        ]
 
-    def lower_fn(f1):
-        pts = [_segment_point(f1, t) for t in lower_params]
-        return list(lower_from_points(pts, rsp).points)
-
-    upper = MonotoneMap(fsp, rsp, upper_fn, name="invplus_%s_hi(%d)" % (family, n))
-    lower = MonotoneMap(fsp, rsp, lower_fn, name="invplus_%s_lo(%d)" % (family, n))
-    return UncertainDP(lower, upper)
+    rsp = ProductPoset((RealPlus(unit), RealPlus(unit)))
+    return _sampled_inverse("invplus_" + family, n, RealPlus(unit), rsp, samples)
 
 
 def relax_plus_uniform(n: int, unit: str = "") -> UncertainDP:
@@ -181,11 +191,10 @@ def relax_times_vdc(
         raise DomainError("need at least one sample point")
     if not (0 < rmin <= rmax and math.isfinite(rmax)):
         raise DomainError("bracket must satisfy 0 < rmin <= rmax < inf")
-    fsp = RealPlus(funit)
-    rsp = ProductPoset((RealPlus(r1unit), RealPlus(r2unit)))
     params = vdc(n)
 
-    def curve_points(f1, extra_extrema: bool):
+    def samples(f1, lower):
+        f1 = float(f1)
         if f1 > rmax * rmax:
             return []
         if f1 <= rmin * rmin:
@@ -198,18 +207,10 @@ def relax_times_vdc(
         for t in params:
             r1 = math.exp(a + t * (b - a))
             pts.append((r1, f1 / r1))
-        if extra_extrema:
+        if lower:
             pts.append((r1_lo, f1 / r1_lo))
             pts.append((r1_hi, f1 / r1_hi))
         return pts
 
-    def upper_fn(f1):
-        return curve_points(float(f1), False)
-
-    def lower_fn(f1):
-        pts = curve_points(float(f1), True)
-        return list(lower_from_points(pts, rsp).points)
-
-    upper = MonotoneMap(fsp, rsp, upper_fn, name="invtimes_vdc_hi(%d)" % n)
-    lower = MonotoneMap(fsp, rsp, lower_fn, name="invtimes_vdc_lo(%d)" % n)
-    return UncertainDP(lower, upper)
+    rsp = ProductPoset((RealPlus(r1unit), RealPlus(r2unit)))
+    return _sampled_inverse("invtimes_vdc", n, RealPlus(funit), rsp, samples)

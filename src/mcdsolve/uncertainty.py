@@ -167,12 +167,6 @@ def solve_uncertain(
     return evaluate_uncertain(term, uvaluation).solve(f, max_iter)
 
 
-def _scale_point(r, divisor: float):
-    parts = r if isinstance(r, tuple) else (r,)
-    scaled = tuple(v / divisor for v in parts)
-    return scaled if isinstance(r, tuple) else scaled[0]
-
-
 def scale_catalogue(cat: Catalogue, p: float) -> UncertainDP:
     """Uncertain catalogue from a relative spread p (a fraction).
 
@@ -186,16 +180,12 @@ def scale_catalogue(cat: Catalogue, p: float) -> UncertainDP:
     for axis in cat.ressp.factors:
         if not isinstance(axis, RealPlus):
             raise DomainError("catalogue resources must be real chains to scale")
-    lower = Catalogue(
-        cat.funsp,
-        cat.ressp,
-        [(f, _scale_point(r, 1 + p)) for f, r in cat.entries],
-        name=(cat.name + "_lo") if cat.name else "",
-    )
-    upper = Catalogue(
-        cat.funsp,
-        cat.ressp,
-        [(f, _scale_point(r, 1 - p)) for f, r in cat.entries],
-        name=(cat.name + "_hi") if cat.name else "",
-    )
-    return UncertainDP(lower, upper)
+
+    def scaled(divisor, suffix):
+        entries = [
+            (f, tuple(v / divisor for v in r) if isinstance(r, tuple) else r / divisor)
+            for f, r in cat.entries
+        ]
+        return Catalogue(cat.funsp, cat.ressp, entries, name=(cat.name + suffix) if cat.name else "")
+
+    return UncertainDP(scaled(1 + p, "_lo"), scaled(1 - p, "_hi"))

@@ -135,6 +135,15 @@ class TestSolve:
         assert payload["lower"]["antichain"] == []
         assert payload["upper"]["antichain"] == []
 
+    def test_zero_gain_affine_at_infinite_demand(self, tmp_path, capsys):
+        # 0 * inf is 0 in affine as in map, so only the offset is left
+        path = tmp_path / "affine.mcd"
+        path.write_text("dp a = affine F(f[W]) R(c[$]) gain 0 offset 5\nterm a\n")
+        assert main(["solve", str(path), "--f", "f=inf", "--format", "csv"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1] == "inf,5.0,5.0,feasible,0,0,ok"
+        assert captured.err == ""
+
     def test_indeterminate_exit(self, loop_model):
         assert main(["solve", loop_model, "--f", "payload=900"]) == EXIT_INDETERMINATE
 
@@ -325,6 +334,18 @@ class TestSweep:
             "error: 'meter' is not a sampling builtin "
             "(invplus_uniform, invplus_vdc, invtimes_vdc)\n"
         )
+
+    def test_relax_n_count_beyond_float_is_an_error(self, capsys):
+        # a count that fits a float would build that many samples, so only
+        # one too large for a float is tried here
+        code = main([
+            "sweep", str(example_path("power_split")),
+            "--relax-n", "split=" + "9" * 400, "--f", "demand=6",
+        ])
+        assert code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: sample count is too large\n"
 
     @pytest.mark.parametrize("name", sorted(
         name for name, spec in _BUILTINS.items() if spec.counts_samples

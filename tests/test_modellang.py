@@ -2,6 +2,7 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mcdsolve import modellang
 from mcdsolve.errors import DomainError
@@ -309,6 +310,43 @@ class TestElaborate:
         assert any("lower" in d.message or "upper" in d.message for d in diags)
 
 
+_NONNEG = st.one_of(
+    st.just(0.0), st.floats(min_value=0, max_value=1e6, allow_nan=False)
+)
+_QUERIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0, 1, 7, math.inf]),
+    st.floats(min_value=0, allow_nan=False),
+)
+
+
+class TestAffineIsMap:
+    """affine F(f) ... gain g offset o evaluates exactly as the map
+    r_i = o_i + g_i * f, 0 * inf = 0 included."""
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=3).flatmap(
+            lambda w: st.tuples(st.lists(_NONNEG, min_size=w, max_size=w),
+                                st.lists(_NONNEG, min_size=w, max_size=w))
+        ),
+        st.lists(_QUERIES, min_size=1, max_size=4),
+    )
+    @example(([0.0], [5.0]), [math.inf])
+    def test_same_fronts(self, gains_offsets, queries):
+        gains, offsets = gains_offsets
+        names = ["r%d" % i for i in range(len(gains))]
+        sig = "F(f[W]) R(%s)" % ", ".join("%s[$]" % n for n in names)
+        affine = elaborate_ok("dp a = affine %s gain (%s) offset (%s)\nterm a\n" % (
+            sig, ", ".join(map(repr, gains)), ", ".join(map(repr, offsets))
+        ))
+        mapped = elaborate_ok("dp a = map %s { %s }\nterm a\n" % (sig, "; ".join(
+            "%s = %r + %r * f" % t for t in zip(names, offsets, gains)
+        )))
+        for f in queries:
+            got = affine.uvaluation["a"].lower.evaluate(f)
+            assert repr(got) == repr(mapped.uvaluation["a"].lower.evaluate(f))
+
+
 class TestBuiltinSpellings:
     """Every spelling of a builtin, pinned: the text it renders to (None
     when it does not parse) and the first diagnostic of loading it, as
@@ -323,7 +361,7 @@ class TestBuiltinSpellings:
         ("invplus_uniform(3, W)", "invplus_uniform(3, W)", None),
         ("invplus_vdc(4)", "invplus_vdc(4)", None),
         ("invplus_vdc(4 W)", None, (22, "expected ')', found 'W'")),
-        ("invplus_vdc(2.5)", "invplus_vdc(2)", (8, SAMPLE)),
+        ("invplus_vdc(2.5)", "invplus_vdc(2.5)", (8, SAMPLE)),
         ("invplus_vdc(0)", "invplus_vdc(0)", (8, SAMPLE)),
         (
             "invtimes_vdc(8, 0.2, 150.0, km, km/h, h)",
@@ -341,6 +379,7 @@ class TestBuiltinSpellings:
         assert result.ok == (rendered is not None)
         if result.ok:
             assert render(result.document) == "dp a = %s\nterm a\n" % rendered
+            assert parse(render(result.document)).document == result.document
         model, diags = load_model(text)
         if diagnostic is None:
             assert model is not None and diags == []
@@ -349,9 +388,12 @@ class TestBuiltinSpellings:
             assert (diags[0].span.line, diags[0].span.col, diags[0].message) == (1, *diagnostic)
 
     def test_infinite_sample_count_is_a_diagnostic(self):
-        model, diags = load_model("dp a = invplus_uniform(1e999)\nterm a\n")
+        text = "dp a = invplus_uniform(1e999)\nterm a\n"
+        model, diags = load_model(text)
         assert model is None
         assert [d.format("m.mcd") for d in diags] == ["m.mcd:1:8: error: " + self.SAMPLE]
+        # render does not raise on it
+        assert render(parse(text).document).startswith("dp a = invplus_uniform(")
 
 
 class TestBuiltinTable:

@@ -2,9 +2,10 @@ import math
 
 import pytest
 
+from mcdsolve.antichains import Antichain
 from mcdsolve.dp import Atom, MonotoneMap, SeriesDP, dp_leq
 from mcdsolve.errors import DomainError
-from mcdsolve.posets import RealPlus, product
+from mcdsolve.posets import Poset, RealPlus, product
 from mcdsolve.relaxations import (
     inject_tolerance,
     lower_from_points,
@@ -248,3 +249,98 @@ class TestSandwich:
                 assert lo.up_contains((r1, r2))
         for r1, r2 in hi.points:
             assert r1 * r2 >= f - 1e-12
+
+
+# Reference samples of each family, written out apart from the builder:
+# (upper samples, lower samples) at demand f1.
+
+
+def _segment(f1, params):
+    return [(f1 * t if t > 0 else 0.0, f1 * (1 - t) if t < 1 else 0.0) for t in params]
+
+
+def _uniform_samples(n, f1):
+    upper = [0.5] if n == 1 else [i / (n - 1) for i in range(n)]
+    return _segment(f1, upper), _segment(f1, [i / n for i in range(n + 1)])
+
+
+def _vdc_samples(n, f1):
+    return _segment(f1, vdc(n)), _segment(f1, vdc(n) + [0.0, 1.0])
+
+
+RMIN, RMAX = 0.2, 150.0
+
+
+def _times_samples(n, f1):
+    f1 = float(f1)
+    if f1 > RMAX * RMAX:
+        return [], []
+    if f1 <= RMIN * RMIN:
+        return [(RMIN, RMIN)], [(RMIN, RMIN)]
+    lo, hi = max(RMIN, f1 / RMAX), min(RMAX, f1 / RMIN)
+    a, b = math.log(lo), math.log(hi)
+    upper = [(r1, f1 / r1) for r1 in (math.exp(a + t * (b - a)) for t in vdc(n))]
+    return upper, upper + [(lo, f1 / lo), (hi, f1 / hi)]
+
+
+FAMILIES = {
+    "invplus_uniform": (relax_plus_uniform, _uniform_samples),
+    "invplus_vdc": (relax_plus_vdc, _vdc_samples),
+    "invtimes_vdc": (lambda n: relax_times_vdc(n, RMIN, RMAX), _times_samples),
+}
+
+# zero both ways, below and at rmin^2, between, at and just above rmax^2,
+# infinity, and ints
+DEMANDS = [
+    0.0, -0.0, 0, 0.01, RMIN * RMIN, 0.5, 1, 30.0, 1234.5,
+    RMAX * RMAX, math.nextafter(RMAX * RMAX, math.inf), 22501, math.inf,
+]
+
+
+class TestSampledInverseFronts:
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_fronts_from_reference_samples(self, family):
+        build, samples = FAMILIES[family]
+        for n in range(1, 41):
+            u = build(n)
+            rsp = u.lower.ressp
+            for f in DEMANDS:
+                upper, lower = samples(n, f)
+                got = u.lower.evaluate(f)
+                assert repr(got) == repr(lower_from_points(lower, rsp)), (n, f)
+                assert repr(u.upper.evaluate(f)) == repr(Antichain(rsp, upper)), (n, f)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_lower_builds_one_front(self, family, monkeypatch):
+        built = []
+        init = Antichain.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        build, _ = FAMILIES[family]
+        relaxations = [build(n) for n in range(1, 41)]
+        monkeypatch.setattr(Antichain, "__init__", counting_init)
+        for u in relaxations:
+            for f in DEMANDS:
+                built.clear()
+                u.lower.evaluate(f)
+                assert len(built) == 1
+
+    @pytest.mark.parametrize("u, f, checks", [
+        (relax_plus_uniform(16), 1.0, 17),
+        (relax_plus_vdc(16), 1.0, 17),
+        (relax_times_vdc(8, 0.2, 150.0), 30.0, 9),
+    ])
+    def test_lower_checks_query_and_each_meet_once(self, u, f, checks, monkeypatch):
+        calls = []
+        check = Poset.check_member
+
+        def counting_check(self, x):
+            calls.append(x)
+            check(self, x)
+
+        monkeypatch.setattr(Poset, "check_member", counting_check)
+        front = u.lower.evaluate(f)
+        assert len(calls) == checks == 1 + len(front)
