@@ -8,15 +8,17 @@ the empty antichain is the greatest element and encodes infeasibility,
 while {bottom} is the least.
 
 The public constructor checks that every point is a member of the poset;
-it is where values from outside the kernel (MonotoneMap outputs, model
-constants, relaxation samples) enter.  Fronts derived from existing
-fronts (cross, union_min, filter_above, and the DP algebra's series,
-catalogue and loop steps) are built by _unchecked_front, which trusts
-its points and only minimises them.
+it is where values from outside the kernel (MonotoneMap outputs that are
+lists, model constants, relaxation samples) enter.  Inside the DP kernel
+fronts travel as plain frozensets of points; an Antichain object is made
+only where a front leaves it (DesignProblem.evaluate, a SolveReport and
+its history), by Antichain._of, which trusts a frozenset that is already
+minimal.  The product of two antichains is one already, so cross (and a
+par node) builds it with _cross and minimises nothing.
 """
 
 from .errors import DomainError
-from .posets import Poset, RealPlus, product, concat_elements
+from .posets import Poset, ProductPoset, RealPlus, product
 
 
 def _minimize_pairwise(unique, poset):
@@ -73,16 +75,17 @@ def _minimize(points, poset):
     return _minimize_pairwise(unique, poset)
 
 
-def _fill(front, poset, points):
-    object.__setattr__(front, "poset", poset)
-    object.__setattr__(front, "points", frozenset(_minimize(points, poset)))
-
-
-def _unchecked_front(poset: Poset, points) -> "Antichain":
-    """Antichain of points already known to be members of poset."""
-    front = object.__new__(Antichain)
-    _fill(front, poset, points)
-    return front
+def _cross(left, left_flat: bool, right, right_flat: bool) -> frozenset:
+    """Points of the product of two fronts, given as point sets; *_flat
+    tells whether that side's points are tuples of a product poset.
+    No point of the product dominates another, so none is dropped."""
+    if left_flat:
+        if right_flat:
+            return frozenset([a + b for a in left for b in right])
+        return frozenset([a + (b,) for a in left for b in right])
+    if right_flat:
+        return frozenset([(a,) + b for a in left for b in right])
+    return frozenset([(a, b) for a in left for b in right])
 
 
 class Antichain:
@@ -94,7 +97,16 @@ class Antichain:
         points = list(points)
         for p in points:
             poset.check_member(p)
-        _fill(self, poset, points)
+        object.__setattr__(self, "poset", poset)
+        object.__setattr__(self, "points", frozenset(_minimize(points, poset)))
+
+    @classmethod
+    def _of(cls, poset: Poset, points: frozenset) -> "Antichain":
+        """Antichain of points already known to be minimal members of poset."""
+        front = object.__new__(cls)
+        object.__setattr__(front, "poset", poset)
+        object.__setattr__(front, "points", points)
+        return front
 
     def __setattr__(self, name, value):
         raise AttributeError("antichains are immutable")
@@ -140,23 +152,23 @@ class Antichain:
     def union_min(self, other: "Antichain") -> "Antichain":
         """Minimal elements of the union; the meet of the two fronts."""
         self._check_same_space(other)
-        return _unchecked_front(self.poset, list(self.points) + list(other.points))
+        pts = list(self.points) + list(other.points)
+        return Antichain._of(self.poset, frozenset(_minimize(pts, self.poset)))
 
     def cross(self, other: "Antichain") -> "Antichain":
         """Antichain product over the flat product poset."""
-        prod = product(self.poset, other.poset)
-        pts = [
-            concat_elements(self.poset, a, other.poset, b)
-            for a in self.points
-            for b in other.points
-        ]
-        return _unchecked_front(prod, pts)
+        pts = _cross(
+            self.points, isinstance(self.poset, ProductPoset),
+            other.points, isinstance(other.poset, ProductPoset),
+        )
+        return Antichain._of(product(self.poset, other.poset), pts)
 
     def filter_above(self, r) -> "Antichain":
         """Points of the front that dominate r."""
         self.poset.check_member(r)
-        return _unchecked_front(
-            self.poset, [p for p in self.points if self.poset.leq(r, p)]
+        # a subset of an antichain is one
+        return Antichain._of(
+            self.poset, frozenset([p for p in self.points if self.poset.leq(r, p)])
         )
 
     def up_contains(self, r) -> bool:

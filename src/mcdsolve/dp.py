@@ -30,9 +30,14 @@ would drop them from the count.  A memo lives as long as its tree, so
 queries solved on one tree share it.
 
 Queries are checked once, by evaluate, solve and kleene_solve; composites
-call their parts' _eval directly and build fronts without re-checking
-points that are already members.  Atom outputs still enter through
-checked construction: MonotoneMap results via the Antichain constructor,
+call their parts' _eval directly.  Inside the kernel a front travels as
+the frozenset of its points: every _eval returns one, a series node
+minimises the union of its second part's fronts once, and a par node
+takes the product of its parts' fronts, which needs no minimising.  An
+Antichain object is made only where a front leaves the kernel: by
+evaluate, and by kleene_solve for its report and history.  Atom outputs
+are checked where they enter: a single MonotoneMap point by the resource
+space's check_member, a list of them by the Antichain constructor,
 catalogue rows in the Catalogue constructor.
 """
 
@@ -41,7 +46,7 @@ import contextvars
 import marshal
 from dataclasses import dataclass, field
 
-from .antichains import Antichain, _unchecked_front
+from .antichains import Antichain, _cross, _minimize
 from .errors import CompositionError, DomainError
 from .posets import (
     FinitePoset,
@@ -73,9 +78,10 @@ class DesignProblem:
     def evaluate(self, f) -> Antichain:
         """Antichain of minimal resources sufficient for functionality f."""
         self.funsp.check_member(f)
-        return self._eval(f)
+        return Antichain._of(self.ressp, self._eval(f))
 
-    def _eval(self, f) -> Antichain:
+    def _eval(self, f) -> frozenset:
+        """Points of the front at f, a member of funsp."""
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -103,10 +109,12 @@ class MonotoneMap(DesignProblem):
         self.fn = fn
         self.name = name
 
-    def _eval(self, f) -> Antichain:
+    def _eval(self, f) -> frozenset:
         out = self.fn(f)
-        pts = list(out) if isinstance(out, (list, set, frozenset)) else [out]
-        return Antichain(self.ressp, pts)
+        if isinstance(out, (list, set, frozenset)):
+            return Antichain(self.ressp, out).points
+        self.ressp.check_member(out)
+        return frozenset((out,))
 
 
 class Catalogue(DesignProblem):
@@ -138,7 +146,7 @@ class Catalogue(DesignProblem):
     def _lead(self, f):
         return f if isinstance(self.funsp, RealPlus) else f[0]
 
-    def _eval(self, f) -> Antichain:
+    def _eval(self, f) -> frozenset:
         entries, leq = self.entries, self.funsp.leq
         if self._order is None:
             pts = [r for fi, r in entries if leq(f, fi)]
@@ -147,7 +155,7 @@ class Catalogue(DesignProblem):
             # rows in entry order, so the front is built exactly as by a full scan
             hits = sorted(i for i in self._order[start:] if leq(f, entries[i][0]))
             pts = [entries[i][1] for i in hits]
-        return _unchecked_front(self.ressp, pts)
+        return frozenset(_minimize(pts, self.ressp))
 
 
 class ConstantResource(DesignProblem):
@@ -157,22 +165,22 @@ class ConstantResource(DesignProblem):
         super().__init__(funsp if funsp is not None else UNIT_POSET, front.poset)
         self.front = front
 
-    def _eval(self, f) -> Antichain:
-        return self.front
+    def _eval(self, f) -> frozenset:
+        return self.front.points
 
 
 class BottomDP(DesignProblem):
     """Least DP: everything is free."""
 
-    def _eval(self, f) -> Antichain:
-        return _unchecked_front(self.ressp, [self.ressp.bottom()])
+    def _eval(self, f) -> frozenset:
+        return frozenset((self.ressp.bottom(),))
 
 
 class TopDP(DesignProblem):
     """Greatest DP: nothing is feasible."""
 
-    def _eval(self, f) -> Antichain:
-        return _unchecked_front(self.ressp, [])
+    def _eval(self, f) -> frozenset:
+        return frozenset()
 
 
 class IdentityDP(DesignProblem):
@@ -181,8 +189,8 @@ class IdentityDP(DesignProblem):
     def __init__(self, space: Poset):
         super().__init__(space, space)
 
-    def _eval(self, f) -> Antichain:
-        return _unchecked_front(self.ressp, [f])
+    def _eval(self, f) -> frozenset:
+        return frozenset((f,))
 
 
 def _memo_key(f):
@@ -208,7 +216,7 @@ class SeriesDP(DesignProblem):
         self.first = first
         self.second = second
 
-    def _eval(self, f) -> Antichain:
+    def _eval(self, f) -> frozenset:
         memo = self._memo
         if memo is not None:
             key = _memo_key(f)
@@ -217,8 +225,8 @@ class SeriesDP(DesignProblem):
                 return front
         pts = []
         for r1 in self.first._eval(f):
-            pts.extend(self.second._eval(r1).points)
-        front = _unchecked_front(self.ressp, pts)
+            pts.extend(self.second._eval(r1))
+        front = frozenset(_minimize(pts, self.ressp))
         if memo is not None and len(memo) < MEMO_SIZE:
             memo[key] = front
         return front
@@ -231,10 +239,15 @@ class ParDP(DesignProblem):
         )
         self.left = left
         self.right = right
+        self._flat = (isinstance(left.ressp, ProductPoset), isinstance(right.ressp, ProductPoset))
 
-    def _eval(self, f) -> Antichain:
+    def _eval(self, f) -> frozenset:
         fl, fr = split_element(self.left.funsp, self.right.funsp, f)
-        return self.left._eval(fl).cross(self.right._eval(fr))
+        # both parts run, even when the left front is empty: a loop in
+        # the right part reports its iterations to solve
+        left = self.left._eval(fl)
+        right = self.right._eval(fr)
+        return _cross(left, self._flat[0], right, self._flat[1])
 
 
 def loop_signature(funsp: Poset, ressp: Poset) -> tuple[Poset, Poset]:
@@ -285,12 +298,12 @@ class LoopDP(DesignProblem):
         self.body = body
         _enable_memos(body)
 
-    def _eval(self, f1) -> Antichain:
+    def _eval(self, f1) -> frozenset:
         max_iter, reports = _solve_run.get()
         report = kleene_solve(self.body, f1, max_iter, signature=self.signature)
         if reports is not None:
             reports.append(report)
-        return report.front
+        return report.front.points
 
 
 def series(first: DesignProblem, second: DesignProblem) -> SeriesDP:
@@ -360,22 +373,23 @@ def kleene_solve(
             hit = cache[r] = dp._eval(concat_elements(f1sp, f1, rsp, r))
         return hit
 
-    front = _unchecked_front(rsp, [rsp.bottom()])
-    history = [front] if keep_history else None
+    front = frozenset((rsp.bottom(),))
+    history = [Antichain._of(rsp, front)] if keep_history else None
     iterations = 0
     converged = False
     while iterations < max_iter:
         pts = []
-        for r in front.points:
-            pts.extend(p for p in eval_at(r).points if rsp.leq(r, p))
-        nxt = _unchecked_front(rsp, pts)
+        for r in front:
+            pts.extend(p for p in eval_at(r) if rsp.leq(r, p))
+        nxt = frozenset(_minimize(pts, rsp))
         iterations += 1
         if keep_history:
-            history.append(nxt)
+            history.append(Antichain._of(rsp, nxt))
         if nxt == front:
             converged = True
             break
         front = nxt
+    front = Antichain._of(rsp, front)
     return SolveReport(front=front, iterations=iterations, converged=converged, history=history)
 
 

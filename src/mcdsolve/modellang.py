@@ -799,8 +799,9 @@ def parse(text: str) -> ParseResult:
 
 
 def _fmt_num(v) -> str:
+    # only points read the word inf; a NUM that overflows reads back as it
     if isinstance(v, float) and math.isinf(v):
-        return "inf"
+        return "1e999"
     return repr(float(v))
 
 
@@ -813,7 +814,7 @@ def _fmt_label(v) -> str:
 
 
 def _fmt_point(p: PointNode) -> str:
-    parts = [_fmt_label(v) for v in p.values]
+    parts = ["inf" if v == math.inf else _fmt_label(v) for v in p.values]
     if len(parts) == 1:
         return parts[0]
     return "(%s)" % ", ".join(parts)

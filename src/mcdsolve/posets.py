@@ -243,7 +243,10 @@ class ProductPoset(Poset):
     def contains(self, x) -> bool:
         if not isinstance(x, tuple) or len(x) != len(self._factors):
             return False
-        return all(p.contains(v) for p, v in zip(self._factors, x))
+        for p, v in zip(self._factors, x):
+            if not p.contains(v):
+                return False
+        return True
 
     def leq(self, a, b) -> bool:
         for p, u, v in zip(self._factors, a, b):

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mcdsolve.antichains import Antichain
 from mcdsolve.dp import (
@@ -28,7 +29,7 @@ from mcdsolve.dp import (
     term_to_text,
 )
 from mcdsolve.errors import CompositionError, DomainError
-from mcdsolve.posets import FinitePoset, RealPlus, product
+from mcdsolve.posets import FinitePoset, RealPlus, concat_elements, product
 
 RW = RealPlus("W")
 RG = RealPlus("g")
@@ -211,6 +212,13 @@ class TestSolveAggregation:
         # 2 steps plus 3 inner iterations under each of them
         assert report.iterations == 8
 
+    def test_par_solves_its_right_loop_when_the_left_is_infeasible(self):
+        alone = solve(loop(ladder_body()), 0)
+        report = solve(par(TopDP(RW, RG), loop(ladder_body())), (1.0, 0))
+        assert report.front.points == set()
+        assert report.iterations == alone.iterations == 3
+        assert report.converged
+
     def test_max_iter_override_reaches_inner_loops(self):
         counter = RealPlus()
         diverging = loop(
@@ -336,3 +344,37 @@ class TestOrderAndMonotonicity:
 
     def test_monotone_passes(self):
         assert find_monotonicity_violation(doubler(), fs=[0.0, 1.0, 2.0]) is None
+
+
+# Fronts with equal values of different representation (0, 0.0, -0.0;
+# 1, 1.0) on real, finite non-chain and mixed spaces.
+DIAMOND = FinitePoset([0, 1, 2, 3], [(0, 1), (0, 2), (1, 3), (2, 3)], name="diamond")
+REAL_TWINS = st.sampled_from([0, 0.0, -0.0, 1, 1.0, 2.5, math.inf])
+LABEL_TWINS = st.sampled_from([0, 0.0, 1, 1.0, 2, 2.0, 3])
+SIDES = [
+    (RW, REAL_TWINS),
+    (DIAMOND, LABEL_TWINS),
+    (product(RW, RG), st.tuples(REAL_TWINS, REAL_TWINS)),
+    (product(RW, DIAMOND), st.tuples(REAL_TWINS, LABEL_TWINS)),
+]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_par_front_is_the_cross_of_its_parts(data):
+    parts = []
+    for _ in range(2):
+        space, point = data.draw(st.sampled_from(SIDES))
+        pts = data.draw(st.lists(point, max_size=4))
+        parts.append(MonotoneMap(RW, space, lambda f, pts=pts: list(pts)))
+    left, right = parts
+    fl, fr = data.draw(REAL_TWINS), data.draw(REAL_TWINS)
+    got = [repr(p) for p in par(left, right).evaluate((fl, fr)).points]
+    a, b = left.evaluate(fl), right.evaluate(fr)
+    assert got == [repr(p) for p in a.cross(b).points]
+    # the same front built point by point through the checked constructor
+    ref = Antichain(
+        product(a.poset, b.poset),
+        [concat_elements(a.poset, x, b.poset, y) for x in a for y in b],
+    )
+    assert got == [repr(p) for p in ref.points]

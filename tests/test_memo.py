@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mcdsolve import cli, dp
+from mcdsolve.antichains import Antichain
 from mcdsolve.dp import (
     IdentityDP,
     Loop,
@@ -244,6 +245,7 @@ ATOMS = (dp.Catalogue, dp.MonotoneMap, dp.IdentityDP, dp.ConstantResource,
 ])
 def test_axis_sweep_work_and_output(extra, expected, monkeypatch):
     calls = [0]
+    made = [0]  # Antichain objects; inside the kernel fronts are frozensets
 
     def counted(fn):
         def wrapper(self, f):
@@ -253,6 +255,18 @@ def test_axis_sweep_work_and_output(extra, expected, monkeypatch):
 
     for cls in ATOMS:
         monkeypatch.setattr(cls, "_eval", counted(cls._eval))
+    init, of = Antichain.__init__, Antichain._of.__func__
+
+    def counted_init(self, *args):
+        made[0] += 1
+        init(self, *args)
+
+    def counted_of(cls, *args):
+        made[0] += 1
+        return of(cls, *args)
+
+    monkeypatch.setattr(Antichain, "__init__", counted_init)
+    monkeypatch.setattr(Antichain, "_of", classmethod(counted_of))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.main(SWEEP + extra) == cli.EXIT_OK
@@ -260,3 +274,4 @@ def test_axis_sweep_work_and_output(extra, expected, monkeypatch):
     assert out.getvalue() == (EXPECTED / expected).read_text(encoding="utf-8")
     if not extra:
         assert calls[0] <= 3400  # 5721 without memos and with a tree per row
+        assert made[0] <= 100  # 5105 when every node built one

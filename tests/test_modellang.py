@@ -387,6 +387,17 @@ class TestBuiltinSpellings:
             assert model is None
             assert (diags[0].span.line, diags[0].span.col, diags[0].message) == (1, *diagnostic)
 
+    @pytest.mark.parametrize("text", [
+        "dp a = uid(1e999 W)\nterm a\n",
+        "dp a = map F(f[W]) R(r[W]) { r = 1e999 * f }\nterm a\n",
+        "poset p = chain {1, 1e999}\ndp a = identity R(x:p)\nterm a\n",
+    ])
+    def test_infinite_number_renders_as_a_number(self, text):
+        # only points read the word inf, so elsewhere inf prints as 1e999
+        doc = parse(text).document
+        assert render(doc) == text
+        assert parse(render(doc)).document == doc
+
     def test_infinite_sample_count_is_a_diagnostic(self):
         text = "dp a = invplus_uniform(1e999)\nterm a\n"
         model, diags = load_model(text)
