@@ -16,7 +16,7 @@ import sys
 from . import uncertainty
 from .dp import _violating_pair
 from .errors import CodesignError, DomainError
-from .modellang import load_model
+from .modellang import chain_number, load_model
 from .posets import RealPlus
 from .relaxations import inject_tolerance
 from .uncertainty import (
@@ -94,9 +94,10 @@ def _convert_value(poset, text, unit, axis_name):
             raise DomainError("bad number %r for axis %r" % (text, axis_name)) from None
     if unit is not None:
         raise DomainError("axis %r is not a real chain, drop the [unit]" % axis_name)
+    if poset.contains(text):
+        return text
     try:
-        v = float(text)
-        return int(v) if v.is_integer() else v
+        return chain_number(float(text))
     except ValueError:
         return text
 

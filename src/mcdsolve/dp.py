@@ -455,24 +455,6 @@ class Loop(Term):
     span: object = field(default=None, compare=False, repr=False)
 
 
-def atoms_of(term: Term) -> list[str]:
-    """Atom names in left-to-right order, without duplicates."""
-    out: list[str] = []
-
-    def walk(t: Term):
-        if isinstance(t, Atom):
-            if t.name not in out:
-                out.append(t.name)
-        elif isinstance(t, (Series, Par)):
-            walk(t.left)
-            walk(t.right)
-        elif isinstance(t, Loop):
-            walk(t.body)
-
-    walk(term)
-    return out
-
-
 def term_to_text(term: Term) -> str:
     if isinstance(term, Atom):
         return term.name

@@ -46,11 +46,16 @@ once into closures over the argument positions, reporting unknown names
 on the way; affine is built from the same closures, as the map
 r_i = o_i + g_i * f.  Parsing recovers at statement boundaries, so one
 file yields every diagnostic at once; a duplicate name anywhere (posets,
-dps, uncertains share one namespace) is an error.  A term statement parses
-straight into the kernel's term type (dp.Atom, Series, Par, Loop), each
-node carrying its span.  Each builtin's argument layout, axis names and
-relaxations constructor live in one table, _BUILTINS, which the parser,
-renderer, elaborator and reserved words all read.
+dps, uncertains share one namespace) is an error.  A node's span is the
+position where it starts, the line and column of its first token, which
+is what a diagnostic reports.  poset, dp and uncertain statements are one
+node, StDecl, holding the keyword, the name and the parsed body.  A term
+statement parses straight into the kernel's term type (dp.Atom, Series,
+Par, Loop).  A number read as a chain element, in a chain or in a point
+on a chain axis, is an int when integral (chain_number).  Each builtin's
+argument layout, axis names and relaxations constructor live in one
+table, _BUILTINS, which the parser, renderer, elaborator and reserved
+words all read.
 """
 
 import math
@@ -137,19 +142,21 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _PREC = {"+": 1, "*": 2}  # how tightly map operators bind, for parsing and printing
 
 
+def chain_number(v: float):
+    """A number as a chain element: an integral one is an int, so a label
+    written 2 or 2.0 is the element 2 wherever it is read."""
+    return int(v) if v.is_integer() else v
+
+
 class Span(NamedTuple):
+    """Where a token or node starts: 1-based line and column."""
+
     line: int
     col: int
-    start: int
-    end: int
 
 
 def _sp():
     return field(compare=False, repr=False)
-
-
-def merge_spans(a: Span, b: Span) -> Span:
-    return Span(a.line, a.col, a.start, b.end)
 
 
 @dataclass
@@ -196,15 +203,14 @@ def tokenize(text: str, diagnostics: list) -> list[Token]:
             line += 1
             line_start = m.end()
         elif kind != "skip":
-            span = Span(line, m.start() - line_start + 1, m.start(), m.end())
+            span = Span(line, m.start() - line_start + 1)
             if kind == "bad":
                 diagnostics.append(Diagnostic("unexpected character %r" % m.group(), span))
             else:
                 if kind in ("punct", "arrow", "le"):
                     kind = m.group()
                 toks.append(Token(kind, m.group(), span))
-    end = len(text)
-    toks.append(Token("eof", "", Span(line, end - line_start + 1, end, end)))
+    toks.append(Token("eof", "", Span(line, len(text) - line_start + 1)))
     return toks
 
 
@@ -343,23 +349,10 @@ class StModel:
 
 
 @dataclass
-class StPoset:
+class StDecl:
+    keyword: str  # poset, dp or uncertain
     name: str
-    expr: object
-    span: Span = _sp()
-
-
-@dataclass
-class StDp:
-    name: str
-    kind: object
-    span: Span = _sp()
-
-
-@dataclass
-class StUncertain:
-    name: str
-    kind: object
+    body: object
     span: Span = _sp()
 
 
@@ -478,12 +471,8 @@ class _Parser:
             try:
                 if tok.text == "model":
                     statements.append(self.parse_model())
-                elif tok.text == "poset":
-                    statements.append(self.parse_poset())
-                elif tok.text == "dp":
-                    statements.append(self.parse_dp())
-                elif tok.text == "uncertain":
-                    statements.append(self.parse_uncertain())
+                elif tok.text in _DECLS:
+                    statements.append(self.parse_decl())
                 elif tok.text == "term":
                     statements.append(self.parse_term_stmt())
                 else:
@@ -494,8 +483,7 @@ class _Parser:
             except _ParseError as e:
                 self.diags.append(e.diag)
                 self.recover()
-        last = self.cur()
-        return Document(statements, span=merge_spans(first.span, last.span))
+        return Document(statements, span=first.span)
 
     def recover(self):
         """Skip to the next statement keyword at the start of a line.
@@ -515,43 +503,41 @@ class _Parser:
         kw = self.expect("model")
         name = self.expect_name("a model name")
         desc = ""
-        end = name
         if self.cur().kind == "string":
-            end = self.advance()
-            desc = end.text[1:-1]
-        return StModel(name.text, desc, span=merge_spans(kw.span, end.span))
+            desc = self.advance().text[1:-1]
+        return StModel(name.text, desc, span=kw.span)
 
-    def parse_poset(self) -> StPoset:
-        kw = self.expect("poset")
-        name = self.expect_name("a poset name")
+    def parse_decl(self) -> StDecl:
+        kw = self.advance()
+        what, body = _DECLS[kw.text]
+        name = self.expect_name(what)
         self.declare(name)
         self.expect("=")
-        expr = self.parse_poset_expr()
-        return StPoset(name.text, expr, span=merge_spans(kw.span, expr.span))
+        return StDecl(kw.text, name.text, body(self), span=kw.span)
 
     def parse_poset_expr(self):
         tok = self.cur()
         if tok.text == "R":
-            start = self.advance()
+            self.advance()
             self.expect("+")
             self.expect("[")
             unit = self.expect_unit()
-            close = self.expect("]")
-            return PosetReal(unit.text, span=merge_spans(start.span, close.span))
+            self.expect("]")
+            return PosetReal(unit.text, span=tok.span)
         if tok.text == "chain":
-            start = self.advance()
+            self.advance()
             self.expect("{")
             labels = self.comma_list(self.parse_elem)
-            close = self.expect("}")
-            return PosetChain(labels, span=merge_spans(start.span, close.span))
+            self.expect("}")
+            return PosetChain(labels, span=tok.span)
         if tok.text == "product":
-            start = self.advance()
+            self.advance()
             self.expect("(")
             refs = [self.parse_ref()]
             self.expect(",")
             refs += self.comma_list(self.parse_ref)
-            close = self.expect(")")
-            return PosetProduct(refs, span=merge_spans(start.span, close.span))
+            self.expect(")")
+            return PosetProduct(refs, span=tok.span)
         self.fail("expected a poset expression (R+[...], chain, product)")
 
     def parse_ref(self) -> str:
@@ -561,40 +547,31 @@ class _Parser:
         tok = self.cur()
         if tok.kind == "num":
             self.advance()
-            v = float(tok.text)
-            return int(v) if v.is_integer() else v
+            return chain_number(float(tok.text))
         if tok.kind == "word":
             self.advance()
             return tok.text
         self.fail("expected a chain element, found %s" % self._describe(tok))
 
-    def parse_dp(self) -> StDp:
-        kw = self.expect("dp")
-        name = self.expect_name("a design problem name")
-        self.declare(name)
-        self.expect("=")
-        kind = self.parse_dp_kind()
-        return StDp(name.text, kind, span=merge_spans(kw.span, kind.span))
-
     def parse_dp_kind(self):
         tok = self.cur()
         if tok.text == "constant":
-            start = self.advance()
+            self.advance()
             sig = self.parse_sig()
             self.expect("{")
             points = self.comma_list(self.parse_point)
-            close = self.expect("}")
-            return KConstant(sig, points, span=merge_spans(start.span, close.span))
+            self.expect("}")
+            return KConstant(sig, points, span=tok.span)
         if tok.text == "affine":
-            start = self.advance()
+            self.advance()
             sig = self.parse_sig()
             self.expect("gain")
             gain = self.parse_point()
             self.expect("offset")
             offset = self.parse_point()
-            return KAffine(sig, gain, offset, span=merge_spans(start.span, offset.span))
+            return KAffine(sig, gain, offset, span=tok.span)
         if tok.text == "catalogue":
-            start = self.advance()
+            self.advance()
             sig = self.parse_sig()
             self.expect("{")
             entries = []
@@ -607,10 +584,10 @@ class _Parser:
                     self.advance()
                 else:
                     break
-            close = self.expect("}")
-            return KCatalogue(sig, entries, span=merge_spans(start.span, close.span))
+            self.expect("}")
+            return KCatalogue(sig, entries, span=tok.span)
         if tok.text == "map":
-            start = self.advance()
+            self.advance()
             sig = self.parse_sig()
             self.expect("{")
             assigns = [self.parse_assign()]
@@ -619,12 +596,11 @@ class _Parser:
                 if self.at("}"):
                     break
                 assigns.append(self.parse_assign())
-            close = self.expect("}")
-            return KMap(sig, assigns, span=merge_spans(start.span, close.span))
+            self.expect("}")
+            return KMap(sig, assigns, span=tok.span)
         if tok.text in ("identity", "bottom", "top"):
-            start = self.advance()
-            sig = self.parse_sig()
-            return KSig(start.text, sig, span=merge_spans(start.span, sig.span))
+            self.advance()
+            return KSig(tok.text, self.parse_sig(), span=tok.span)
         if tok.text in _BUILTINS:
             return self.parse_builtin()
         self.fail("unknown design problem kind %s" % self._describe(tok))
@@ -640,8 +616,8 @@ class _Parser:
             if comma:
                 self.advance()
             units = self.comma_list(lambda: self.expect_unit().text, spec.units)
-        close = self.expect(")")
-        return KBuiltin(fn.text, numbers, units, span=merge_spans(fn.span, close.span))
+        self.expect(")")
+        return KBuiltin(fn.text, numbers, units, span=fn.span)
 
     def parse_sig(self) -> Sig:
         f_axes = None
@@ -651,35 +627,34 @@ class _Parser:
             self.expect("(")
             f_axes = self.comma_list(self.parse_axis)
             self.expect(")")
-        r_kw = self.expect("R")
+        self.expect("R")
         self.expect("(")
         r_axes = self.comma_list(self.parse_axis)
-        close = self.expect(")")
-        first = start if f_axes is not None else r_kw
-        return Sig(f_axes, r_axes, span=merge_spans(first.span, close.span))
+        self.expect(")")
+        return Sig(f_axes, r_axes, span=start.span)
 
     def parse_axis(self) -> Axis:
         name = self.expect_name("an axis name")
         if self.at("["):
             self.advance()
             unit = self.expect_unit()
-            close = self.expect("]")
-            return Axis(name.text, unit.text, None, span=merge_spans(name.span, close.span))
+            self.expect("]")
+            return Axis(name.text, unit.text, None, span=name.span)
         if self.at(":"):
             self.advance()
             ref = self.expect_name("a poset name")
-            return Axis(name.text, None, ref.text, span=merge_spans(name.span, ref.span))
+            return Axis(name.text, None, ref.text, span=name.span)
         self.fail("axis %r needs [unit] or :poset" % name.text)
 
     def parse_point(self) -> PointNode:
         tok = self.cur()
         if self.at("("):
-            start = self.advance()
+            self.advance()
             values = self.comma_list(self.parse_scalar)
-            close = self.expect(")")
-            return PointNode(values, span=merge_spans(start.span, close.span))
-        value = self.parse_scalar()
-        return PointNode([value], span=tok.span)
+            self.expect(")")
+        else:
+            values = [self.parse_scalar()]
+        return PointNode(values, span=tok.span)
 
     def parse_scalar(self):
         tok = self.cur()
@@ -697,8 +672,7 @@ class _Parser:
     def parse_assign(self) -> Assign:
         name = self.expect_name("an output axis name")
         self.expect("=")
-        expr = self.parse_mexpr()
-        return Assign(name.text, expr, span=merge_spans(name.span, expr.span))
+        return Assign(name.text, self.parse_mexpr(), span=name.span)
 
     def parse_mexpr(self, min_prec: int = 1):
         """Operands joined by + and * at precedence min_prec or above,
@@ -707,7 +681,7 @@ class _Parser:
         while _PREC.get(self.cur().text, 0) >= min_prec:
             op = self.advance().text
             right = self.parse_mexpr(_PREC[op] + 1)
-            left = EBin(op, left, right, span=merge_spans(left.span, right.span))
+            left = EBin(op, left, right, span=left.span)
         return left
 
     def parse_mfactor(self):
@@ -721,8 +695,8 @@ class _Parser:
             left = self.parse_mexpr()
             self.expect(",")
             right = self.parse_mexpr()
-            close = self.expect(")")
-            return EBin(tok.text, left, right, span=merge_spans(tok.span, close.span))
+            self.expect(")")
+            return EBin(tok.text, left, right, span=tok.span)
         if self.at("("):
             self.advance()
             expr = self.parse_mexpr()
@@ -733,11 +707,7 @@ class _Parser:
             return EVar(tok.text, span=tok.span)
         self.fail("expected an expression, found %s" % self._describe(tok))
 
-    def parse_uncertain(self) -> StUncertain:
-        kw = self.expect("uncertain")
-        name = self.expect_name("an uncertain name")
-        self.declare(name)
-        self.expect("=")
+    def parse_uncertain_kind(self):
         tok = self.cur()
         if tok.text == "pm":
             self.advance()
@@ -746,24 +716,21 @@ class _Parser:
             self.expect(",")
             pct = self.expect_num()
             self.expect("%")
-            close = self.expect(")")
-            kind = UPm(target.text, pct, span=merge_spans(tok.span, close.span))
-        elif tok.text == "interval":
+            self.expect(")")
+            return UPm(target.text, pct, span=tok.span)
+        if tok.text == "interval":
             self.advance()
             self.expect("(")
             lo = self.expect_name("a design problem name")
             self.expect(",")
             hi = self.expect_name("a design problem name")
-            close = self.expect(")")
-            kind = UInterval(lo.text, hi.text, span=merge_spans(tok.span, close.span))
-        else:
-            self.fail("expected pm(...) or interval(...), found %s" % self._describe(tok))
-        return StUncertain(name.text, kind, span=merge_spans(kw.span, kind.span))
+            self.expect(")")
+            return UInterval(lo.text, hi.text, span=tok.span)
+        self.fail("expected pm(...) or interval(...), found %s" % self._describe(tok))
 
     def parse_term_stmt(self) -> StTerm:
         kw = self.expect("term")
-        expr = self.parse_texpr()
-        return StTerm(expr, span=merge_spans(kw.span, expr.span))
+        return StTerm(self.parse_texpr(), span=kw.span)
 
     def parse_texpr(self):
         tok = self.cur()
@@ -773,18 +740,25 @@ class _Parser:
             left = self.parse_texpr()
             self.expect(",")
             right = self.parse_texpr()
-            close = self.expect(")")
+            self.expect(")")
             cls = Series if tok.text == "series" else Par
-            return cls(left, right, span=merge_spans(tok.span, close.span))
+            return cls(left, right, span=tok.span)
         if tok.text == "loop":
             self.advance()
             self.expect("(")
             body = self.parse_texpr()
-            close = self.expect(")")
-            return Loop(body, span=merge_spans(tok.span, close.span))
+            self.expect(")")
+            return Loop(body, span=tok.span)
         name = self.expect_name("a design problem name")
         return Atom(name.text, span=name.span)
 
+
+# declaration keyword -> (what its name is called, parser of its body)
+_DECLS = {
+    "poset": ("a poset name", _Parser.parse_poset_expr),
+    "dp": ("a design problem name", _Parser.parse_dp_kind),
+    "uncertain": ("an uncertain name", _Parser.parse_uncertain_kind),
+}
 
 def parse(text: str) -> ParseResult:
     """Parse model text; errors do not abort, they accumulate."""
@@ -856,58 +830,45 @@ def _fmt_builtin(k: KBuiltin) -> str:
     return "%s(%s)" % (k.fn, inner)
 
 
+def _fmt_body(k) -> str:
+    """Text of a declaration's body, after its "="."""
+    if isinstance(k, PosetReal):
+        return "R+[%s]" % k.unit
+    if isinstance(k, PosetChain):
+        return "chain {%s}" % ", ".join(_fmt_label(x) for x in k.labels)
+    if isinstance(k, PosetProduct):
+        return "product(%s)" % ", ".join(k.refs)
+    if isinstance(k, KConstant):
+        return "constant %s {%s}" % (_fmt_sig(k.sig), ", ".join(_fmt_point(p) for p in k.points))
+    if isinstance(k, KAffine):
+        return "affine %s gain %s offset %s" % (
+            _fmt_sig(k.sig),
+            _fmt_point(k.gain),
+            _fmt_point(k.offset),
+        )
+    if isinstance(k, KCatalogue):
+        rows = ",\n".join("    %s -> %s" % (_fmt_point(f), _fmt_point(r)) for f, r in k.entries)
+        return "catalogue %s {\n%s\n}" % (_fmt_sig(k.sig), rows)
+    if isinstance(k, KMap):
+        assigns = "; ".join("%s = %s" % (a.name, _fmt_expr(a.expr)) for a in k.assigns)
+        return "map %s { %s }" % (_fmt_sig(k.sig), assigns)
+    if isinstance(k, KSig):
+        return "%s %s" % (k.word, _fmt_sig(k.sig))
+    if isinstance(k, KBuiltin):
+        return _fmt_builtin(k)
+    if isinstance(k, UPm):
+        return "pm(%s, %s%%)" % (k.dp_name, _fmt_num(k.percent))
+    return "interval(%s, %s)" % (k.lower_name, k.upper_name)
+
+
 def _render_statement(st) -> str:
     if isinstance(st, StModel):
         if st.description:
             return 'model %s "%s"' % (st.name, st.description)
         return "model %s" % st.name
-    if isinstance(st, StPoset):
-        e = st.expr
-        if isinstance(e, PosetReal):
-            body = "R+[%s]" % e.unit
-        elif isinstance(e, PosetChain):
-            body = "chain {%s}" % ", ".join(_fmt_label(x) for x in e.labels)
-        else:
-            body = "product(%s)" % ", ".join(e.refs)
-        return "poset %s = %s" % (st.name, body)
-    if isinstance(st, StDp):
-        k = st.kind
-        if isinstance(k, KConstant):
-            body = "constant %s {%s}" % (
-                _fmt_sig(k.sig),
-                ", ".join(_fmt_point(p) for p in k.points),
-            )
-        elif isinstance(k, KAffine):
-            body = "affine %s gain %s offset %s" % (
-                _fmt_sig(k.sig),
-                _fmt_point(k.gain),
-                _fmt_point(k.offset),
-            )
-        elif isinstance(k, KCatalogue):
-            rows = ",\n".join(
-                "    %s -> %s" % (_fmt_point(f), _fmt_point(r)) for f, r in k.entries
-            )
-            body = "catalogue %s {\n%s\n}" % (_fmt_sig(k.sig), rows)
-        elif isinstance(k, KMap):
-            body = "map %s { %s }" % (
-                _fmt_sig(k.sig),
-                "; ".join("%s = %s" % (a.name, _fmt_expr(a.expr)) for a in k.assigns),
-            )
-        elif isinstance(k, KSig):
-            body = "%s %s" % (k.word, _fmt_sig(k.sig))
-        else:
-            body = _fmt_builtin(k)
-        return "dp %s = %s" % (st.name, body)
-    if isinstance(st, StUncertain):
-        k = st.kind
-        if isinstance(k, UPm):
-            body = "pm(%s, %s%%)" % (k.dp_name, _fmt_num(k.percent))
-        else:
-            body = "interval(%s, %s)" % (k.lower_name, k.upper_name)
-        return "uncertain %s = %s" % (st.name, body)
     if isinstance(st, StTerm):
         return "term %s" % term_to_text(st.expr)
-    raise TypeError("not a statement: %r" % (st,))
+    return "%s %s = %s" % (st.keyword, st.name, _fmt_body(st.body))
 
 
 def render(doc: Document) -> str:
@@ -1024,24 +985,21 @@ class _Elaborator:
                     self.error("model already named %r" % self.model_name, st.span)
                 else:
                     self.model_name = st.name
-            elif isinstance(st, StPoset):
-                self.do_poset(st)
-            elif isinstance(st, StDp):
-                self.do_dp(st)
-            elif isinstance(st, StUncertain):
-                self.do_uncertain(st)
             elif isinstance(st, StTerm):
                 terms.append(st)
+            else:
+                do = {"poset": self.do_poset, "dp": self.do_dp, "uncertain": self.do_uncertain}
+                do[st.keyword](st)
         if not terms:
             self.error("missing term: a model must declare exactly one", self.doc.span)
             return None
         for extra in terms[1:]:
             self.error("more than one term statement", extra.span)
-        if self.has_errors():
+        if self.diags:
             # poset/dp diagnostics already make the model unusable
             return None
         checked = self._texpr(terms[0].expr)
-        if self.has_errors():
+        if self.diags:
             return None
         funsp, ressp, fnames, rnames = checked
         return ElaboratedModel(
@@ -1055,13 +1013,16 @@ class _Elaborator:
             builtin_decls=self.builtin_decls,
         )
 
-    def has_errors(self) -> bool:
-        return bool(self.diags)
-
     # declarations
 
-    def do_poset(self, st: StPoset):
-        e = st.expr
+    def poset_named(self, ref: str, span: Span) -> Poset | None:
+        p = self.posets.get(ref)
+        if p is None:
+            self.error("unknown poset %r" % ref, span)
+        return p
+
+    def do_poset(self, st: StDecl):
+        e = st.body
         if isinstance(e, PosetReal):
             self.posets[st.name] = RealPlus(e.unit)
             return
@@ -1073,9 +1034,8 @@ class _Elaborator:
             return
         factors = []
         for ref in e.refs:
-            p = self.posets.get(ref)
+            p = self.poset_named(ref, e.span)
             if p is None:
-                self.error("unknown poset %r" % ref, e.span)
                 return
             factors.append(p)
         self.posets[st.name] = ProductPoset(factors)
@@ -1084,9 +1044,8 @@ class _Elaborator:
         parts = []
         for a in axes:
             if a.ref is not None:
-                p = self.posets.get(a.ref)
+                p = self.poset_named(a.ref, a.span)
                 if p is None:
-                    self.error("unknown poset %r" % a.ref, a.span)
                     return None
                 if isinstance(p, ProductPoset):
                     self.error(
@@ -1109,7 +1068,11 @@ class _Elaborator:
                 node.span,
             )
             return None
-        element = tuple(node.values) if want > 1 else node.values[0]
+        values = [
+            chain_number(v) if isinstance(p, FinitePoset) and isinstance(v, float) else v
+            for p, v in zip(space.factors, node.values)
+        ]
+        element = tuple(values) if want > 1 else values[0]
         try:
             space.check_member(element)
         except DomainError as err:
@@ -1117,8 +1080,8 @@ class _Elaborator:
             return None
         return element
 
-    def do_dp(self, st: StDp):
-        k = st.kind
+    def do_dp(self, st: StDecl):
+        k = st.body
         if isinstance(k, KBuiltin):
             try:
                 udp = _build_builtin(k)
@@ -1271,40 +1234,41 @@ class _Elaborator:
             return None
         return _combine(e.op, left, right)
 
-    def do_uncertain(self, st: StUncertain):
-        k = st.kind
+    def do_uncertain(self, st: StDecl):
+        k = st.body
         if isinstance(k, UPm):
             dp = self.plain_dps.get(k.dp_name)
             if dp is None:
-                self.error(
-                    "pm needs a plain catalogue, %r is not one" % k.dp_name, k.span
-                )
+                self.error("pm needs a plain catalogue, %r is not one" % k.dp_name, k.span)
                 return
             if not 0 <= k.percent < 100:
                 self.error("spread must satisfy 0 <= p < 100", k.span)
                 return
-            try:
-                udp = scale_catalogue(dp, k.percent / 100.0)
-            except DomainError as err:
-                self.error(str(err), k.span)
+
+            def build():
+                return scale_catalogue(dp, k.percent / 100.0)
+
+            axes_of = k.dp_name
+        else:
+            lo = self.plain_dps.get(k.lower_name)
+            hi = self.plain_dps.get(k.upper_name)
+            if lo is None or hi is None:
+                which = k.lower_name if lo is None else k.upper_name
+                self.error("interval needs plain design problems, %r is not one" % which, k.span)
                 return
-            self.uvaluation[st.name] = udp
-            self.axis_names[st.name] = self.axis_names[k.dp_name]
-            return
-        lo = self.plain_dps.get(k.lower_name)
-        hi = self.plain_dps.get(k.upper_name)
-        if lo is None or hi is None:
-            which = k.lower_name if lo is None else k.upper_name
-            self.error("interval needs plain design problems, %r is not one" % which, k.span)
-            return
+
+            def build():
+                udp = UncertainDP(lo, hi)
+                check_udp(udp)
+                return udp
+
+            axes_of = k.lower_name
         try:
-            udp = UncertainDP(lo, hi)
-            check_udp(udp)
+            self.uvaluation[st.name] = build()
         except DomainError as err:
             self.error(str(err), k.span)
             return
-        self.uvaluation[st.name] = udp
-        self.axis_names[st.name] = self.axis_names[k.lower_name]
+        self.axis_names[st.name] = self.axis_names[axes_of]
 
     # term type checking
 

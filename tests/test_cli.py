@@ -38,6 +38,16 @@ dp total = map F(c1[$], c2[$]) R(cost[$]) { cost = c1 + c2 }
 term series(demand, series(split, series(par(solar, mains), total)))
 """
 
+LEVELS_MODEL = """\
+poset lvl = chain {low, nan, inf, 2}
+dp step = catalogue F(x:lvl) R(c:lvl) {
+    low -> low,
+    nan -> nan,
+    2 -> 2
+}
+term step
+"""
+
 
 @pytest.fixture
 def loop_model(tmp_path):
@@ -50,6 +60,13 @@ def loop_model(tmp_path):
 def split_model(tmp_path):
     path = tmp_path / "split.mcd"
     path.write_text(SPLIT_MODEL)
+    return str(path)
+
+
+@pytest.fixture
+def levels_model(tmp_path):
+    path = tmp_path / "levels.mcd"
+    path.write_text(LEVELS_MODEL)
     return str(path)
 
 
@@ -142,6 +159,22 @@ class TestSolve:
         assert main(["solve", str(path), "--f", "f=inf", "--format", "csv"]) == EXIT_OK
         captured = capsys.readouterr()
         assert captured.out.splitlines()[1] == "inf,5.0,5.0,feasible,0,0,ok"
+        assert captured.err == ""
+
+    def test_chain_number_in_a_point_reads_as_in_the_chain(self, levels_model, capsys):
+        # the catalogue's 2 is the chain's element 2, not 2.0
+        assert main(["solve", levels_model, "--f", "x=2", "--format", "csv"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[1] == "2,2,2,feasible,0,0,ok"
+
+    @pytest.mark.parametrize("label, row", [
+        ("nan", "nan,nan,nan,feasible,0,0,ok"),
+        ("inf", "inf,2,2,feasible,0,0,ok"),
+    ])
+    def test_query_reads_a_label_before_a_number(self, label, row, levels_model, capsys):
+        code = main(["solve", levels_model, "--f", "x=" + label, "--format", "csv"])
+        assert code == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1] == row
         assert captured.err == ""
 
     def test_indeterminate_exit(self, loop_model):

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,6 @@ from mcdsolve.dp import (
     Series,
     TopDP,
     UNIT_POSET,
-    atoms_of,
     dp_leq,
     evaluate_term,
     find_monotonicity_violation,
@@ -29,6 +29,7 @@ from mcdsolve.dp import (
     term_to_text,
 )
 from mcdsolve.errors import CompositionError, DomainError
+from mcdsolve.oracle import random_instance
 from mcdsolve.posets import FinitePoset, RealPlus, concat_elements, product
 
 RW = RealPlus("W")
@@ -212,6 +213,18 @@ class TestSolveAggregation:
         # 2 steps plus 3 inner iterations under each of them
         assert report.iterations == 8
 
+    @pytest.mark.parametrize(
+        "seed, query, iterations",
+        [(48, ("p00", "p10"), 7), (60, ("p01", "p10"), 7), (422, ("p00", "p10"), 11)],
+    )
+    def test_kleene_step_evaluates_the_body_once_per_point(self, seed, query, iterations):
+        # within one solve the Kleene step evaluates the body once at each
+        # point; evaluating it again re-solves the inner loops, which gives
+        # the same front but counts 8, 8 and 13 iterations here
+        inst = random_instance(random.Random(seed), depth=4)
+        report = solve(evaluate_term(inst.term, inst.valuation), query)
+        assert report.iterations == iterations
+
     def test_par_solves_its_right_loop_when_the_left_is_infeasible(self):
         alone = solve(loop(ladder_body()), 0)
         report = solve(par(TopDP(RW, RG), loop(ladder_body())), (1.0, 0))
@@ -310,7 +323,6 @@ class TestEntryChecks:
 class TestTerms:
     def test_atoms_and_text(self):
         t = Loop(Series(Atom("a"), Par(Atom("b"), Atom("c"))))
-        assert atoms_of(t) == ["a", "b", "c"]
         assert term_to_text(t) == "loop(series(a, par(b, c)))"
 
     def test_evaluate_term(self):

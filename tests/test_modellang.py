@@ -97,7 +97,7 @@ class TestParse:
             assert d.span.line >= 1 and d.span.col >= 1
 
     def test_diagnostic_format(self):
-        d = Diagnostic(span=Span(3, 7, 3, 9), message="boom")
+        d = Diagnostic(span=Span(3, 7), message="boom")
         assert d.format("m.mcd") == "m.mcd:3:7: error: boom"
 
     def test_never_crashes_on_truncations(self):
