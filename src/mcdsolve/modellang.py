@@ -52,7 +52,9 @@ is what a diagnostic reports.  poset, dp and uncertain statements are one
 node, StDecl, holding the keyword, the name and the parsed body.  A term
 statement parses straight into the kernel's term type (dp.Atom, Series,
 Par, Loop).  A number read as a chain element, in a chain or in a point
-on a chain axis, is an int when integral (chain_number).  Each builtin's
+on a chain axis, is an int when integral (chain_number).  A point keeps
+the word inf as written: on a chain axis it is the label inf, as in a
+chain or a --f query, and on a real axis it is infinity.  Each builtin's
 argument layout, axis names and relaxations constructor live in one
 table, _BUILTINS, which the parser, renderer, elaborator and reserved
 words all read.
@@ -146,6 +148,15 @@ def chain_number(v: float):
     """A number as a chain element: an integral one is an int, so a label
     written 2 or 2.0 is the element 2 wherever it is read."""
     return int(v) if v.is_integer() else v
+
+
+def _point_value(axis: Poset, v):
+    """A point's coordinate as its axis reads it: on a chain axis a number
+    is an element by chain_number and the word inf is the label inf; on a
+    real axis the word inf is infinity."""
+    if isinstance(axis, FinitePoset):
+        return chain_number(v) if isinstance(v, float) else v
+    return math.inf if v == "inf" else v
 
 
 class Span(NamedTuple):
@@ -661,10 +672,7 @@ class _Parser:
         if tok.kind == "num":
             self.advance()
             return float(tok.text)
-        if tok.text == "inf":
-            self.advance()
-            return math.inf
-        if tok.kind == "word":
+        if tok.kind == "word":  # inf too: the axis decides what it means
             self.advance()
             return tok.text
         self.fail("expected a number, 'inf', or a label, found %s" % self._describe(tok))
@@ -773,7 +781,7 @@ def parse(text: str) -> ParseResult:
 
 
 def _fmt_num(v) -> str:
-    # only points read the word inf; a NUM that overflows reads back as it
+    # a NUM that overflows reads back as it; a point keeps the word inf as written
     if isinstance(v, float) and math.isinf(v):
         return "1e999"
     return repr(float(v))
@@ -788,7 +796,7 @@ def _fmt_label(v) -> str:
 
 
 def _fmt_point(p: PointNode) -> str:
-    parts = ["inf" if v == math.inf else _fmt_label(v) for v in p.values]
+    parts = [_fmt_label(v) for v in p.values]
     if len(parts) == 1:
         return parts[0]
     return "(%s)" % ", ".join(parts)
@@ -1068,10 +1076,7 @@ class _Elaborator:
                 node.span,
             )
             return None
-        values = [
-            chain_number(v) if isinstance(p, FinitePoset) and isinstance(v, float) else v
-            for p, v in zip(space.factors, node.values)
-        ]
+        values = [_point_value(p, v) for p, v in zip(space.factors, node.values)]
         element = tuple(values) if want > 1 else values[0]
         try:
             space.check_member(element)
@@ -1181,6 +1186,7 @@ class _Elaborator:
             values = node.values
         out = []
         for v in values:
+            v = _point_value(RealPlus(), v)
             if not isinstance(v, float):
                 self.error("%s values must be numbers" % what, node.span)
                 return None

@@ -48,6 +48,12 @@ dp step = catalogue F(x:lvl) R(c:lvl) {
 term step
 """
 
+INF_LABEL_MODEL = """\
+poset lvl = chain {low, inf}
+dp step = catalogue F(x:lvl) R(c:lvl) { inf -> inf }
+term step
+"""
+
 
 @pytest.fixture
 def loop_model(tmp_path):
@@ -67,6 +73,13 @@ def split_model(tmp_path):
 def levels_model(tmp_path):
     path = tmp_path / "levels.mcd"
     path.write_text(LEVELS_MODEL)
+    return str(path)
+
+
+@pytest.fixture
+def inf_label_model(tmp_path):
+    path = tmp_path / "inf_label.mcd"
+    path.write_text(INF_LABEL_MODEL)
     return str(path)
 
 
@@ -125,6 +138,12 @@ class TestCheck:
     def test_missing_file(self, capsys):
         assert main(["check", "/nonexistent/x.mcd"]) == EXIT_ERROR
 
+    def test_word_inf_in_a_point_on_a_chain_axis_is_the_label(self, inf_label_model, capsys):
+        assert main(["check", inf_label_model]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[0] == "model: 1 atoms, 2 monotonicity spot-checks passed"
+        assert captured.err == ""
+
 
 class TestSolve:
     def test_feasible_json(self, loop_model, capsys):
@@ -176,6 +195,14 @@ class TestSolve:
         captured = capsys.readouterr()
         assert captured.out.splitlines()[1] == row
         assert captured.err == ""
+
+    @pytest.mark.parametrize("label", ["low", "inf"])
+    def test_word_inf_in_a_point_on_a_chain_axis_is_the_label(self, label, inf_label_model,
+                                                               capsys):
+        code = main(["solve", inf_label_model, "--f", "x=" + label, "--format", "json"])
+        assert code == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["lower"]["antichain"] == payload["upper"]["antichain"] == ["inf"]
 
     def test_indeterminate_exit(self, loop_model):
         assert main(["solve", loop_model, "--f", "payload=900"]) == EXIT_INDETERMINATE

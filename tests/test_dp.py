@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -30,7 +31,7 @@ from mcdsolve.dp import (
 )
 from mcdsolve.errors import CompositionError, DomainError
 from mcdsolve.oracle import random_instance
-from mcdsolve.posets import FinitePoset, RealPlus, concat_elements, product
+from mcdsolve.posets import FinitePoset, ProductPoset, RealPlus, concat_elements, product
 
 RW = RealPlus("W")
 RG = RealPlus("g")
@@ -390,3 +391,62 @@ def test_par_front_is_the_cross_of_its_parts(data):
         [concat_elements(a.poset, x, b.poset, y) for x in a for y in b],
     )
     assert got == [repr(p) for p in ref.points]
+
+
+# Catalogues over real and chain axes: equal rows written as 1 and 1.0,
+# rows at infinity, duplicate rows.  FIVE's order is the numbers' order.
+ROW_REALS = [0, 0.0, -0.0, 1, 1.0, 2.5, 4, 4.0, math.inf]
+ROW_LABELS = [0, 1, 1.0, 2, 3.0, 4]
+
+
+def _coords(x):
+    return x if isinstance(x, tuple) else (x,)
+
+
+def _below(a, b):
+    return all(u <= v for u, v in zip(_coords(a), _coords(b)))
+
+
+def _reference_front(rows, f) -> frozenset:
+    """Min{r_i : f <= f_i}, scanning every row: of equal points the first
+    is kept, and the points are in row order."""
+    unique = list(dict.fromkeys(r for fi, r in rows if _below(f, fi)))
+    return frozenset(p for p in unique if not any(q != p and _below(q, p) for q in unique))
+
+
+def _axis_queries(axis, values):
+    """Query values on one axis: the rows' own, between them, 0, -0.0,
+    above the largest and inf."""
+    if axis == FIVE:
+        return ROW_LABELS + [2.0, 4.0]
+    cuts = sorted(set(values) - {math.inf})
+    between = [(a + b) / 2 for a, b in zip(cuts, cuts[1:])]
+    return values + between + [0, -0.0, (cuts[-1] if cuts else 0) + 1.5, math.inf]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_catalogue_answers_as_a_full_scan(data):
+    def space(axes):
+        return axes[0] if len(axes) == 1 else ProductPoset(axes)
+
+    def point(axes):
+        coords = tuple(
+            data.draw(st.sampled_from(ROW_REALS if a == RW else ROW_LABELS)) for a in axes
+        )
+        return coords if len(axes) > 1 else coords[0]
+
+    faxes = data.draw(st.lists(st.sampled_from([RW, FIVE]), min_size=1, max_size=3))
+    raxes = data.draw(st.lists(st.sampled_from([RW, FIVE]), min_size=1, max_size=2))
+    rows = [(point(faxes), point(raxes)) for _ in range(data.draw(st.integers(0, 8)))]
+    rows += data.draw(st.lists(st.sampled_from(rows), max_size=3)) if rows else []
+    cat = Catalogue(space(faxes), space(raxes), rows)
+    per_axis = [
+        _axis_queries(a, [_coords(fi)[j] for fi, _ in rows]) for j, a in enumerate(faxes)
+    ]
+    queries = [c if len(c) > 1 else c[0] for c in itertools.product(*per_axis)]
+    if len(queries) > 40:
+        queries = data.draw(st.lists(st.sampled_from(queries), min_size=40, max_size=40))
+    # a shuffled order: each cell is filled by whichever query comes first
+    for f in data.draw(st.permutations(queries)) + queries:
+        assert repr(cat.evaluate(f).points) == repr(_reference_front(rows, f)), f

@@ -3,6 +3,7 @@ in the loop-free series nodes under a loop, and cut the work of a sweep."""
 
 import contextlib
 import io
+import math
 import pathlib
 import random
 
@@ -275,3 +276,30 @@ def test_axis_sweep_work_and_output(extra, expected, monkeypatch):
     if not extra:
         assert calls[0] <= 3400  # 5721 without memos and with a tree per row
         assert made[0] <= 100  # 5105 when every node built one
+
+
+def test_axis_sweep_scans_each_cell_once(monkeypatch):
+    # a catalogue scans its rows only for a cell it has not answered yet
+    calls, scans = [0], [0]
+    cat_eval = dp.Catalogue._eval
+
+    def counted(self, f):
+        calls[0] += 1
+        if self._cells is None or self._cell(f) not in self._cells:
+            scans[0] += 1
+        return cat_eval(self, f)
+
+    monkeypatch.setattr(dp.Catalogue, "_eval", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(SWEEP) == cli.EXIT_OK
+    assert calls[0] >= 300  # 399 catalogue calls, each a row scan without cells
+    assert scans[0] <= 24  # 12 measured
+
+
+def test_catalogue_cells_bounded(monkeypatch):
+    monkeypatch.setattr(dp, "MEMO_SIZE", 3)
+    cat = dp.Catalogue(R, R, [(float(i), float(i)) for i in range(10)])
+    queries = [i + 0.5 for i in range(9)] + [float(i) for i in range(10)]
+    for f in queries + queries[::-1]:
+        assert cat.evaluate(f).points == {float(math.ceil(f))}
+    assert list(cat._cells) == [(1,), (2,), (3,)]  # the cells of the first three queries

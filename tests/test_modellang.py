@@ -283,6 +283,23 @@ class TestElaborate:
         with pytest.raises(DomainError):
             model.build_query({"n": 500})
 
+    def test_word_inf_in_a_point_reads_as_its_axis(self):
+        model = elaborate_ok(
+            "poset lvl = chain {low, inf}\n"
+            "dp a = catalogue F(x:lvl, e[W]) R(c:lvl, w[W]) {\n"
+            "    (inf, inf) -> (inf, 1e999),\n"
+            "    (low, 1.0) -> (low, inf)\n"
+            "}\n"
+            "dp k = affine F(f[W]) R(c[$]) gain 0 offset inf\n"
+            "term a\n"
+        )
+        # the chain's label inf, and infinity on a real axis however written
+        assert model.uvaluation["a"].lower.entries == [
+            (("inf", math.inf), ("inf", math.inf)),
+            (("low", 1.0), ("low", math.inf)),
+        ]
+        assert model.uvaluation["k"].lower.evaluate(1.0).points == {math.inf}
+
     def test_override_relaxation(self):
         model = elaborate_ok("dp s = invplus_vdc(2, W)\nterm s\n")
         coarse = solve_uncertain(model.term, model.uvaluation, 1.0)
@@ -391,9 +408,10 @@ class TestBuiltinSpellings:
         "dp a = uid(1e999 W)\nterm a\n",
         "dp a = map F(f[W]) R(r[W]) { r = 1e999 * f }\nterm a\n",
         "poset p = chain {1, 1e999}\ndp a = identity R(x:p)\nterm a\n",
+        "dp a = catalogue F(x[W]) R(c[W]) {\n    inf -> 1e999\n}\nterm a\n",
     ])
     def test_infinite_number_renders_as_a_number(self, text):
-        # only points read the word inf, so elsewhere inf prints as 1e999
+        # the number prints as 1e999; a point keeps the word inf as written
         doc = parse(text).document
         assert render(doc) == text
         assert parse(render(doc)).document == doc
