@@ -163,14 +163,6 @@ class Antichain:
         )
         return Antichain._of(product(self.poset, other.poset), pts)
 
-    def filter_above(self, r) -> "Antichain":
-        """Points of the front that dominate r."""
-        self.poset.check_member(r)
-        # a subset of an antichain is one
-        return Antichain._of(
-            self.poset, frozenset([p for p in self.points if self.poset.leq(r, p)])
-        )
-
     def up_contains(self, r) -> bool:
         """Whether r belongs to the upper set of the front."""
         self.poset.check_member(r)

@@ -6,13 +6,16 @@ resources.  The empty front means the requirement is infeasible.
 
 DPs compose in series (resources of one feed the functionality of the
 next), in parallel (product of interfaces), and by closing a feedback
-loop.  A loop is solved as the least fixed point of a one-step map over
+loop.  A loop's front at f1 is Min{r : some p in h(f1, r) has p <= r},
+with h the body.  It is the least fixed point of a one-step map over
 resource fronts, computed by Kleene iteration from the bottom front.
-Least-fixed-point reasoning assumes the step map is monotone; on
-infinite posets convergence additionally relies on the ascent reaching a
-fixed point within the iteration cap, and a capped run is reported as a
-(valid) lower bound with converged=False.  The cap is an argument of
-solve and kleene_solve, not part of the tree.
+The step takes each point r of the front to the minimal upper bounds of
+r and each p in h(f1, r) (Poset.joins; just p when r <= p), so it is
+monotone and every iterate lies below the answer.  On infinite posets
+convergence additionally relies on the ascent reaching a fixed point
+within the iteration cap, and a capped run is reported as a (valid)
+lower bound with converged=False.  The cap is an argument of solve and
+kleene_solve, not part of the tree.
 
 The ascent asks a loop body the same questions over and over: parts of
 the body that never see the fed-back resources get the same input at
@@ -368,11 +371,13 @@ def kleene_solve(
 ) -> SolveReport:
     """Least fixed point of the loop map by Kleene ascent from {bottom}.
 
-    Iterations count applications of the loop map (re-evaluate the body
-    at each point of the current front and keep only outputs above the
-    point that produced them), including the one that confirms the
-    front stopped changing.  Hitting the cap returns the last iterate,
-    which under-approximates the true front, with converged=False.
+    Iterations count applications of the loop map, including the one
+    that confirms the front stopped changing.  The map re-evaluates the
+    body at each point r of the current front and joins r with each
+    output p: p itself when r <= p, else the minimal upper bounds of
+    the two.  The map is monotone, so the ascent cannot skip the least
+    fixed point.  Hitting the cap returns the last iterate, which
+    under-approximates the true front, with converged=False.
 
     A caller passing the body's loop signature (LoopDP, which derived it
     once) vouches for it and for f1; otherwise both are checked here.
@@ -399,7 +404,11 @@ def kleene_solve(
     while iterations < max_iter:
         pts = []
         for r in front:
-            pts.extend(p for p in eval_at(r) if rsp.leq(r, p))
+            for p in eval_at(r):
+                if rsp.leq(r, p):
+                    pts.append(p)
+                else:
+                    pts.extend(rsp.joins(r, p))
         nxt = frozenset(_minimize(pts, rsp))
         iterations += 1
         if keep_history:

@@ -2,13 +2,13 @@
 
 Everything here exists to cross-check the solver kernel, so it avoids
 the kernel's own machinery on purpose: fronts are plain frozensets
-minimized with local helpers, composition is evaluated by direct set
-computation, and loops are solved by enumerating every antichain of the
-resource poset and picking the least fixed point outright instead of
-iterating.  Sizes are guarded; these routines are exponential by design.
+minimized with local helpers, and composition is evaluated by direct set
+computation.  A loop is read from its definition, with no step map and
+no iteration: its front at f1 is the set of minimal r for which some p
+in the body's front at (f1, r) has p <= r, found by evaluating the body
+at every element r of the (finite) resource poset.
 """
 
-import itertools
 from dataclasses import dataclass, field
 
 from .antichains import Antichain
@@ -37,8 +37,6 @@ from .posets import (
     split_element,
 )
 
-MAX_LOOP_ELEMENTS = 8
-
 
 def _min_set(points, poset: Poset) -> frozenset:
     pts = list(dict.fromkeys(points))
@@ -49,54 +47,28 @@ def _min_set(points, poset: Poset) -> frozenset:
     )
 
 
-def _set_leq(s1: frozenset, s2: frozenset, poset: Poset) -> bool:
-    return all(any(poset.leq(a, b) for a in s1) for b in s2)
-
-
-def enumerate_antichains(poset: Poset) -> list[frozenset]:
-    """Every antichain of a small finite poset, the empty one included."""
-    elems = poset.elements()
-    if len(elems) > MAX_LOOP_ELEMENTS:
-        raise DomainError(
-            "poset with %d elements is too large to enumerate antichains"
-            % len(elems)
-        )
-    out = []
-    for k in range(len(elems) + 1):
-        for combo in itertools.combinations(elems, k):
-            if all(
-                not poset.leq(a, b) and not poset.leq(b, a)
-                for a, b in itertools.combinations(combo, 2)
-            ):
-                out.append(frozenset(combo))
-    return out
-
-
-def _least_fixed_point(step, rsp: Poset) -> frozenset:
-    fixed = [s for s in enumerate_antichains(rsp) if step(s) == s]
-    least = [s for s in fixed if all(_set_leq(s, other, rsp) for other in fixed)]
-    if len(least) != 1:
-        raise DomainError("no unique least fixed point among %d candidates" % len(fixed))
-    return least[0]
+def _loop_front(rsp: Poset, body_front) -> frozenset:
+    """Min{r in rsp : some p in body_front(r) has p <= r}."""
+    return _min_set(
+        [r for r in rsp.elements() if any(rsp.leq(p, r) for p in body_front(r))],
+        rsp,
+    )
 
 
 def brute_lfp(dp: DesignProblem, f1) -> Antichain:
-    """Least fixed point of the loop map by exhaustive enumeration.
+    """Front of loop(dp) at f1, read from the definition of a loop.
 
     Validates the iterative solver: no ascent, no iteration cap, just
-    every antichain tested for being a fixed point.
+    every element of the resource poset tested for feasibility.
     """
     f1sp, rsp = loop_signature(dp.funsp, dp.ressp)
     f1sp.check_member(f1)
-
-    def step(s: frozenset) -> frozenset:
-        pts = []
-        for r in s:
-            out = dp.evaluate(concat_elements(f1sp, f1, rsp, r))
-            pts.extend(p for p in out.points if rsp.leq(r, p))
-        return _min_set(pts, rsp)
-
-    return Antichain(rsp, _least_fixed_point(step, rsp))
+    return Antichain(
+        rsp,
+        _loop_front(
+            rsp, lambda r: dp.evaluate(concat_elements(f1sp, f1, rsp, r)).points
+        ),
+    )
 
 
 @dataclass
@@ -176,19 +148,11 @@ def _eval_sets(term: Term, valuation, f) -> frozenset:
         ]
         return _min_set(pts, prod)
     if isinstance(term, Loop):
-        bf, br = term_spaces(term.body, valuation)
         f1sp, rsp = term_spaces(term, valuation)
-
-        def step(s: frozenset) -> frozenset:
-            pts = []
-            for r in s:
-                out = _eval_sets(
-                    term.body, valuation, concat_elements(f1sp, f, rsp, r)
-                )
-                pts.extend(p for p in out if rsp.leq(r, p))
-            return _min_set(pts, rsp)
-
-        return _least_fixed_point(step, rsp)
+        return _loop_front(
+            rsp,
+            lambda r: _eval_sets(term.body, valuation, concat_elements(f1sp, f, rsp, r)),
+        )
     raise TypeError("not a term: %r" % (term,))
 
 

@@ -9,7 +9,7 @@ Membership is checked where values enter the program: the public
 Antichain constructor (and so every MonotoneMap output), the Catalogue
 constructor, DesignProblem.evaluate, solve and kleene_solve on their
 query, model queries (build_query) and lower_from_points.  Past those
-points values are trusted: leq and meet do not re-validate their
+points values are trusted: leq, meet and joins do not re-validate their
 arguments, and a non-member passed to them gives an unspecified result
 or an arbitrary exception.
 
@@ -18,7 +18,9 @@ factor lists, and elements of a product are plain tuples with one slot
 per factor.  Scalars are never wrapped in 1-tuples.
 """
 
+import itertools
 import math
+
 from .errors import DomainError
 
 
@@ -44,6 +46,11 @@ class Poset:
     def meet(self, a, b):
         """Greatest lower bound of a and b.  Like leq, trusts that both
         arguments are members."""
+        raise NotImplementedError
+
+    def joins(self, a, b) -> list:
+        """Minimal upper bounds of a and b: none, one or several.  Like
+        leq, trusts that both arguments are members."""
         raise NotImplementedError
 
     @property
@@ -98,6 +105,9 @@ class RealPlus(Poset):
 
     def meet(self, a, b):
         return min(a, b)
+
+    def joins(self, a, b) -> list:
+        return [max(a, b)]
 
     @property
     def is_finite(self) -> bool:
@@ -197,6 +207,11 @@ class FinitePoset(Poset):
             )
         return greatest[0]
 
+    def joins(self, a, b) -> list:
+        common = self._up[a] & self._up[b]
+        # c is minimal in common when nothing of common lies below it
+        return [c for c in self._labels if self._down[c] & common == {c}]
+
     @property
     def is_finite(self) -> bool:
         return True
@@ -260,13 +275,16 @@ class ProductPoset(Poset):
     def meet(self, a, b):
         return tuple(p.meet(u, v) for p, u, v in zip(self._factors, a, b))
 
+    def joins(self, a, b) -> list:
+        return list(
+            itertools.product(*(p.joins(u, v) for p, u, v in zip(self._factors, a, b)))
+        )
+
     @property
     def is_finite(self) -> bool:
         return all(p.is_finite for p in self._factors)
 
     def elements(self) -> list:
-        import itertools
-
         if not self.is_finite:
             raise DomainError("cannot enumerate the infinite poset %s" % self.describe())
         return [tuple(t) for t in itertools.product(*(p.elements() for p in self._factors))]

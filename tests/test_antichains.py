@@ -78,11 +78,6 @@ class TestOperations:
         assert prod.poset.factors == (RealPlus("g"), RealPlus("$"))
         assert prod.points == frozenset({(1.0, 5.0)})
 
-    def test_filter_above(self):
-        a = ac((1.0, 3.0), (3.0, 1.0))
-        up = a.filter_above((2.0, 0.0))
-        assert up.points == frozenset({(3.0, 1.0)})
-
     def test_up_contains(self):
         a = ac((1.0, 3.0), (3.0, 1.0))
         assert a.up_contains((2.0, 3.5))

@@ -15,7 +15,7 @@ from mcdsolve.cli import (
     main,
 )
 from mcdsolve.examples import example_path
-from mcdsolve.modellang import _BUILTINS
+from mcdsolve.modellang import _BUILTINS, load_model
 
 LOOP_MODEL = """\
 model demo "loop with uncertain catalogue"
@@ -52,6 +52,15 @@ INF_LABEL_MODEL = """\
 poset lvl = chain {low, inf}
 dp step = catalogue F(x:lvl) R(c:lvl) { inf -> inf }
 term step
+"""
+
+# two fed-back axes: (0, 2) and (2, 0) each lie above neither point that
+# asked for them, and only their joins with those points lead on to (3, 3)
+JOIN_LOOP_MODEL = """\
+dp h = catalogue F(g[W], a[W], b[W]) R(a[W], b[W]) {
+  (0, 0, 0) -> (1, 0), (0, 0, 0) -> (0, 1), (0, 1, 0) -> (0, 2),
+  (0, 0, 1) -> (2, 0), (0, 5, 5) -> (3, 3) }
+term loop(h)
 """
 
 
@@ -158,6 +167,27 @@ class TestSolve:
         out = capsys.readouterr().out
         line = out.splitlines()[1]
         assert line.startswith("2000.0,,,infeasible")
+
+    def test_loop_over_two_fed_back_axes(self, tmp_path, capsys):
+        path = tmp_path / "join.mcd"
+        path.write_text(JOIN_LOOP_MODEL)
+        assert main(["solve", str(path), "--f", "g=0"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdict"] == "feasible"
+        three = {"value": 3.0, "unit": "W"}
+        for side in ("lower", "upper"):
+            assert payload[side]["antichain"] == [[three, three]]
+            assert payload[side]["iterations"] == 4
+
+    def test_loop_over_two_fed_back_axes_from_the_library(self):
+        model, diags = load_model(JOIN_LOOP_MODEL)
+        assert model is not None, diags
+        sol = uncertainty.solve_uncertain(
+            model.term, model.uvaluation, model.build_query({"g": 0.0}))
+        assert sol.verdict == uncertainty.VERDICT_FEASIBLE
+        for side in (sol.lower, sol.upper):
+            assert side.front.points == {(3.0, 3.0)}
+            assert (side.iterations, side.converged) == (4, True)
 
     def test_distance_beyond_route_bracket_is_infeasible(self, capsys):
         # 30000 km needs velocity * hours above the route bracket's 150 * 150

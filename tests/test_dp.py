@@ -30,7 +30,7 @@ from mcdsolve.dp import (
     term_to_text,
 )
 from mcdsolve.errors import CompositionError, DomainError
-from mcdsolve.oracle import random_instance
+from mcdsolve.oracle import brute_lfp, random_instance
 from mcdsolve.posets import FinitePoset, ProductPoset, RealPlus, concat_elements, product
 
 RW = RealPlus("W")
@@ -186,6 +186,22 @@ class TestKleene:
     def test_loop_dp_equals_kleene(self):
         lp = loop(ladder_body())
         assert lp.evaluate(0).points == {2}
+
+    def test_step_joins_points_that_need_each_other(self):
+        # p01 asks for p02 and p02 for p01; only their join p03 is feasible
+        square = FinitePoset(
+            ["p00", "p01", "p02", "p03"],
+            [("p00", "p01"), ("p00", "p02"), ("p01", "p03"), ("p02", "p03")],
+        )
+        body = Catalogue(product(square, square), square, [
+            (("p00", "p00"), "p01"), (("p00", "p01"), "p02"),
+            (("p00", "p02"), "p01"), (("p00", "p03"), "p03"),
+        ])
+        report = kleene_solve(body, "p00", keep_history=True)
+        assert [a.points for a in report.history] == [
+            {"p00"}, {"p01", "p02"}, {"p03"}, {"p03"}]
+        assert report.converged
+        assert brute_lfp(body, "p00").points == {"p03"}
 
 
 class TestSolveAggregation:

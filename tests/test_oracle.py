@@ -14,7 +14,6 @@ from mcdsolve.oracle import (
     FiniteInstance,
     brute_compose,
     brute_lfp,
-    enumerate_antichains,
     random_instance,
     random_ordered_uvaluation,
     term_spaces,
@@ -26,20 +25,6 @@ DIAMOND = FinitePoset(
     ["bot", "l", "r", "top"],
     [("bot", "l"), ("bot", "r"), ("l", "top"), ("r", "top")],
 )
-
-
-class TestEnumeration:
-    def test_chain_antichains(self):
-        # antichains of a 3-chain: {}, {0}, {1}, {2}
-        acs = enumerate_antichains(THREE)
-        assert frozenset() in acs
-        assert len(acs) == 4
-
-    def test_diamond_antichains(self):
-        # {}, four singletons, and {l, r}
-        acs = enumerate_antichains(DIAMOND)
-        assert len(acs) == 6
-        assert frozenset({"l", "r"}) in acs
 
 
 class TestBruteLfp:

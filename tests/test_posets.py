@@ -40,6 +40,12 @@ class TestRealPlus:
         assert p.meet(2.0, 5.0) == 2.0
         assert p.meet(math.inf, 5.0) == 5.0
 
+    def test_joins_is_max(self):
+        p = RealPlus()
+        assert p.joins(2.0, 5.0) == [5.0]
+        assert p.joins(5.0, 2.0) == [5.0]
+        assert p.joins(math.inf, 5.0) == [math.inf]
+
     def test_render_and_format(self):
         p = RealPlus("Wh")
         assert p.render(2.5) == {"value": 2.5, "unit": "Wh"}
@@ -95,6 +101,30 @@ class TestFinitePoset:
         assert diamond.meet("l", "r") == "bot"
         assert diamond.meet("l", "top") == "l"
 
+    def test_joins_diamond(self):
+        diamond = FinitePoset(
+            ["bot", "l", "r", "top"],
+            [("bot", "l"), ("bot", "r"), ("l", "top"), ("r", "top")],
+        )
+        assert diamond.joins("l", "r") == ["top"]
+        assert diamond.joins("bot", "l") == ["l"]
+        assert diamond.joins("r", "r") == ["r"]
+
+    def test_joins_two_minimal_upper_bounds(self):
+        # a and b lie below both x and y, which are incomparable
+        p = FinitePoset(
+            ["bot", "a", "b", "y", "x", "top"],
+            [("bot", "a"), ("bot", "b"), ("a", "x"), ("a", "y"), ("b", "x"),
+             ("b", "y"), ("x", "top"), ("y", "top")],
+        )
+        assert p.joins("a", "b") == ["y", "x"]  # in label order
+        assert p.joins("x", "y") == ["top"]
+
+    def test_joins_without_upper_bound(self):
+        p = FinitePoset(["bot", "a", "b"], [("bot", "a"), ("bot", "b")])
+        assert p.joins("a", "b") == []
+        assert p.joins("bot", "b") == ["b"]
+
     def test_meet_without_unique_glb(self):
         # two incomparable lower bounds x and y below both a and b
         p = FinitePoset(
@@ -125,6 +155,18 @@ class TestProductPoset:
         assert not p.leq((1.0, 3.0), (2.0, 1.0))
         assert p.bottom() == (0.0, 0.0)
         assert p.meet((1.0, 3.0), (2.0, 1.0)) == (1.0, 1.0)
+
+    def test_joins_is_the_product_of_the_factors_joins(self):
+        split = FinitePoset(
+            ["bot", "a", "b", "x", "y"],
+            [("bot", "a"), ("bot", "b"), ("a", "x"), ("a", "y"), ("b", "x"), ("b", "y")],
+        )
+        p = product(RealPlus("g"), split)
+        assert p.joins((1.0, "a"), (3.0, "b")) == [(3.0, "x"), (3.0, "y")]
+        assert p.joins((1.0, "a"), (0.5, "a")) == [(1.0, "a")]
+        assert p.joins((1.0, "x"), (3.0, "y")) == []
+        chain = product(RealPlus("g"), FinitePoset.chain([200, 1000]))
+        assert chain.joins((2.0, 1000), (1.0, 200)) == [(2.0, 1000)]
 
     def test_flattening(self):
         a, b, c = RealPlus("a"), RealPlus("b"), RealPlus("c")

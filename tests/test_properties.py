@@ -1,5 +1,6 @@
 """Property tests: the sort-based front minimisation and the catalogue
-index against plain pairwise and full-scan references."""
+index against plain pairwise and full-scan references, and the Kleene
+loop solver against the definition of a loop."""
 
 import math
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mcdsolve.antichains import Antichain, _minimize
-from mcdsolve.dp import Catalogue
+from mcdsolve.dp import Catalogue, kleene_solve
 from mcdsolve.posets import FinitePoset, ProductPoset, RealPlus
 
 PROPERTY = settings(max_examples=150, derandomize=True, database=None, deadline=None)
@@ -86,3 +87,92 @@ def test_indexed_catalogue_matches_full_scan(rows, query):
         got = cat.evaluate(f)
         assert got == scanned
         assert same_list(list(got.points), list(scanned.points))
+
+
+# --- loops ----------------------------------------------------------------
+#
+# A loop over F(g, a, b) R(a, b): the body is a catalogue, and a and b are
+# fed back.  Its front at g is Min{r : some p in h(g, r) has p <= r}, read
+# off the rows in the test: a row (fi, ri) puts ri in h(g, r) exactly when
+# (g, r) <= fi.  Rows where providing a costs b, or b costs a, make the
+# two axes need each other, which is where a step that keeps only the
+# outputs above r goes wrong.
+
+
+@st.composite
+def finite_posets(draw, name):
+    """Up to four labels above a bottom, ordered only from lower to higher
+    index, so chains, diamonds and antichains above the bottom all occur."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    labels = ["%s%d" % (name, i) for i in range(n)]
+    pairs = [(labels[0], x) for x in labels[1:]]
+    for i in range(1, n):
+        for j in range(i + 1, n):
+            if draw(st.booleans()):
+                pairs.append((labels[i], labels[j]))
+    return FinitePoset(labels, pairs)
+
+
+@st.composite
+def loop_rows(draw, g, a, b, a0, b0):
+    """Catalogue rows, some then dropped as the oracle's ordered random
+    valuations drop them.  g, a and b draw values of the three axes, a
+    and b never the bottoms a0 and b0."""
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        kind = draw(st.sampled_from(["a costs b", "b costs a", "any"]))
+        if kind == "a costs b":
+            rows.append(((draw(g), draw(a), b0), (a0, draw(b))))
+        elif kind == "b costs a":
+            rows.append(((draw(g), a0, draw(b)), (draw(a), b0)))
+        else:
+            rows.append(((draw(g), draw(a), draw(b)), (draw(a), draw(b))))
+    rng = draw(st.randoms(use_true_random=False))
+    return [row for row in rows if rng.random() < 0.75]
+
+
+def check_loop(axes, rows, queries, candidates):
+    funsp, rsp = ProductPoset(axes), ProductPoset(axes[1:])
+    body = Catalogue(funsp, rsp, rows)
+    for g in queries:
+        feasible = [
+            r for r in candidates
+            if any(funsp.leq((g,) + r, fi) and rsp.leq(ri, r) for fi, ri in rows)
+        ]
+        report = kleene_solve(body, g)
+        assert report.converged
+        assert report.front.points == {
+            r for r in feasible if not any(q != r and rsp.leq(q, r) for q in feasible)
+        }
+
+
+@st.composite
+def finite_loops(draw):
+    axes = [draw(finite_posets(name)) for name in "gab"]
+
+    def above_bottom(p):
+        return st.sampled_from([x for x in p.elements() if x != p.bottom()] or [p.bottom()])
+
+    g, a, b = axes
+    rows = draw(loop_rows(st.sampled_from(g.elements()), above_bottom(a), above_bottom(b),
+                          a.bottom(), b.bottom()))
+    return axes, rows
+
+
+@PROPERTY
+@given(finite_loops())
+def test_kleene_solves_finite_loops_by_their_definition(loop):
+    axes, rows = loop
+    check_loop(axes, rows, axes[0].elements(), ProductPoset(axes[1:]).elements())
+
+
+# every value lies on GRID, so the minimal feasible points (row resources)
+# do too, and the grid holds them all
+GRID = [0.0, 1.0, 2.0, 3.0]
+STEP = st.sampled_from(GRID[1:])
+
+
+@PROPERTY
+@given(loop_rows(st.sampled_from(GRID + [math.inf]), STEP, STEP, 0.0, 0.0))
+def test_kleene_solves_real_loops_by_their_definition(rows):
+    check_loop([R, R, R], rows, GRID + [math.inf], [(a, b) for a in GRID for b in GRID])
