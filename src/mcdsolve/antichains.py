@@ -18,7 +18,7 @@ par node) builds it with _cross and minimises nothing.
 """
 
 from .errors import DomainError
-from .posets import Poset, ProductPoset, RealPlus, product
+from .posets import Poset, ProductPoset, product
 
 
 def _minimize_pairwise(unique, poset):
@@ -69,9 +69,8 @@ def _minimize(points, poset):
     unique = list(dict.fromkeys(points))
     if len(unique) < 2:
         return unique
-    factors = poset.factors
-    if all(isinstance(p, RealPlus) for p in factors):
-        return _minimize_real(unique, len(factors))
+    if poset.real_factors:
+        return _minimize_real(unique, len(poset.factors))
     return _minimize_pairwise(unique, poset)
 
 

@@ -42,7 +42,10 @@ Antichain object is made only where a front leaves the kernel: by
 evaluate, and by kleene_solve for its report and history.  Atom outputs
 are checked where they enter: a single MonotoneMap point by the resource
 space's check_member, a list of them by the Antichain constructor,
-catalogue rows in the Catalogue constructor.
+catalogue rows in the Catalogue constructor.  A model's map enters when
+it is elaborated: the model language types every output of a map it
+compiles, so each point is a member by construction, and builds it with
+MonotoneMap._of, whose points are not checked again.
 """
 
 import bisect
@@ -109,13 +112,26 @@ class MonotoneMap(DesignProblem):
     caller's obligation; find_monotonicity_violation can spot-check it.
     """
 
+    _trusted = False  # set by _of: fn gives one member of ressp, unchecked
+
     def __init__(self, funsp, ressp, fn, name: str = ""):
         super().__init__(funsp, ressp)
         self.fn = fn
         self.name = name
 
+    @classmethod
+    def _of(cls, funsp, ressp, fn, name: str = "") -> "MonotoneMap":
+        """Map whose fn returns one member of ressp for every member of
+        funsp, proved by its maker (the model language types each map it
+        compiles), so its outputs are not checked again."""
+        m = cls(funsp, ressp, fn, name=name)
+        m._trusted = True
+        return m
+
     def _eval(self, f) -> frozenset:
         out = self.fn(f)
+        if self._trusted:
+            return frozenset((out,))
         if isinstance(out, (list, set, frozenset)):
             return Antichain(self.ressp, out).points
         self.ressp.check_member(out)

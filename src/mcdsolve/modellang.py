@@ -42,10 +42,15 @@ Grammar (EBNF; # starts a comment, statements begin at column 1):
 Omitting F(...) gives a constant a trivial one-point functionality.
 `map` bodies are monotone by construction: nonnegative constants,
 functionality names, +, *, max, min.  Elaboration compiles each body
-once into closures over the argument positions, reporting unknown names
-on the way; affine is built from the same closures, as the map
-r_i = o_i + g_i * f.  Parsing recovers at statement boundaries, so one
-file yields every diagnostic at once; a duplicate name anywhere (posets,
+once into one Python function of the functionality value, generated
+from the expression tree and holding no model text, and types each
+output on the way (compile_expr): a real output reads numbers, real
+axes and chains of increasing numbers, a chain output is a bare axis
+on an equal chain, and anything else, like an unknown name, is a
+diagnostic.  The outputs are then members by construction and are not
+checked when the map runs.  affine is compiled the same way, as the
+map r_i = o_i + g_i * f.  Parsing recovers at statement boundaries, so
+one file yields every diagnostic at once; a duplicate name anywhere (posets,
 dps, uncertains share one namespace) is an error.  A node's span is the
 position where it starts, the line and column of its first token, which
 is what a diagnostic reports.  poset, dp and uncertain statements are one
@@ -1135,6 +1140,9 @@ class _Elaborator:
                     "affine needs a single real functionality axis", k.sig.span
                 )
                 return None
+            if not r_space.real_factors:
+                self.error("affine needs real resource axes", k.sig.span)
+                return None
             width = len(r_space.factors)
             gain = self.scalars_of_width(k.gain, width, "gain")
             offset = self.scalars_of_width(k.offset, width, "offset")
@@ -1144,11 +1152,10 @@ class _Elaborator:
                 if not (math.isfinite(g) and g >= 0):
                     self.error("gains must be finite and nonnegative", k.gain.span)
                     return None
-            parts = [
-                _combine("+", _constant(o), _combine("*", _constant(g), _axis(0)))
-                for g, o in zip(gain, offset)
-            ]
-            return _map_dp(name, f_space, r_space, parts)
+            # the map r_j = o_j + g_j * f, constants in the order o_0, g_0, o_1, ...
+            consts = [v for pair in zip(offset, gain) for v in pair]
+            parts = ["c[%d] + _times(c[%d], x)" % (2 * j, 2 * j + 1) for j in range(width)]
+            return _compiled_map(name, f_space, r_space, parts, consts)
         if isinstance(k, KCatalogue):
             entries = []
             for fnode, rnode in k.entries:
@@ -1159,7 +1166,12 @@ class _Elaborator:
                 entries.append((fe, re_))
             return Catalogue(f_space, r_space, entries, name=name)
         if isinstance(k, KMap):
-            return self.build_map_dp(name, k, f_space, r_space, fnames, rnames)
+            try:
+                return self.build_map_dp(name, k, f_space, r_space, fnames, rnames)
+            except (RecursionError, SyntaxError):
+                # deeper than Python compiles: "too many nested parentheses"
+                self.error("map expressions nest too deeply to compile", k.span)
+                return None
         if isinstance(k, KSig) and k.word == "identity":
             if k.sig.f_axes is not None and f_space != r_space:
                 self.error(
@@ -1197,48 +1209,96 @@ class _Elaborator:
         if k.sig.f_axes is None:
             self.error("map needs an explicit F(...) signature", k.sig.span)
             return None
-        index = {n: i for i, n in enumerate(fnames)}  # a repeated name reads its last axis
-        assigned = {}
+        scalar = len(fnames) == 1
+        # name -> (its text in the generated function, its poset); a
+        # repeated name reads its last axis
+        axes = {
+            n: ("x" if scalar else "x[%d]" % i, p)
+            for i, (n, p) in enumerate(zip(fnames, f_space.factors))
+        }
+        parts: list = [None] * len(rnames)
+        consts: list = []
         for a in k.assigns:
-            if a.name not in rnames:
+            targets = [j for j, n in enumerate(rnames) if n == a.name]
+            if not targets:
                 self.error(
                     "map assigns %r, which is not an output axis" % a.name, a.span
                 )
                 return None
-            if a.name in assigned:
+            if parts[targets[0]] is not None:
                 self.error("output axis %r assigned twice" % a.name, a.span)
                 return None
-            compiled = self.compile_expr(a.expr, index)
-            if compiled is None:
-                return None
-            assigned[a.name] = compiled
-        missing = [n for n in rnames if n not in assigned]
+            for j in targets:
+                parts[j] = self.compile_expr(a.expr, a.name, r_space.factors[j], axes, consts)
+                if parts[j] is None:
+                    return None
+        missing = [n for n, part in zip(rnames, parts) if part is None]
         if missing:
             self.error(
                 "map leaves output axes unassigned: %s" % ", ".join(missing),
                 k.span,
             )
             return None
-        return _map_dp(name, f_space, r_space, [assigned[n] for n in rnames])
+        return _compiled_map(name, f_space, r_space, parts, consts)
 
-    def compile_expr(self, e, index: dict):
-        """Closure computing e from the tuple of functionality values, or
-        None after reporting the first unknown name, left to right."""
-        if isinstance(e, ENum):
-            return _constant(e.value)
+    def compile_expr(self, e, out_name: str, out: Poset, axes: dict, consts: list):
+        """Python text computing e for the output axis out_name on poset
+        out, or None after reporting the first fault, left to right.
+
+        The text reads x, the functionality value, and c, the constants
+        (appended to consts), and calls _times, max and min; no model
+        text reaches it.  Each output is typed here, so that every value
+        it gives is a member of out: a chain output must be a bare
+        functionality axis on an equal chain, and a real output may read
+        numbers, real axes and chains whose labels are numbers
+        increasing upward.  Under +, * (0 * inf is 0), max and min those
+        give a number >= 0 that is not NaN, monotone in every axis.
+        """
         if isinstance(e, EVar):
-            i = index.get(e.name)
-            if i is None:
+            axis = axes.get(e.name)
+            if axis is None:
                 self.error(
                     "unknown functionality %r in map expression" % e.name, e.span
                 )
                 return None
-            return _axis(i)
-        left = self.compile_expr(e.left, index)
-        right = left and self.compile_expr(e.right, index)
+            text, p = axis
+            if isinstance(out, FinitePoset):
+                if p != out:
+                    self.error(
+                        "map output %r on %s cannot read %r on %s: a chain output "
+                        "takes a functionality on the same chain"
+                        % (out_name, out.describe(), e.name, p.describe()),
+                        e.span,
+                    )
+                    return None
+            elif not _reads_as_number(p):
+                self.error(
+                    "map output %r is real, but %r is on chain %s, whose labels "
+                    "are not numbers increasing upward" % (out_name, e.name, p.describe()),
+                    e.span,
+                )
+                return None
+            return text
+        if isinstance(out, FinitePoset):
+            self.error(
+                "map output %r on %s must be a functionality on the same chain, "
+                "not a computed value" % (out_name, out.describe()),
+                e.span,
+            )
+            return None
+        if isinstance(e, ENum):
+            consts.append(e.value)
+            return "c[%d]" % (len(consts) - 1)
+        left = self.compile_expr(e.left, out_name, out, axes, consts)
+        right = left and self.compile_expr(e.right, out_name, out, axes, consts)
         if right is None:
             return None
-        return _combine(e.op, left, right)
+        if e.op == "+":
+            # + groups to the left in Python as in the model language
+            if isinstance(e.right, EBin) and e.right.op == "+":
+                right = "(%s)" % right
+            return "%s + %s" % (left, right)
+        return "%s(%s, %s)" % ("_times" if e.op == "*" else e.op, left, right)
 
     def do_uncertain(self, st: StDecl):
         k = st.body
@@ -1329,38 +1389,30 @@ class _Elaborator:
         raise TypeError("not a term expression: %r" % (tex,))
 
 
-def _constant(value):
-    return lambda x: value
+def _reads_as_number(p: Poset) -> bool:
+    """Whether a real output may read an axis on p: a real axis, or a
+    chain whose labels are numbers increasing upward, so that reading a
+    label as its number is monotone (the model language's chains are
+    total orders in declaration order)."""
+    if isinstance(p, RealPlus):
+        return True
+    labels = p.elements()
+    return all(isinstance(v, (int, float)) for v in labels) and all(
+        a < b for a, b in zip(labels, labels[1:])
+    )
 
 
-def _axis(i: int):
-    return lambda x: x[i]
+def _times(u, v):
+    # 0 * inf is 0 here: a zero gain switches a contribution off
+    return 0.0 if u == 0 or v == 0 else u * v
 
 
-def _combine(op: str, a, b):
-    """Closure applying a map operator to two compiled operands."""
-    if op == "+":
-        return lambda x: a(x) + b(x)
-    if op == "*":
-
-        def times(x):
-            u, v = a(x), b(x)
-            # 0 * inf is 0 here: a zero gain switches a contribution off
-            return 0.0 if u == 0 or v == 0 else u * v
-
-        return times
-    if op == "max":
-        return lambda x: max(a(x), b(x))
-    return lambda x: min(a(x), b(x))
-
-
-def _map_dp(name: str, f_space, r_space, parts: list) -> MonotoneMap:
-    # one compiled closure per output axis, each given the tuple of inputs
-    def fn(f):
-        x = f if isinstance(f, tuple) else (f,)
-        return parts[0](x) if len(parts) == 1 else tuple(p(x) for p in parts)
-
-    return MonotoneMap(f_space, r_space, fn, name=name)
+def _compiled_map(name: str, f_space, r_space, parts: list, consts: list):
+    """MonotoneMap computing every output from its typed text (see
+    compile_expr) in one function of the functionality value."""
+    body = parts[0] if len(parts) == 1 else "(%s)" % ", ".join(parts)
+    scope = {"__builtins__": {}, "c": tuple(consts), "_times": _times, "max": max, "min": min}
+    return MonotoneMap._of(f_space, r_space, eval("lambda x: " + body, scope), name=name)
 
 
 def elaborate(doc: Document) -> tuple[ElaboratedModel | None, list[Diagnostic]]:

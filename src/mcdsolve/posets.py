@@ -6,12 +6,14 @@ top element), finite posets given by an explicit order-pair list, and
 flat n-ary products ordered componentwise.
 
 Membership is checked where values enter the program: the public
-Antichain constructor (and so every MonotoneMap output), the Catalogue
-constructor, DesignProblem.evaluate, solve and kleene_solve on their
-query, model queries (build_query) and lower_from_points.  Past those
-points values are trusted: leq, meet and joins do not re-validate their
-arguments, and a non-member passed to them gives an unspecified result
-or an arbitrary exception.
+Antichain constructor, the outputs of a MonotoneMap built by its
+constructor, the Catalogue constructor, DesignProblem.evaluate, solve
+and kleene_solve on their query, model queries (build_query) and
+lower_from_points.  A map compiled from a model is typed when the model
+is elaborated, so its outputs are members by construction and are not
+checked per evaluation.  Past those points values are trusted: leq,
+meet and joins do not re-validate their arguments, and a non-member
+passed to them gives an unspecified result or an arbitrary exception.
 
 Products are kept flat: the product of two products concatenates their
 factor lists, and elements of a product are plain tuples with one slot
@@ -26,6 +28,10 @@ from .errors import DomainError
 
 class Poset:
     """Base class: a set of admissible elements plus a partial order."""
+
+    # every factor is a RealPlus: set once per poset, read by
+    # antichains._minimize on each front it minimises
+    real_factors = False
 
     def contains(self, x) -> bool:
         raise NotImplementedError
@@ -88,6 +94,8 @@ class RealPlus(Poset):
     """Chain of nonnegative reals with a unit tag; +inf is the top."""
 
     __slots__ = ("unit",)
+
+    real_factors = True
 
     def __init__(self, unit: str = ""):
         self.unit = unit
@@ -245,11 +253,14 @@ class ProductPoset(Poset):
 
     def __init__(self, factors):
         flat = []
+        real = True
         for p in factors:
             flat.extend(p.factors)
+            real = real and p.real_factors
         if len(flat) < 2:
             raise ValueError("product poset needs at least two factors")
         self._factors = tuple(flat)
+        self.real_factors = real
 
     @property
     def factors(self) -> tuple:

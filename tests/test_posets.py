@@ -175,6 +175,7 @@ class TestProductPoset:
         assert left_nested.factors == (a, b, c)
         assert left_nested == right_nested
         assert arity(left_nested) == 3
+        assert a.real_factors and left_nested.real_factors and right_nested.real_factors
         # elements are flat tuples
         assert left_nested.contains((0.0, 1.0, 2.0))
         assert not left_nested.contains(((0.0, 1.0), 2.0))
@@ -186,6 +187,7 @@ class TestProductPoset:
     def test_mixed_finiteness(self):
         p = product(RealPlus(), FinitePoset.chain(["a", "b"]))
         assert not p.is_finite
+        assert not p.real_factors and not product(p, RealPlus()).real_factors
         q = product(FinitePoset.chain(["a", "b"]), FinitePoset.chain([1, 2, 3]))
         assert q.is_finite
         assert len(q.elements()) == 6
