@@ -9,12 +9,11 @@ Results go to stdout only; diagnostics and errors go to stderr.
 import argparse
 import json
 import math
-import os
 import re
 import sys
 
 from . import uncertainty
-from .dp import _violating_pair
+from .dp import DEFAULT_MAX_ITER, _violating_pair
 from .errors import CodesignError, DomainError
 from .modellang import chain_number, load_model
 from .posets import RealPlus
@@ -100,18 +99,6 @@ def _convert_value(poset, text, unit, axis_name):
         return chain_number(float(text))
     except ValueError:
         return text
-
-
-def _max_iter_from(args) -> int | None:
-    if getattr(args, "max_iter", None) is not None:
-        return args.max_iter
-    env = os.environ.get("MCDP_MAX_ITER")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise DomainError("MCDP_MAX_ITER must be an integer, got %r" % env) from None
-    return None
 
 
 def _solution_exit(sol) -> int:
@@ -205,10 +192,11 @@ def cmd_solve(args) -> int:
     if model is None:
         return EXIT_ERROR
     try:
-        max_iter = _max_iter_from(args)
+        if args.max_iter < 1:
+            raise DomainError("--max-iter must be at least 1")
         assignments = _parse_f_args(model, args.f)
         f = model.build_query(assignments)
-        sol = solve_uncertain(model.term, model.uvaluation, f, max_iter)
+        sol = solve_uncertain(model.term, model.uvaluation, f, args.max_iter)
     except CodesignError as e:
         return _fail(str(e))
     if args.format == "csv":
@@ -241,12 +229,13 @@ def cmd_sweep(args) -> int:
     if len(modes) != 1:
         return _fail("pick exactly one of --axis, --tolerance, --relax-n")
     try:
-        max_iter = _max_iter_from(args)
+        if args.max_iter < 1:
+            raise DomainError("--max-iter must be at least 1")
         assignments = _parse_f_args(model, args.f)
         plan, label = _sweep_rows(model, args, assignments)
     except CodesignError as e:
         return _fail(str(e))
-    rows = _solve_rows(model, plan, max_iter)
+    rows = _solve_rows(model, plan, args.max_iter)
     if args.format == "csv":
         print(_CSV_HEADER)
         for value_text, sol, status in rows:
@@ -324,6 +313,12 @@ def _sweep_rows(model, args, assignments):
     ], "relax:%s" % atom
 
 
+_MAX_ITER_HELP = (
+    "most Kleene iterations of each loop in each solve, at least 1 "
+    "(default %(default)s); a loop it stops reports lower bounds"
+)
+
+
 def build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="mcdsolve", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -335,7 +330,8 @@ def build_parser() -> _ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve a model at one query")
     p_solve.add_argument("file")
     p_solve.add_argument("--f", action="append", metavar="AXIS=VALUE[UNIT]")
-    p_solve.add_argument("--max-iter", type=int, dest="max_iter")
+    p_solve.add_argument("--max-iter", type=int, dest="max_iter", default=DEFAULT_MAX_ITER,
+                         metavar="N", help=_MAX_ITER_HELP)
     p_solve.add_argument("--format", choices=("json", "csv"), default="json")
     p_solve.set_defaults(fn=cmd_solve)
 
@@ -348,7 +344,8 @@ def build_parser() -> _ArgumentParser:
     p_sweep.add_argument("--steps", type=int, default=11)
     p_sweep.add_argument("--tolerance", metavar="ATOM=A1,A2,...")
     p_sweep.add_argument("--relax-n", dest="relax_n", metavar="ATOM=N1,N2,...")
-    p_sweep.add_argument("--max-iter", type=int, dest="max_iter")
+    p_sweep.add_argument("--max-iter", type=int, dest="max_iter", default=DEFAULT_MAX_ITER,
+                         metavar="N", help=_MAX_ITER_HELP)
     p_sweep.add_argument("--format", choices=("json", "csv"), default="json")
     p_sweep.set_defaults(fn=cmd_sweep)
     return parser

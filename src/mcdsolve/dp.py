@@ -114,17 +114,16 @@ class MonotoneMap(DesignProblem):
 
     _trusted = False  # set by _of: fn gives one member of ressp, unchecked
 
-    def __init__(self, funsp, ressp, fn, name: str = ""):
+    def __init__(self, funsp, ressp, fn):
         super().__init__(funsp, ressp)
         self.fn = fn
-        self.name = name
 
     @classmethod
-    def _of(cls, funsp, ressp, fn, name: str = "") -> "MonotoneMap":
+    def _of(cls, funsp, ressp, fn) -> "MonotoneMap":
         """Map whose fn returns one member of ressp for every member of
         funsp, proved by its maker (the model language types each map it
         compiles), so its outputs are not checked again."""
-        m = cls(funsp, ressp, fn, name=name)
+        m = cls(funsp, ressp, fn)
         m._trusted = True
         return m
 
@@ -159,14 +158,13 @@ class Catalogue(DesignProblem):
     of three paired runs).
     """
 
-    def __init__(self, funsp, ressp, entries, name: str = ""):
+    def __init__(self, funsp, ressp, entries):
         super().__init__(funsp, ressp)
         entries = [(f, r) for f, r in entries]
         for f, r in entries:
             funsp.check_member(f)
             ressp.check_member(r)
         self.entries = entries
-        self.name = name
         self._cells = None  # cell key -> front, when the first axis is real
         if isinstance(funsp.factors[0], RealPlus):
             rows = [element_parts(funsp, fi) for fi, _ in entries]

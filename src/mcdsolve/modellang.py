@@ -62,7 +62,9 @@ the word inf as written: on a chain axis it is the label inf, as in a
 chain or a --f query, and on a real axis it is infinity.  Each builtin's
 argument layout, axis names and relaxations constructor live in one
 table, _BUILTINS, which the parser, renderer, elaborator and reserved
-words all read.
+words all read.  Brackets (a parenthesis, max( or min( in a map
+expression; series(, par( or loop( in a term) nest at most MAX_NESTING
+levels, so deep text is a diagnostic, never a RecursionError.
 """
 
 import math
@@ -147,6 +149,12 @@ RESERVED = frozenset(
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 _PREC = {"+": 1, "*": 2}  # how tightly map operators bind, for parsing and printing
+
+# Levels of brackets a map expression or a term may nest.  The parser
+# takes up to four Python frames a level, so 200 levels stay well inside
+# the default recursion limit of 1000 frames, and Python compiles a map
+# only to 200 nested parentheses anyway.
+MAX_NESTING = 200
 
 
 def chain_number(v: float):
@@ -455,6 +463,12 @@ class _Parser:
         self.advance()
         return float(tok.text)
 
+    def deeper(self, depth: int, tok: Token) -> int:
+        """Nesting level of the brackets tok opens, inside depth levels."""
+        if depth >= MAX_NESTING:
+            self.fail("nested deeper than %d levels" % MAX_NESTING, tok)
+        return depth + 1
+
     def comma_list(self, item, count: int = 0) -> list:
         """item { "," item }, or exactly count items when count is given."""
         items = [item()]
@@ -687,32 +701,34 @@ class _Parser:
         self.expect("=")
         return Assign(name.text, self.parse_mexpr(), span=name.span)
 
-    def parse_mexpr(self, min_prec: int = 1):
+    def parse_mexpr(self, min_prec: int = 1, depth: int = 0):
         """Operands joined by + and * at precedence min_prec or above,
-        grouped to the left."""
-        left = self.parse_mfactor()
+        grouped to the left, inside depth levels of brackets."""
+        left = self.parse_mfactor(depth)
         while _PREC.get(self.cur().text, 0) >= min_prec:
             op = self.advance().text
-            right = self.parse_mexpr(_PREC[op] + 1)
+            right = self.parse_mexpr(_PREC[op] + 1, depth)
             left = EBin(op, left, right, span=left.span)
         return left
 
-    def parse_mfactor(self):
+    def parse_mfactor(self, depth: int):
         tok = self.cur()
         if tok.kind == "num":
             self.advance()
             return ENum(float(tok.text), span=tok.span)
         if tok.text in ("max", "min"):
+            inner = self.deeper(depth, tok)
             self.advance()
             self.expect("(")
-            left = self.parse_mexpr()
+            left = self.parse_mexpr(depth=inner)
             self.expect(",")
-            right = self.parse_mexpr()
+            right = self.parse_mexpr(depth=inner)
             self.expect(")")
             return EBin(tok.text, left, right, span=tok.span)
         if self.at("("):
+            inner = self.deeper(depth, tok)
             self.advance()
-            expr = self.parse_mexpr()
+            expr = self.parse_mexpr(depth=inner)
             self.expect(")")
             return expr
         if tok.kind == "word" and _NAME_RE.match(tok.text) and tok.text not in RESERVED:
@@ -745,23 +761,17 @@ class _Parser:
         kw = self.expect("term")
         return StTerm(self.parse_texpr(), span=kw.span)
 
-    def parse_texpr(self):
+    def parse_texpr(self, depth: int = 0):
+        """A term inside depth levels of series, par and loop."""
         tok = self.cur()
-        if tok.text == "series" or tok.text == "par":
+        node = {"series": Series, "par": Par, "loop": Loop}.get(tok.text)
+        if node is not None:
+            inner = self.deeper(depth, tok)
             self.advance()
             self.expect("(")
-            left = self.parse_texpr()
-            self.expect(",")
-            right = self.parse_texpr()
+            parts = self.comma_list(lambda: self.parse_texpr(inner), 1 if node is Loop else 2)
             self.expect(")")
-            cls = Series if tok.text == "series" else Par
-            return cls(left, right, span=tok.span)
-        if tok.text == "loop":
-            self.advance()
-            self.expect("(")
-            body = self.parse_texpr()
-            self.expect(")")
-            return Loop(body, span=tok.span)
+            return node(*parts, span=tok.span)
         name = self.expect_name("a design problem name")
         return Atom(name.text, span=name.span)
 
@@ -1115,7 +1125,7 @@ class _Elaborator:
         if f_space is None:
             return
         rnames = [a.name for a in sig.r_axes]
-        dp = self.build_plain_dp(st.name, k, f_space, r_space, fnames, rnames)
+        dp = self.build_plain_dp(k, f_space, r_space, fnames, rnames)
         if dp is None:
             return
         if isinstance(dp, IdentityDP) and sig.f_axes is None:
@@ -1125,7 +1135,7 @@ class _Elaborator:
         self.uvaluation[st.name] = degenerate(dp)
         self.axis_names[st.name] = (fnames, rnames)
 
-    def build_plain_dp(self, name, k, f_space, r_space, fnames, rnames):
+    def build_plain_dp(self, k, f_space, r_space, fnames, rnames):
         if isinstance(k, KConstant):
             pts = []
             for node in k.points:
@@ -1155,7 +1165,7 @@ class _Elaborator:
             # the map r_j = o_j + g_j * f, constants in the order o_0, g_0, o_1, ...
             consts = [v for pair in zip(offset, gain) for v in pair]
             parts = ["c[%d] + _times(c[%d], x)" % (2 * j, 2 * j + 1) for j in range(width)]
-            return _compiled_map(name, f_space, r_space, parts, consts)
+            return _compiled_map(f_space, r_space, parts, consts)
         if isinstance(k, KCatalogue):
             entries = []
             for fnode, rnode in k.entries:
@@ -1164,10 +1174,10 @@ class _Elaborator:
                 if fe is None or re_ is None:
                     return None
                 entries.append((fe, re_))
-            return Catalogue(f_space, r_space, entries, name=name)
+            return Catalogue(f_space, r_space, entries)
         if isinstance(k, KMap):
             try:
-                return self.build_map_dp(name, k, f_space, r_space, fnames, rnames)
+                return self.build_map_dp(k, f_space, r_space, fnames, rnames)
             except (RecursionError, SyntaxError):
                 # deeper than Python compiles: "too many nested parentheses"
                 self.error("map expressions nest too deeply to compile", k.span)
@@ -1205,7 +1215,7 @@ class _Elaborator:
             out.append(v)
         return out
 
-    def build_map_dp(self, name, k: KMap, f_space, r_space, fnames, rnames):
+    def build_map_dp(self, k: KMap, f_space, r_space, fnames, rnames):
         if k.sig.f_axes is None:
             self.error("map needs an explicit F(...) signature", k.sig.span)
             return None
@@ -1239,7 +1249,7 @@ class _Elaborator:
                 k.span,
             )
             return None
-        return _compiled_map(name, f_space, r_space, parts, consts)
+        return _compiled_map(f_space, r_space, parts, consts)
 
     def compile_expr(self, e, out_name: str, out: Poset, axes: dict, consts: list):
         """Python text computing e for the output axis out_name on poset
@@ -1407,12 +1417,12 @@ def _times(u, v):
     return 0.0 if u == 0 or v == 0 else u * v
 
 
-def _compiled_map(name: str, f_space, r_space, parts: list, consts: list):
+def _compiled_map(f_space, r_space, parts: list, consts: list):
     """MonotoneMap computing every output from its typed text (see
     compile_expr) in one function of the functionality value."""
     body = parts[0] if len(parts) == 1 else "(%s)" % ", ".join(parts)
     scope = {"__builtins__": {}, "c": tuple(consts), "_times": _times, "max": max, "min": min}
-    return MonotoneMap._of(f_space, r_space, eval("lambda x: " + body, scope), name=name)
+    return MonotoneMap._of(f_space, r_space, eval("lambda x: " + body, scope))
 
 
 def elaborate(doc: Document) -> tuple[ElaboratedModel | None, list[Diagnostic]]:

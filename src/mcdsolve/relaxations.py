@@ -22,7 +22,7 @@ members, so each atom output is checked and minimised once, by MonotoneMap.
 import math
 
 from .antichains import Antichain
-from .dp import MonotoneMap
+from .dp import MonotoneMap, series
 from .errors import DomainError
 from .posets import Poset, ProductPoset, RealPlus
 from .uncertainty import UncertainDP
@@ -40,9 +40,7 @@ def uid(alpha: float, unit: str = "") -> UncertainDP:
     def snap_up(x):
         return x if math.isinf(x) else alpha * math.ceil(x / alpha)
 
-    lower = MonotoneMap(space, space, snap_down, name="uid_floor(%r)" % alpha)
-    upper = MonotoneMap(space, space, snap_up, name="uid_ceil(%r)" % alpha)
-    return UncertainDP(lower, upper)
+    return UncertainDP(MonotoneMap(space, space, snap_down), MonotoneMap(space, space, snap_up))
 
 
 def inject_tolerance(uvaluation, atom: str, alpha: float) -> dict:
@@ -51,8 +49,6 @@ def inject_tolerance(uvaluation, atom: str, alpha: float) -> dict:
     The atom's functionality must be a single real axis; the tolerance
     inherits its unit.
     """
-    from .dp import series
-
     try:
         udp = uvaluation[atom]
     except KeyError:
@@ -115,7 +111,7 @@ def vdc(n: int) -> list[float]:
     return out
 
 
-def _sampled_inverse(name: str, n: int, fsp, rsp, samples) -> UncertainDP:
+def _sampled_inverse(fsp, rsp, samples) -> UncertainDP:
     # samples(f1, lower) gives one side's points: the upper side keeps
     # them, the lower side takes the meets of successive ones
     def upper_fn(f1):
@@ -124,9 +120,7 @@ def _sampled_inverse(name: str, n: int, fsp, rsp, samples) -> UncertainDP:
     def lower_fn(f1):
         return _meets(samples(f1, True), rsp)
 
-    upper = MonotoneMap(fsp, rsp, upper_fn, name="%s_hi(%d)" % (name, n))
-    lower = MonotoneMap(fsp, rsp, lower_fn, name="%s_lo(%d)" % (name, n))
-    return UncertainDP(lower, upper)
+    return UncertainDP(MonotoneMap(fsp, rsp, lower_fn), MonotoneMap(fsp, rsp, upper_fn))
 
 
 def _relax_plus(family: str, n: int, unit: str) -> UncertainDP:
@@ -147,7 +141,7 @@ def _relax_plus(family: str, n: int, unit: str) -> UncertainDP:
         ]
 
     rsp = ProductPoset((RealPlus(unit), RealPlus(unit)))
-    return _sampled_inverse("invplus_" + family, n, RealPlus(unit), rsp, samples)
+    return _sampled_inverse(RealPlus(unit), rsp, samples)
 
 
 def relax_plus_uniform(n: int, unit: str = "") -> UncertainDP:
@@ -213,4 +207,4 @@ def relax_times_vdc(
         return pts
 
     rsp = ProductPoset((RealPlus(r1unit), RealPlus(r2unit)))
-    return _sampled_inverse("invtimes_vdc", n, RealPlus(funit), rsp, samples)
+    return _sampled_inverse(RealPlus(funit), rsp, samples)

@@ -14,6 +14,7 @@ with UncertainDP.solve: the trees, and the fronts their loops remember,
 are reused.  solve_uncertain builds and solves in one call.
 """
 
+import itertools
 from dataclasses import dataclass
 
 from .dp import (
@@ -110,8 +111,6 @@ _REAL_AXIS_GRID = [0.0, 0.1, 0.5, 1.0, 3.0, 10.0, 100.0]
 def default_query_grid(funsp: Poset, cap: int = 512) -> list:
     """Deterministic query sample: exhaustive on finite axes, a fixed
     log-ish grid on real axes, truncated to at most cap points."""
-    import itertools
-
     axes = []
     for p in funsp.factors:
         axes.append(p.elements() if p.is_finite else list(_REAL_AXIS_GRID))
@@ -181,11 +180,11 @@ def scale_catalogue(cat: Catalogue, p: float) -> UncertainDP:
         if not isinstance(axis, RealPlus):
             raise DomainError("catalogue resources must be real chains to scale")
 
-    def scaled(divisor, suffix):
+    def scaled(divisor):
         entries = [
             (f, tuple(v / divisor for v in r) if isinstance(r, tuple) else r / divisor)
             for f, r in cat.entries
         ]
-        return Catalogue(cat.funsp, cat.ressp, entries, name=(cat.name + suffix) if cat.name else "")
+        return Catalogue(cat.funsp, cat.ressp, entries)
 
-    return UncertainDP(scaled(1 + p, "_lo"), scaled(1 - p, "_hi"))
+    return UncertainDP(scaled(1 + p), scaled(1 - p))

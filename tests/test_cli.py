@@ -241,12 +241,6 @@ class TestSolve:
         code = main(["solve", loop_model, "--f", "payload=100", "--max-iter", "1"])
         assert code == EXIT_NO_CONVERGENCE
 
-    def test_env_cap_and_flag_priority(self, loop_model, monkeypatch):
-        monkeypatch.setenv("MCDP_MAX_ITER", "1")
-        assert main(["solve", loop_model, "--f", "payload=100"]) == EXIT_NO_CONVERGENCE
-        code = main(["solve", loop_model, "--f", "payload=100", "--max-iter", "50"])
-        assert code == EXIT_OK
-
     def test_axis_by_index_and_unit(self, loop_model):
         assert main(["solve", loop_model, "--f", "1=100[g]"]) == EXIT_OK
 
@@ -276,6 +270,49 @@ class TestSolve:
             "iterations_lower,iterations_upper,status"
         )
         assert out[1] == "6.0,7.5,9.0,feasible,0,0,ok"
+
+
+UAV = str(example_path("uav"))
+UAV_QUERY = ["--f", "endurance=1", "--f", "distance=20", "--f", "payload=300",
+             "--f", "missions=200"]
+# a solve, and the two sweeps that build new trees for every row
+UAV_COMMANDS = {
+    "solve": ["solve", UAV, *UAV_QUERY],
+    "tolerance": ["sweep", UAV, *UAV_QUERY, "--tolerance", "actuation=40,20"],
+    "relax_n": ["sweep", UAV, *UAV_QUERY, "--relax-n", "route=2,8"],
+}
+
+
+class TestIterationCap:
+    @pytest.mark.parametrize("name", UAV_COMMANDS)
+    def test_environment_does_not_set_the_cap(self, name, monkeypatch, capsys):
+        args = UAV_COMMANDS[name]
+        plain = main(args), capsys.readouterr()
+        monkeypatch.setenv("MCDP_MAX_ITER", "1")
+        assert (main(args), capsys.readouterr()) == plain
+
+    @pytest.mark.parametrize("name", UAV_COMMANDS)
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_cap_below_one_is_a_usage_error(self, name, cap, capsys):
+        assert main([*UAV_COMMANDS[name], "--max-iter", cap]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --max-iter must be at least 1\n"
+
+    @pytest.mark.parametrize("name", ["tolerance", "relax_n"])
+    def test_cap_reaches_every_row(self, name, capsys):
+        args = [*UAV_COMMANDS[name], "--format", "csv"]
+
+        def iterations():
+            rows = capsys.readouterr().out.splitlines()[1:]
+            return [row.rsplit(",", 3)[1:3] for row in rows]
+
+        assert main(args) == EXIT_OK
+        uncapped = iterations()
+        assert len(uncapped) == 2
+        assert all(int(n) > 2 for row in uncapped for n in row)
+        assert main([*args, "--max-iter", "2"]) == EXIT_OK
+        assert iterations() == [["2", "2"]] * 2
 
 
 class TestSweep:

@@ -39,7 +39,7 @@ RD = RealPlus("$")
 
 
 def doubler():
-    return MonotoneMap(RW, RW, lambda f: 2.0 * f, name="double")
+    return MonotoneMap(RW, RW, lambda f: 2.0 * f)
 
 
 class TestAtoms:
@@ -48,9 +48,7 @@ class TestAtoms:
         assert d.evaluate(3.0).points == {6.0}
 
     def test_monotone_map_multipoint(self):
-        split = MonotoneMap(
-            RW, product(RG, RD), lambda f: [(f, 0.0), (0.0, f)], name="either"
-        )
+        split = MonotoneMap(RW, product(RG, RD), lambda f: [(f, 0.0), (0.0, f)])
         assert split.evaluate(2.0).points == {(2.0, 0.0), (0.0, 2.0)}
 
     def test_monotone_map_rejects_bad_query(self):
@@ -58,9 +56,7 @@ class TestAtoms:
             doubler().evaluate(-1.0)
 
     def test_catalogue(self):
-        cat = Catalogue(
-            RW, RG, [(1.0, 100.0), (2.0, 150.0), (4.0, 300.0)], name="parts"
-        )
+        cat = Catalogue(RW, RG, [(1.0, 100.0), (2.0, 150.0), (4.0, 300.0)])
         assert cat.evaluate(0.0).points == {100.0}
         assert cat.evaluate(1.5).points == {150.0}
         assert cat.evaluate(4.0).points == {300.0}

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mcdsolve import modellang
+from mcdsolve import cli, modellang
 from mcdsolve.errors import DomainError
 from mcdsolve.modellang import (
     _BUILTINS,
@@ -437,3 +437,48 @@ class TestBuiltinTable:
             assert name in RESERVED
             assert '"%s" "("' % name in rule
             assert "dp NAME = %s(" % name in block
+
+
+# text before, the opener of one nesting level, the innermost operand, text after
+NESTED = {
+    "expression": ("dp m = map F(a[W]) R(y[W]) { y = ", "a + a * (", "a", " }\nterm m\n"),
+    "term": ("dp i = identity R(x[W])\nterm ", "series(i, ", "i", "\n"),
+}
+# where the opener of level 201 starts
+TOO_DEEP_AT = {"expression": "1:1842", "term": "2:2006"}
+
+
+def nested(kind, levels):
+    before, opener, inner, after = NESTED[kind]
+    return before + opener * levels + inner + ")" * levels + after
+
+
+class TestNesting:
+    @pytest.mark.parametrize("kind", NESTED)
+    def test_loads_at_the_bound(self, kind):
+        model, diags = load_model(nested(kind, modellang.MAX_NESTING))
+        assert diags == []
+        assert model is not None
+
+    @pytest.mark.parametrize("kind", NESTED)
+    @pytest.mark.parametrize("levels", [modellang.MAX_NESTING + 1, 1000])
+    def test_deeper_is_a_diagnostic(self, kind, levels):
+        model, diags = load_model(nested(kind, levels))
+        assert model is None
+        assert [d.format("t.mcd") for d in diags] == [
+            "t.mcd:%s: error: nested deeper than 200 levels" % TOO_DEEP_AT[kind]
+        ]
+
+    @pytest.mark.parametrize("kind", NESTED)
+    @pytest.mark.parametrize("command", [["check"], ["solve", "--f", "1=1"]])
+    def test_cli(self, kind, command, tmp_path, capsys):
+        path = tmp_path / "deep.mcd"
+        args = command[:1] + [str(path)] + command[1:]
+        path.write_text(nested(kind, modellang.MAX_NESTING))
+        assert cli.main(args) == cli.EXIT_OK
+        path.write_text(nested(kind, modellang.MAX_NESTING + 1))
+        capsys.readouterr()
+        assert cli.main(args) == cli.EXIT_ERROR
+        assert capsys.readouterr().err == (
+            "%s:%s: error: nested deeper than 200 levels\n" % (path, TOO_DEEP_AT[kind])
+        )

@@ -41,8 +41,8 @@ class TestBruteLfp:
 
 class TestBruteCompose:
     def test_series_by_hand(self):
-        first = Catalogue(THREE, THREE, [(0, 1)], name="a")
-        second = Catalogue(THREE, THREE, [(1, 2), (2, 2)], name="b")
+        first = Catalogue(THREE, THREE, [(0, 1)])
+        second = Catalogue(THREE, THREE, [(1, 2), (2, 2)])
         inst = FiniteInstance(
             term=Series(Atom("a"), Atom("b")),
             valuation={"a": first, "b": second},

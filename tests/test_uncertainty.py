@@ -125,7 +125,7 @@ MISSIONS = FinitePoset.chain([200, 1000], name="missions")
 class TestScaleCatalogue:
     def test_divides_resources_both_ways(self):
         # energy density example: 100 Wh/kg known to 10 percent
-        cat = Catalogue(RW, RG, [(100.0, 1000.0)], name="cell")
+        cat = Catalogue(RW, RG, [(100.0, 1000.0)])
         u = scale_catalogue(cat, 0.1)
         lo = u.lower.evaluate(50.0).points
         hi = u.upper.evaluate(50.0).points
