@@ -35,17 +35,21 @@ as long as its tree, so queries solved on one tree share it.
 
 Queries are checked once, by evaluate, solve and kleene_solve; composites
 call their parts' _eval directly.  Inside the kernel a front travels as
-the frozenset of its points: every _eval returns one, a series node
-minimises the union of its second part's fronts once, and a par node
-takes the product of its parts' fronts, which needs no minimising.  An
-Antichain object is made only where a front leaves the kernel: by
-evaluate, and by kleene_solve for its report and history.  Atom outputs
-are checked where they enter: a single MonotoneMap point by the resource
-space's check_member, a list of them by the Antichain constructor,
-catalogue rows in the Catalogue constructor.  A model's map enters when
-it is elaborated: the model language types every output of a map it
-compiles, so each point is a member by construction, and builds it with
-MonotoneMap._of, whose points are not checked again.
+the frozenset of its points: every _eval returns one, already minimal.
+A series node minimises the union of its second part's fronts once, and
+when its middle front is one point it hands that point's front on as
+it is, the same frozenset; a par node takes the product of its parts'
+fronts, which needs no minimising.  An Antichain object is made only
+where a front leaves the kernel: by evaluate, and by kleene_solve for
+its report and history.  Atom outputs are checked where they enter: a
+single MonotoneMap point by the resource space's check_member, a list
+of them by the Antichain constructor, catalogue rows in the Catalogue
+constructor.  A model's atoms enter when it is elaborated: the model
+language types every output of a map it compiles, so each point is a
+member by construction, and builds it with MonotoneMap._of, whose
+points are not checked again; it checks each catalogue point as it
+reads it and builds the catalogue with Catalogue._of, which does not
+check the rows again, and so does scale_catalogue for its two sides.
 """
 
 import bisect
@@ -63,7 +67,6 @@ from .posets import (
     concat_elements,
     element_parts,
     product,
-    split_element,
 )
 
 DEFAULT_MAX_ITER = 10**6
@@ -164,6 +167,21 @@ class Catalogue(DesignProblem):
         for f, r in entries:
             funsp.check_member(f)
             ressp.check_member(r)
+        self._index(entries)
+
+    @classmethod
+    def _of(cls, funsp, ressp, entries: list) -> "Catalogue":
+        """Catalogue of (f_i, r_i) rows whose maker has already proved
+        each f_i a member of funsp and each r_i of ressp (the model
+        language checks every point it reads, scale_catalogue divides
+        checked rows), so they are not checked again."""
+        cat = object.__new__(cls)
+        DesignProblem.__init__(cat, funsp, ressp)
+        cat._index(entries)
+        return cat
+
+    def _index(self, entries: list):
+        funsp = self.funsp
         self.entries = entries
         self._cells = None  # cell key -> front, when the first axis is real
         if isinstance(funsp.factors[0], RealPlus):
@@ -259,10 +277,15 @@ class SeriesDP(DesignProblem):
             front = memo.get(key)
             if front is not None:
                 return front
-        pts = []
-        for r1 in self.first._eval(f):
-            pts.extend(self.second._eval(r1))
-        front = frozenset(_minimize(pts, self.ressp))
+        mid = self.first._eval(f)
+        if len(mid) == 1:
+            (r1,) = mid  # a front is minimal already: hand it on as it is
+            front = self.second._eval(r1)
+        else:
+            pts = []
+            for r1 in mid:
+                pts.extend(self.second._eval(r1))
+            front = frozenset(_minimize(pts, self.ressp))
         if memo is not None and len(memo) < MEMO_SIZE:
             memo[key] = front
         return front
@@ -276,9 +299,15 @@ class ParDP(DesignProblem):
         self.left = left
         self.right = right
         self._flat = (isinstance(left.ressp, ProductPoset), isinstance(right.ressp, ProductPoset))
+        # where a query splits, and whether each side's part is a tuple
+        self._cut = len(left.funsp.factors)
+        self._split = (isinstance(left.funsp, ProductPoset), isinstance(right.funsp, ProductPoset))
 
     def _eval(self, f) -> frozenset:
-        fl, fr = split_element(self.left.funsp, self.right.funsp, f)
+        cut = self._cut
+        left_tuple, right_tuple = self._split
+        fl = f[:cut] if left_tuple else f[0]
+        fr = f[cut:] if right_tuple else f[cut]
         # both parts run, even when the left front is empty: a loop in
         # the right part reports its iterations to solve
         left = self.left._eval(fl)

@@ -64,7 +64,9 @@ argument layout, axis names and relaxations constructor live in one
 table, _BUILTINS, which the parser, renderer, elaborator and reserved
 words all read.  Brackets (a parenthesis, max( or min( in a map
 expression; series(, par( or loop( in a term) nest at most MAX_NESTING
-levels, so deep text is a diagnostic, never a RecursionError.
+levels, and so does a chain like a + b + c, where each operator after
+the first opens a level (parse_mexpr); so deep text is a diagnostic,
+never a RecursionError.
 """
 
 import math
@@ -699,41 +701,55 @@ class _Parser:
     def parse_assign(self) -> Assign:
         name = self.expect_name("an output axis name")
         self.expect("=")
-        return Assign(name.text, self.parse_mexpr(), span=name.span)
+        expr, _ = self.parse_mexpr()
+        return Assign(name.text, expr, span=name.span)
 
     def parse_mexpr(self, min_prec: int = 1, depth: int = 0):
         """Operands joined by + and * at precedence min_prec or above,
-        grouped to the left, inside depth levels of brackets."""
-        left = self.parse_mfactor(depth)
+        grouped to the left, inside depth levels; returns the expression
+        and the deepest level it reaches.
+
+        A chain a + b + c is a tree as deep as the chain is long, so
+        each operator that extends one (every operator after its first)
+        opens a level past the deepest one reached so far, by the chain
+        and by the operands it has read.  The levels then bound the
+        depth of every expression tree, not only its brackets."""
+        left, level = self.parse_mfactor(depth)
+        extends = False
         while _PREC.get(self.cur().text, 0) >= min_prec:
-            op = self.advance().text
-            right = self.parse_mexpr(_PREC[op] + 1, depth)
-            left = EBin(op, left, right, span=left.span)
-        return left
+            tok = self.advance()
+            if extends:
+                level = self.deeper(level, tok)
+            extends = True
+            right, reached = self.parse_mexpr(_PREC[tok.text] + 1, depth)
+            level = max(level, reached)
+            left = EBin(tok.text, left, right, span=left.span)
+        return left, level
 
     def parse_mfactor(self, depth: int):
+        """One operand inside depth levels, and the deepest level it reaches."""
         tok = self.cur()
         if tok.kind == "num":
             self.advance()
-            return ENum(float(tok.text), span=tok.span)
+            return ENum(float(tok.text), span=tok.span), depth
         if tok.text in ("max", "min"):
             inner = self.deeper(depth, tok)
             self.advance()
             self.expect("(")
-            left = self.parse_mexpr(depth=inner)
+            left, reached_left = self.parse_mexpr(depth=inner)
             self.expect(",")
-            right = self.parse_mexpr(depth=inner)
+            right, reached_right = self.parse_mexpr(depth=inner)
             self.expect(")")
-            return EBin(tok.text, left, right, span=tok.span)
+            return EBin(tok.text, left, right, span=tok.span), max(reached_left, reached_right)
         if self.at("("):
             inner = self.deeper(depth, tok)
             self.advance()
-            expr = self.parse_mexpr(depth=inner)
+            expr, reached = self.parse_mexpr(depth=inner)
             self.expect(")")
-            return expr
+            return expr, reached
         if tok.kind == "word" and _NAME_RE.match(tok.text) and tok.text not in RESERVED:
             self.advance()
-            return EVar(tok.text, span=tok.span)
+            return EVar(tok.text, span=tok.span), depth
         self.fail("expected an expression, found %s" % self._describe(tok))
 
     def parse_uncertain_kind(self):
@@ -1174,11 +1190,11 @@ class _Elaborator:
                 if fe is None or re_ is None:
                     return None
                 entries.append((fe, re_))
-            return Catalogue(f_space, r_space, entries)
+            return Catalogue._of(f_space, r_space, entries)  # point_element checked them
         if isinstance(k, KMap):
             try:
                 return self.build_map_dp(k, f_space, r_space, fnames, rnames)
-            except (RecursionError, SyntaxError):
+            except SyntaxError:
                 # deeper than Python compiles: "too many nested parentheses"
                 self.error("map expressions nest too deeply to compile", k.span)
                 return None

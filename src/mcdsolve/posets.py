@@ -7,11 +7,14 @@ flat n-ary products ordered componentwise.
 
 Membership is checked where values enter the program: the public
 Antichain constructor, the outputs of a MonotoneMap built by its
-constructor, the Catalogue constructor, DesignProblem.evaluate, solve
-and kleene_solve on their query, model queries (build_query) and
+constructor, the Catalogue constructor, each point written in a model
+as the elaborator reads it, DesignProblem.evaluate, solve and
+kleene_solve on their query, model queries (build_query) and
 lower_from_points.  A map compiled from a model is typed when the model
 is elaborated, so its outputs are members by construction and are not
-checked per evaluation.  Past those points values are trusted: leq,
+checked per evaluation.  A model's catalogue rows, checked as they are
+read, and the rows scale_catalogue divides are members already and enter
+through Catalogue._of unchecked.  Past those points values are trusted: leq,
 meet and joins do not re-validate their arguments, and a non-member
 passed to them gives an unspecified result or an arbitrary exception.
 

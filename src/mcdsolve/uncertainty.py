@@ -170,7 +170,9 @@ def scale_catalogue(cat: Catalogue, p: float) -> UncertainDP:
     """Uncertain catalogue from a relative spread p (a fraction).
 
     The optimistic side divides every resource figure by (1+p), the
-    pessimistic side by (1-p); both keep the functionality column.
+    pessimistic side by (1-p); both keep the functionality column.  A
+    checked nonnegative figure over a positive divisor is nonnegative
+    and never NaN, so the scaled rows enter unchecked (Catalogue._of).
     """
     if not isinstance(cat, Catalogue):
         raise DomainError("can only scale catalogue design problems")
@@ -185,6 +187,6 @@ def scale_catalogue(cat: Catalogue, p: float) -> UncertainDP:
             (f, tuple(v / divisor for v in r) if isinstance(r, tuple) else r / divisor)
             for f, r in cat.entries
         ]
-        return Catalogue(cat.funsp, cat.ressp, entries)
+        return Catalogue._of(cat.funsp, cat.ressp, entries)
 
     return UncertainDP(scaled(1 + p), scaled(1 - p))

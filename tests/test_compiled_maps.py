@@ -67,7 +67,9 @@ class TestTyping:
         assert diagnostics(text) == ["t.mcd:2:15: error: affine needs real resource axes"]
 
     def test_too_deep_to_compile_is_a_diagnostic(self):
-        body = " * ".join(["a"] * 300)
+        # the longest product the parser takes nests one _times( call per
+        # operator, one past the parentheses Python compiles
+        body = " * ".join(["a"] * (modellang.MAX_NESTING + 2))
         text = "dp m = map F(a[W]) R(y[W]) {\n    y = %s }\nterm m\n" % body
         assert diagnostics(text) == [
             "t.mcd:1:8: error: map expressions nest too deeply to compile"

@@ -304,6 +304,7 @@ class TestEntryChecks:
     def test_catalogue_row_outside_spaces(self):
         for rows in (
             [(1.0, -5.0)],
+            [(1.0, 5.0), (2.0, math.nan)],
             [(-1.0, 5.0)],
             [(math.nan, 5.0)],
             [(1.0, (5.0, 1.0))],

@@ -482,3 +482,46 @@ class TestNesting:
         assert capsys.readouterr().err == (
             "%s:%s: error: nested deeper than 200 levels\n" % (path, TOO_DEEP_AT[kind])
         )
+
+
+def flat_sum(operands):
+    return "dp m = map F(a[W]) R(y[W]) { y = %s }\nterm m\n" % " + ".join(["a"] * operands)
+
+
+# a chain's first operator opens no level and each further one opens the
+# next, so MAX_NESTING + 2 operands reach level 200; the operator after
+# them opens level 201 at column 840
+LONGEST_SUM = modellang.MAX_NESTING + 2
+SUM_TOO_DEEP = "nested deeper than 200 levels"
+
+
+class TestFlatChains:
+    @pytest.mark.parametrize("operands", [200, 201, LONGEST_SUM])
+    def test_loads_and_renders_up_to_the_bound(self, operands):
+        text = flat_sum(operands)
+        model, diags = load_model(text)
+        assert diags == [] and model is not None
+        assert render(parse_ok(text)) == text
+
+    @pytest.mark.parametrize("operands", [LONGEST_SUM + 1, 1000, 2000, 5000])
+    def test_longer_is_a_diagnostic_at_the_operator(self, operands):
+        text = flat_sum(operands)
+        model, diags = load_model(text)
+        assert model is None
+        assert [d.format("t.mcd") for d in diags] == ["t.mcd:1:840: error: " + SUM_TOO_DEEP]
+        assert text[839] == "+"  # column 840 of line 1
+        # the statement is dropped, so what is left renders
+        assert render(parse(text).document) == "term m\n"
+
+    @pytest.mark.parametrize("operands", [LONGEST_SUM, LONGEST_SUM + 1, 2000])
+    def test_cli_check(self, operands, tmp_path, capsys):
+        path = tmp_path / "sum.mcd"
+        path.write_text(flat_sum(operands))
+        code = cli.main(["check", str(path)])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if operands == LONGEST_SUM:
+            assert code == cli.EXIT_OK
+        else:
+            assert code == cli.EXIT_ERROR
+            assert err == "%s:1:840: error: %s\n" % (path, SUM_TOO_DEEP)
