@@ -327,6 +327,135 @@ class TestElaborate:
         assert any("lower" in d.message or "upper" in d.message for d in diags)
 
 
+# One model text per elaboration diagnostic: its id, the text, and every
+# line load_model reports for it as "LINE:COL: error: MESSAGE".  Each
+# declaration reports its first fault; a term reports one per faulty side.
+ELABORATION_FAULTS = [
+    ("unknown poset on an axis", "dp a = identity R(x:nope)\nterm a\n",
+     ["1:19: error: unknown poset 'nope'"]),
+    ("unknown poset in a product", "poset p = product(q, r)\ndp a = identity R(x[W])\nterm a\n",
+     ["1:11: error: unknown poset 'q'"]),
+    ("model named twice", "model one\nmodel two\ndp a = identity R(x[W])\nterm a\n",
+     ["2:1: error: model already named 'one'"]),
+    ("missing term", "dp a = identity R(x[W])\n",
+     ["1:1: error: missing term: a model must declare exactly one"]),
+    ("two terms", "dp a = identity R(x[W])\nterm a\nterm a\n",
+     ["3:1: error: more than one term statement"]),
+    ("duplicate chain labels", "poset p = chain {a, a}\ndp x = identity R(v[W])\nterm x\n",
+     ["1:11: error: duplicate labels in finite poset"]),
+    ("point coordinate count", "dp c = constant R(a[g], b[$]) { 1.0 }\nterm c\n",
+     ["1:33: error: resource point has 1 coordinates, space R+[g] x R+[$] has 2"]),
+    ("label not in the chain",
+     "poset lvl = chain {low, high}\ndp c = catalogue F(x:lvl) R(r[W]) { mid -> 1.0 }\nterm c\n",
+     ["2:37: error: 'mid' is not an element of lvl"]),
+    ("label on a real axis", "dp c = constant R(r[W]) { big }\nterm c\n",
+     ["1:27: error: 'big' is not an element of R+[W]"]),
+    ("both catalogue points bad", "dp c = catalogue F(f[W]) R(r[W]) { big -> small }\nterm c\n",
+     ["1:36: error: 'big' is not an element of R+[W]",
+      "1:43: error: 'small' is not an element of R+[W]"]),
+    ("affine functionality", "dp a = affine F(f[W], g[W]) R(r[$]) gain 1 offset 0\nterm a\n",
+     ["1:15: error: affine needs a single real functionality axis"]),
+    ("affine resources",
+     "poset lvl = chain {low}\ndp a = affine F(f[W]) R(r:lvl) gain 1 offset 0\nterm a\n",
+     ["2:15: error: affine needs real resource axes"]),
+    ("infinite gain", "dp a = affine F(f[W]) R(r[$]) gain inf offset 0\nterm a\n",
+     ["1:36: error: gains must be finite and nonnegative"]),
+    ("gain width", "dp a = affine F(f[W]) R(r[$], s[$]) gain (1, 2, 3) offset 0\nterm a\n",
+     ["1:42: error: gain needs 2 values, got 3"]),
+    ("gain label", "dp a = affine F(f[W]) R(r[$]) gain big offset 0\nterm a\n",
+     ["1:36: error: gain values must be numbers"]),
+    ("gain and offset both bad", "dp a = affine F(f[W]) R(r[$]) gain (1, 2) offset big\nterm a\n",
+     ["1:36: error: gain needs 1 values, got 2", "1:50: error: offset values must be numbers"]),
+    ("identity sides", "dp i = identity F(f[W]) R(r[g])\nterm i\n",
+     ["1:17: error: identity must have equal sides, got R+[W] and R+[g]"]),
+    ("map without F", "dp m = map R(y[W]) { y = 1.0 }\nterm m\n",
+     ["1:12: error: map needs an explicit F(...) signature"]),
+    ("map assigns a non-output", "dp m = map F(x[W]) R(y[W]) { z = x }\nterm m\n",
+     ["1:30: error: map assigns 'z', which is not an output axis"]),
+    ("map assigns twice", "dp m = map F(x[W]) R(y[W]) { y = x; y = 2.0 * x }\nterm m\n",
+     ["1:37: error: output axis 'y' assigned twice"]),
+    ("map leaves an output", "dp m = map F(x[W]) R(y[W], w[W], v[W]) { y = x }\nterm m\n",
+     ["1:8: error: map leaves output axes unassigned: w, v"]),
+    ("chain output reads another chain",
+     "poset a = chain {1, 2}\nposet b = chain {3, 4}\ndp m = map F(x:a) R(y:b) { y = x }\nterm m\n",
+     ["3:32: error: map output 'y' on b cannot read 'x' on a: a chain output takes a "
+      "functionality on the same chain"]),
+    ("real output reads a word chain",
+     "poset lvl = chain {low, high}\ndp m = map F(x:lvl) R(y[W]) { y = 2.0 * x }\nterm m\n",
+     ["2:41: error: map output 'y' is real, but 'x' is on chain lvl, whose labels are not "
+      "numbers increasing upward"]),
+    ("chain output computed",
+     "poset a = chain {1, 2}\ndp m = map F(x:a) R(y:a) { y = max(x, 1.0) }\nterm m\n",
+     ["2:32: error: map output 'y' on a must be a functionality on the same chain, not a "
+      "computed value"]),
+    ("sample count", "dp s = invplus_vdc(0)\nterm s\n",
+     ["1:8: error: sample count must be a positive integer"]),
+    ("pm of a builtin", "dp s = uid(0.25 W)\nuncertain u = pm(s, 10 %)\nterm u\n",
+     ["2:15: error: pm needs a plain catalogue, 's' is not one"]),
+    ("pm of a non-catalogue", "dp a = identity R(x[W])\nuncertain u = pm(a, 10 %)\nterm u\n",
+     ["2:15: error: can only scale catalogue design problems"]),
+    ("pm spread",
+     "dp c = catalogue F(f[W]) R(r[g]) { 1.0 -> 2.0 }\nuncertain u = pm(c, 100 %)\nterm u\n",
+     ["2:15: error: spread must satisfy 0 <= p < 100"]),
+    ("pm of chain resources",
+     "poset lvl = chain {low, high}\ndp c = catalogue F(f[W]) R(r:lvl) { 1.0 -> low }\n"
+     "uncertain u = pm(c, 10 %)\nterm u\n",
+     ["3:15: error: catalogue resources must be real chains to scale"]),
+    ("interval of a builtin",
+     "dp s = uid(0.25 W)\ndp a = identity R(x[W])\nuncertain u = interval(a, s)\nterm u\n",
+     ["3:15: error: interval needs plain design problems, 's' is not one"]),
+    ("interval interfaces",
+     "dp a = identity R(x[W])\ndp b = identity R(x[g])\nuncertain u = interval(a, b)\nterm u\n",
+     ["3:15: error: uncertain bounds have different interfaces: IdentityDP: R+[W] -> R+[W] "
+      "vs IdentityDP: R+[g] -> R+[g]"]),
+    ("interval order",
+     "dp hi = catalogue F(f[W]) R(r[g]) { 1.0 -> 9.0 }\n"
+     "dp lo = catalogue F(f[W]) R(r[g]) { 1.0 -> 5.0 }\nuncertain u = interval(hi, lo)\nterm u\n",
+     ["3:15: error: not a valid uncertain DP: lower bound exceeds upper at f=0.0"]),
+    ("unknown atom", "term ghost\n",
+     ["1:6: error: no design problem named 'ghost'"]),
+    ("series mismatch", "dp a = identity R(x[W])\ndp b = identity R(y[g])\nterm series(a, b)\n",
+     ["3:16: error: series mismatch: left side (3:13) produces R+[W] but right side consumes "
+      "R+[g]"]),
+    ("loop mismatch", "dp a = identity R(x[W])\nterm loop(a)\n",
+     ["2:6: error: loop mismatch: body functionality R+[W] must end with its resources R+[W] "
+      "(body at 2:11)"]),
+    ("two bad declarations",
+     "dp i = identity F(f[W]) R(r[g])\ndp m = map R(y[W]) { y = 1.0 }\nterm i\n",
+     ["1:17: error: identity must have equal sides, got R+[W] and R+[g]",
+      "2:12: error: map needs an explicit F(...) signature"]),
+    ("a fault on each side of series", "term series(ghost, spook)\n",
+     ["1:13: error: no design problem named 'ghost'",
+      "1:20: error: no design problem named 'spook'"]),
+    ("a fault on each side of par",
+     "dp a = identity R(x[W])\ndp b = identity R(y[g])\nterm par(series(a, b), loop(ghost))\n",
+     ["3:20: error: series mismatch: left side (3:17) produces R+[W] but right side consumes "
+      "R+[g]",
+      "3:29: error: no design problem named 'ghost'"]),
+    ("a bad declaration hides the term", "dp i = identity F(f[W]) R(r[g])\nterm ghost\n",
+     ["1:17: error: identity must have equal sides, got R+[W] and R+[g]"]),
+    ("a bad declaration and no term", "dp i = identity F(f[W]) R(r[g])\n",
+     ["1:17: error: identity must have equal sides, got R+[W] and R+[g]",
+      "1:1: error: missing term: a model must declare exactly one"]),
+    ("a failed poset leaves its name unknown",
+     "poset p = chain {a, a}\ndp x = identity R(v:p)\nterm x\n",
+     ["1:11: error: duplicate labels in finite poset", "2:19: error: unknown poset 'p'"]),
+    ("a failed dp leaves its name unknown",
+     "dp c = constant R(r[W]) { big }\nuncertain u = pm(c, 10 %)\nterm u\n",
+     ["1:27: error: 'big' is not an element of R+[W]",
+      "2:15: error: pm needs a plain catalogue, 'c' is not one"]),
+]
+
+
+@pytest.mark.parametrize(
+    "text, lines", [case[1:] for case in ELABORATION_FAULTS], ids=[c[0] for c in ELABORATION_FAULTS]
+)
+def test_elaboration_diagnostics(text, lines):
+    model, diags = load_model(text)
+    assert model is None
+    assert [d.format("t.mcd") for d in diags] == ["t.mcd:" + line for line in lines]
+
+
 _NONNEG = st.one_of(
     st.just(0.0), st.floats(min_value=0, max_value=1e6, allow_nan=False)
 )
