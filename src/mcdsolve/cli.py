@@ -53,6 +53,9 @@ def _load(path: str):
     except OSError as e:
         _fail(str(e))
         return None
+    except UnicodeDecodeError as e:
+        _fail("%s: %s" % (path, e))
+        return None
     model, diags = load_model(text)
     for d in diags:
         print(d.format(path), file=sys.stderr)
@@ -191,14 +194,10 @@ def cmd_solve(args) -> int:
     model = _load(args.file)
     if model is None:
         return EXIT_ERROR
-    try:
-        if args.max_iter < 1:
-            raise DomainError("--max-iter must be at least 1")
-        assignments = _parse_f_args(model, args.f)
-        f = model.build_query(assignments)
-        sol = solve_uncertain(model.term, model.uvaluation, f, args.max_iter)
-    except CodesignError as e:
-        return _fail(str(e))
+    if args.max_iter < 1:
+        raise DomainError("--max-iter must be at least 1")
+    f = model.build_query(_parse_f_args(model, args.f))
+    sol = solve_uncertain(model.term, model.uvaluation, f, args.max_iter)
     if args.format == "csv":
         print(_CSV_HEADER)
         print(_csv_row(model.funsp.format(f), sol))
@@ -228,13 +227,9 @@ def cmd_sweep(args) -> int:
     modes = [m for m in (args.axis, args.tolerance, args.relax_n) if m is not None]
     if len(modes) != 1:
         return _fail("pick exactly one of --axis, --tolerance, --relax-n")
-    try:
-        if args.max_iter < 1:
-            raise DomainError("--max-iter must be at least 1")
-        assignments = _parse_f_args(model, args.f)
-        plan, label = _sweep_rows(model, args, assignments)
-    except CodesignError as e:
-        return _fail(str(e))
+    if args.max_iter < 1:
+        raise DomainError("--max-iter must be at least 1")
+    plan, label = _sweep_rows(model, args, _parse_f_args(model, args.f))
     rows = _solve_rows(model, plan, args.max_iter)
     if args.format == "csv":
         print(_CSV_HEADER)

@@ -7,8 +7,7 @@ Grammar (EBNF; # starts a comment, statements begin at column 1):
     modeldecl  = "model" NAME [ STRING ] ;
     posetdecl  = "poset" NAME "=" posetexpr ;
     posetexpr  = "R" "+" "[" UNIT "]"
-               | "chain" "{" elem { "," elem } "}"
-               | "product" "(" NAME "," NAME { "," NAME } ")" ;
+               | "chain" "{" elem { "," elem } "}" ;
     dpdecl     = "dp" NAME "=" dpkind ;
     dpkind     = "constant" sig "{" point { "," point } "}"
                | "affine" sig "gain" point "offset" point
@@ -49,13 +48,16 @@ axes and chains of increasing numbers, a chain output is a bare axis
 on an equal chain, and anything else, like an unknown name, is a
 diagnostic.  The outputs are then members by construction and are not
 checked when the map runs.  affine is compiled the same way, as the
-map r_i = o_i + g_i * f.  Parsing recovers at statement boundaries, so
-one file yields every diagnostic at once; a duplicate name anywhere (posets,
-dps, uncertains share one namespace) is an error.  A node's span is the
-position where it starts, the line and column of its first token, which
-is what a diagnostic reports.  poset, dp and uncertain statements are one
-node, StDecl, holding the keyword, the name and the parsed body.  A term
-statement parses straight into the kernel's term type (dp.Atom, Series,
+map r_i = o_i + g_i * f.  The parser and the elaborator raise a _Fault
+at the first fault of a statement, record its diagnostic and go on with
+the next statement, so elaboration reports the first fault of each
+declaration; the term reports one for each faulty side of a series or
+par.  A duplicate name anywhere (posets, dps, uncertains share one
+namespace) is an error.  A node's span is the position where it starts,
+the line and column of its first token, which is what a diagnostic
+reports.  poset, dp and uncertain statements are one node, StDecl,
+holding the keyword, the name and the parsed body.  A term statement
+parses straight into the kernel's term type (dp.Atom, Series,
 Par, Loop).  A number read as a chain element, in a chain or in a point
 on a chain axis, is an int when integral (chain_number).  A point keeps
 the word inf as written: on a chain axis it is the label inf, as in a
@@ -125,7 +127,6 @@ RESERVED = frozenset(
     + tuple(_BUILTINS)
     + (
         "chain",
-        "product",
         "constant",
         "affine",
         "catalogue",
@@ -252,12 +253,6 @@ class PosetReal:
 @dataclass
 class PosetChain:
     labels: list
-    span: Span = _sp()
-
-
-@dataclass
-class PosetProduct:
-    refs: list
     span: Span = _sp()
 
 
@@ -407,7 +402,10 @@ class ParseResult:
 # --- parser -------------------------------------------------------------------
 
 
-class _ParseError(Exception):
+class _Fault(Exception):
+    """A fault in a model text; the parser and the elaborator raise it and
+    record its diagnostic once per statement."""
+
     def __init__(self, diag: Diagnostic):
         super().__init__(diag.message)
         self.diag = diag
@@ -437,7 +435,7 @@ class _Parser:
 
     def fail(self, message: str, tok: Token | None = None):
         tok = tok or self.cur()
-        raise _ParseError(Diagnostic(message, tok.span))
+        raise _Fault(Diagnostic(message, tok.span))
 
     def expect(self, text: str) -> Token:
         if not self.at(text):
@@ -512,7 +510,7 @@ class _Parser:
                         "expected a statement (model, poset, dp, uncertain, term), "
                         "found %s" % self._describe(tok)
                     )
-            except _ParseError as e:
+            except _Fault as e:
                 self.diags.append(e.diag)
                 self.recover()
         return Document(statements, span=first.span)
@@ -562,18 +560,7 @@ class _Parser:
             labels = self.comma_list(self.parse_elem)
             self.expect("}")
             return PosetChain(labels, span=tok.span)
-        if tok.text == "product":
-            self.advance()
-            self.expect("(")
-            refs = [self.parse_ref()]
-            self.expect(",")
-            refs += self.comma_list(self.parse_ref)
-            self.expect(")")
-            return PosetProduct(refs, span=tok.span)
-        self.fail("expected a poset expression (R+[...], chain, product)")
-
-    def parse_ref(self) -> str:
-        return self.expect_name("a poset name").text
+        self.fail("expected a poset expression (R+[...], chain)")
 
     def parse_elem(self):
         tok = self.cur()
@@ -875,8 +862,6 @@ def _fmt_body(k) -> str:
         return "R+[%s]" % k.unit
     if isinstance(k, PosetChain):
         return "chain {%s}" % ", ".join(_fmt_label(x) for x in k.labels)
-    if isinstance(k, PosetProduct):
-        return "product(%s)" % ", ".join(k.refs)
     if isinstance(k, KConstant):
         return "constant %s {%s}" % (_fmt_sig(k.sig), ", ".join(_fmt_point(p) for p in k.points))
     if isinstance(k, KAffine):
@@ -1016,7 +1001,11 @@ class _Elaborator:
     def error(self, message: str, span: Span):
         self.diags.append(Diagnostic(message, span))
 
+    def fail(self, message: str, span: Span):
+        raise _Fault(Diagnostic(message, span))
+
     def run(self) -> ElaboratedModel | None:
+        do = {"poset": self.do_poset, "dp": self.do_dp, "uncertain": self.do_uncertain}
         terms = []
         for st in self.doc.statements:
             if isinstance(st, StModel):
@@ -1027,8 +1016,10 @@ class _Elaborator:
             elif isinstance(st, StTerm):
                 terms.append(st)
             else:
-                do = {"poset": self.do_poset, "dp": self.do_dp, "uncertain": self.do_uncertain}
-                do[st.keyword](st)
+                try:
+                    do[st.keyword](st)
+                except _Fault as e:
+                    self.diags.append(e.diag)
         if not terms:
             self.error("missing term: a model must declare exactly one", self.doc.span)
             return None
@@ -1052,98 +1043,65 @@ class _Elaborator:
             builtin_decls=self.builtin_decls,
         )
 
-    # declarations
-
-    def poset_named(self, ref: str, span: Span) -> Poset | None:
-        p = self.posets.get(ref)
-        if p is None:
-            self.error("unknown poset %r" % ref, span)
-        return p
+    # declarations: each raises _Fault at its first fault and binds nothing
 
     def do_poset(self, st: StDecl):
         e = st.body
         if isinstance(e, PosetReal):
             self.posets[st.name] = RealPlus(e.unit)
             return
-        if isinstance(e, PosetChain):
-            try:
-                self.posets[st.name] = FinitePoset.chain(e.labels, name=st.name)
-            except ValueError as err:
-                self.error(str(err), e.span)
-            return
-        factors = []
-        for ref in e.refs:
-            p = self.poset_named(ref, e.span)
-            if p is None:
-                return
-            factors.append(p)
-        self.posets[st.name] = ProductPoset(factors)
+        try:
+            self.posets[st.name] = FinitePoset.chain(e.labels, name=st.name)
+        except ValueError as err:
+            self.fail(str(err), e.span)
 
-    def space_from_axes(self, axes: list) -> Poset | None:
+    def space_from_axes(self, axes: list) -> Poset:
         parts = []
         for a in axes:
-            if a.ref is not None:
-                p = self.poset_named(a.ref, a.span)
-                if p is None:
-                    return None
-                if isinstance(p, ProductPoset):
-                    self.error(
-                        "axis %r must name a scalar poset, %r is a product"
-                        % (a.name, a.ref),
-                        a.span,
-                    )
-                    return None
-                parts.append(p)
-            else:
+            if a.ref is None:
                 parts.append(RealPlus(a.unit))
+            elif a.ref in self.posets:
+                parts.append(self.posets[a.ref])
+            else:
+                self.fail("unknown poset %r" % a.ref, a.span)
         return parts[0] if len(parts) == 1 else ProductPoset(parts)
 
     def point_element(self, node: PointNode, space: Poset, span_ctx: str):
         want = len(space.factors)
         if len(node.values) != want:
-            self.error(
+            self.fail(
                 "%s point has %d coordinates, space %s has %d"
                 % (span_ctx, len(node.values), space.describe(), want),
                 node.span,
             )
-            return None
         values = [_point_value(p, v) for p, v in zip(space.factors, node.values)]
         element = tuple(values) if want > 1 else values[0]
         try:
             space.check_member(element)
         except DomainError as err:
-            self.error(str(err), node.span)
-            return None
+            self.fail(str(err), node.span)
         return element
 
     def do_dp(self, st: StDecl):
         k = st.body
         if isinstance(k, KBuiltin):
             try:
-                udp = _build_builtin(k)
+                self.uvaluation[st.name] = _build_builtin(k)
             except DomainError as err:
-                self.error(str(err), k.span)
-                return
-            self.uvaluation[st.name] = udp
+                self.fail(str(err), k.span)
             self.axis_names[st.name] = _BUILTINS[k.fn].axes
             self.builtin_decls[st.name] = k
             return
         sig = k.sig
         r_space = self.space_from_axes(sig.r_axes)
-        if r_space is None:
-            return
         if sig.f_axes is None:
-            f_space: Poset | None = UNIT_POSET
+            f_space = UNIT_POSET
             fnames: list = []
         else:
             f_space = self.space_from_axes(sig.f_axes)
             fnames = [a.name for a in sig.f_axes]
-        if f_space is None:
-            return
         rnames = [a.name for a in sig.r_axes]
         dp = self.build_plain_dp(k, f_space, r_space, fnames, rnames)
-        if dp is None:
-            return
         if isinstance(dp, IdentityDP) and sig.f_axes is None:
             # identity without an explicit F(...) mirrors its output axes
             fnames = list(rnames)
@@ -1153,88 +1111,66 @@ class _Elaborator:
 
     def build_plain_dp(self, k, f_space, r_space, fnames, rnames):
         if isinstance(k, KConstant):
-            pts = []
-            for node in k.points:
-                el = self.point_element(node, r_space, "resource")
-                if el is None:
-                    return None
-                pts.append(el)
+            pts = [self.point_element(node, r_space, "resource") for node in k.points]
             return ConstantResource(Antichain(r_space, pts), f_space)
         if isinstance(k, KAffine):
             if not isinstance(f_space, RealPlus):
-                self.error(
+                self.fail(
                     "affine needs a single real functionality axis", k.sig.span
                 )
-                return None
             if not r_space.real_factors:
-                self.error("affine needs real resource axes", k.sig.span)
-                return None
+                self.fail("affine needs real resource axes", k.sig.span)
             width = len(r_space.factors)
             gain = self.scalars_of_width(k.gain, width, "gain")
             offset = self.scalars_of_width(k.offset, width, "offset")
-            if gain is None or offset is None:
-                return None
-            for g in gain:
-                if not (math.isfinite(g) and g >= 0):
-                    self.error("gains must be finite and nonnegative", k.gain.span)
-                    return None
+            if not all(math.isfinite(g) and g >= 0 for g in gain):
+                self.fail("gains must be finite and nonnegative", k.gain.span)
             # the map r_j = o_j + g_j * f, constants in the order o_0, g_0, o_1, ...
             consts = [v for pair in zip(offset, gain) for v in pair]
             parts = ["c[%d] + _times(c[%d], x)" % (2 * j, 2 * j + 1) for j in range(width)]
             return _compiled_map(f_space, r_space, parts, consts)
         if isinstance(k, KCatalogue):
-            entries = []
-            for fnode, rnode in k.entries:
-                fe = self.point_element(fnode, f_space, "functionality")
-                re_ = self.point_element(rnode, r_space, "resource")
-                if fe is None or re_ is None:
-                    return None
-                entries.append((fe, re_))
+            entries = [
+                (
+                    self.point_element(fnode, f_space, "functionality"),
+                    self.point_element(rnode, r_space, "resource"),
+                )
+                for fnode, rnode in k.entries
+            ]
             return Catalogue._of(f_space, r_space, entries)  # point_element checked them
         if isinstance(k, KMap):
             try:
                 return self.build_map_dp(k, f_space, r_space, fnames, rnames)
             except SyntaxError:
                 # deeper than Python compiles: "too many nested parentheses"
-                self.error("map expressions nest too deeply to compile", k.span)
-                return None
+                self.fail("map expressions nest too deeply to compile", k.span)
         if isinstance(k, KSig) and k.word == "identity":
             if k.sig.f_axes is not None and f_space != r_space:
-                self.error(
+                self.fail(
                     "identity must have equal sides, got %s and %s"
                     % (f_space.describe(), r_space.describe()),
                     k.sig.span,
                 )
-                return None
             return IdentityDP(r_space)
         if isinstance(k, KSig):
             return (BottomDP if k.word == "bottom" else TopDP)(f_space, r_space)
         raise TypeError("unknown dp kind %r" % (k,))
 
-    def scalars_of_width(self, node: PointNode, width: int, what: str):
-        if len(node.values) == 1 and width > 1:
-            values = node.values * width
-        elif len(node.values) != width:
-            self.error(
+    def scalars_of_width(self, node: PointNode, width: int, what: str) -> list:
+        values = node.values * width if len(node.values) == 1 else node.values
+        if len(values) != width:
+            self.fail(
                 "%s needs %d values, got %d" % (what, width, len(node.values)),
                 node.span,
             )
-            return None
-        else:
-            values = node.values
-        out = []
-        for v in values:
-            v = _point_value(RealPlus(), v)
-            if not isinstance(v, float):
-                self.error("%s values must be numbers" % what, node.span)
-                return None
-            out.append(v)
+        out = [_point_value(RealPlus(), v) for v in values]
+        if not all(isinstance(v, float) for v in out):
+            self.fail("%s values must be numbers" % what, node.span)
         return out
 
     def build_map_dp(self, k: KMap, f_space, r_space, fnames, rnames):
         if k.sig.f_axes is None:
-            self.error("map needs an explicit F(...) signature", k.sig.span)
-            return None
+            self.fail("map needs an explicit F(...) signature", k.sig.span)
         scalar = len(fnames) == 1
         # name -> (its text in the generated function, its poset); a
         # repeated name reads its last axis
@@ -1247,29 +1183,24 @@ class _Elaborator:
         for a in k.assigns:
             targets = [j for j, n in enumerate(rnames) if n == a.name]
             if not targets:
-                self.error(
+                self.fail(
                     "map assigns %r, which is not an output axis" % a.name, a.span
                 )
-                return None
             if parts[targets[0]] is not None:
-                self.error("output axis %r assigned twice" % a.name, a.span)
-                return None
+                self.fail("output axis %r assigned twice" % a.name, a.span)
             for j in targets:
                 parts[j] = self.compile_expr(a.expr, a.name, r_space.factors[j], axes, consts)
-                if parts[j] is None:
-                    return None
         missing = [n for n, part in zip(rnames, parts) if part is None]
         if missing:
-            self.error(
+            self.fail(
                 "map leaves output axes unassigned: %s" % ", ".join(missing),
                 k.span,
             )
-            return None
         return _compiled_map(f_space, r_space, parts, consts)
 
-    def compile_expr(self, e, out_name: str, out: Poset, axes: dict, consts: list):
+    def compile_expr(self, e, out_name: str, out: Poset, axes: dict, consts: list) -> str:
         """Python text computing e for the output axis out_name on poset
-        out, or None after reporting the first fault, left to right.
+        out; the first fault, left to right, raises.
 
         The text reads x, the functionality value, and c, the constants
         (appended to consts), and calls _times, max and min; no model
@@ -1283,42 +1214,36 @@ class _Elaborator:
         if isinstance(e, EVar):
             axis = axes.get(e.name)
             if axis is None:
-                self.error(
+                self.fail(
                     "unknown functionality %r in map expression" % e.name, e.span
                 )
-                return None
             text, p = axis
             if isinstance(out, FinitePoset):
                 if p != out:
-                    self.error(
+                    self.fail(
                         "map output %r on %s cannot read %r on %s: a chain output "
                         "takes a functionality on the same chain"
                         % (out_name, out.describe(), e.name, p.describe()),
                         e.span,
                     )
-                    return None
             elif not _reads_as_number(p):
-                self.error(
+                self.fail(
                     "map output %r is real, but %r is on chain %s, whose labels "
                     "are not numbers increasing upward" % (out_name, e.name, p.describe()),
                     e.span,
                 )
-                return None
             return text
         if isinstance(out, FinitePoset):
-            self.error(
+            self.fail(
                 "map output %r on %s must be a functionality on the same chain, "
                 "not a computed value" % (out_name, out.describe()),
                 e.span,
             )
-            return None
         if isinstance(e, ENum):
             consts.append(e.value)
             return "c[%d]" % (len(consts) - 1)
         left = self.compile_expr(e.left, out_name, out, axes, consts)
-        right = left and self.compile_expr(e.right, out_name, out, axes, consts)
-        if right is None:
-            return None
+        right = self.compile_expr(e.right, out_name, out, axes, consts)
         if e.op == "+":
             # + groups to the left in Python as in the model language
             if isinstance(e.right, EBin) and e.right.op == "+":
@@ -1328,38 +1253,29 @@ class _Elaborator:
 
     def do_uncertain(self, st: StDecl):
         k = st.body
-        if isinstance(k, UPm):
-            dp = self.plain_dps.get(k.dp_name)
-            if dp is None:
-                self.error("pm needs a plain catalogue, %r is not one" % k.dp_name, k.span)
-                return
-            if not 0 <= k.percent < 100:
-                self.error("spread must satisfy 0 <= p < 100", k.span)
-                return
-
-            def build():
-                return scale_catalogue(dp, k.percent / 100.0)
-
-            axes_of = k.dp_name
-        else:
-            lo = self.plain_dps.get(k.lower_name)
-            hi = self.plain_dps.get(k.upper_name)
-            if lo is None or hi is None:
-                which = k.lower_name if lo is None else k.upper_name
-                self.error("interval needs plain design problems, %r is not one" % which, k.span)
-                return
-
-            def build():
+        try:
+            if isinstance(k, UPm):
+                dp = self.plain_dps.get(k.dp_name)
+                if dp is None:
+                    self.fail("pm needs a plain catalogue, %r is not one" % k.dp_name, k.span)
+                if not 0 <= k.percent < 100:
+                    self.fail("spread must satisfy 0 <= p < 100", k.span)
+                udp = scale_catalogue(dp, k.percent / 100.0)
+                axes_of = k.dp_name
+            else:
+                lo = self.plain_dps.get(k.lower_name)
+                hi = self.plain_dps.get(k.upper_name)
+                if lo is None or hi is None:
+                    which = k.lower_name if lo is None else k.upper_name
+                    self.fail(
+                        "interval needs plain design problems, %r is not one" % which, k.span
+                    )
                 udp = UncertainDP(lo, hi)
                 check_udp(udp)
-                return udp
-
-            axes_of = k.lower_name
-        try:
-            self.uvaluation[st.name] = build()
+                axes_of = k.lower_name
         except DomainError as err:
-            self.error(str(err), k.span)
-            return
+            self.fail(str(err), k.span)
+        self.uvaluation[st.name] = udp
         self.axis_names[st.name] = self.axis_names[axes_of]
 
     # term type checking

@@ -14,6 +14,7 @@ from mcdsolve.cli import (
     EXIT_OK,
     main,
 )
+from mcdsolve.errors import DomainError
 from mcdsolve.examples import example_path
 from mcdsolve.modellang import _BUILTINS, load_model
 
@@ -61,6 +62,30 @@ dp h = catalogue F(g[W], a[W], b[W]) R(a[W], b[W]) {
   (0, 0, 0) -> (1, 0), (0, 0, 0) -> (0, 1), (0, 1, 0) -> (0, 2),
   (0, 0, 1) -> (2, 0), (0, 5, 5) -> (3, 3) }
 term loop(h)
+"""
+
+# declaration kinds solved end to end: constant with F(...), bottom and
+# axes on a declared real poset here; constant without F(...), which
+# leaves the model no functionality, and top below
+KINDS_MODEL = """\
+poset watts = R+[W]
+poset lvl = chain {low, high}
+dp c = constant F(x:watts) R(y[$]) {3.0}
+dp b = bottom F(x[W], l:lvl) R(q[$])
+dp pick = map F(x[W], l:lvl) R(x2[W]) { x2 = x }
+term par(series(pick, c), b)
+"""
+
+NO_FUNCTIONALITY_MODEL = """\
+poset lvl = chain {low, high}
+dp c = constant R(y[$], z:lvl) {(3.0, low), (1.0, high)}
+term c
+"""
+
+TOP_MODEL = """\
+poset watts = R+[W]
+dp t = top F(x:watts) R(y[$])
+term t
 """
 
 
@@ -146,6 +171,18 @@ class TestCheck:
 
     def test_missing_file(self, capsys):
         assert main(["check", "/nonexistent/x.mcd"]) == EXIT_ERROR
+
+    @pytest.mark.parametrize("command", ["check", "solve", "sweep"])
+    def test_file_not_utf8_is_an_error(self, command, tmp_path, capsys):
+        path = tmp_path / "latin1.mcd"
+        path.write_bytes(b"model caf\xe9\nterm a\n")
+        assert main([command, str(path)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: %s: 'utf-8' codec can't decode byte 0xe9 in position 9: "
+            "invalid continuation byte\n" % path
+        )
 
     def test_word_inf_in_a_point_on_a_chain_axis_is_the_label(self, inf_label_model, capsys):
         assert main(["check", inf_label_model]) == EXIT_OK
@@ -270,6 +307,25 @@ class TestSolve:
             "iterations_lower,iterations_upper,status"
         )
         assert out[1] == "6.0,7.5,9.0,feasible,0,0,ok"
+
+    @pytest.mark.parametrize("text, args, code, row", [
+        (KINDS_MODEL, ["--f", "1=2", "--f", "2=low", "--f", "3=1", "--f", "4=high"], EXIT_OK,
+         '"(2.0,low,1.0,high)","(3.0,0.0)","(3.0,0.0)",feasible,0,0,ok'),
+        (NO_FUNCTIONALITY_MODEL, [], EXIT_OK,
+         '*,"(1.0,high);(3.0,low)","(1.0,high);(3.0,low)",feasible,0,0,ok'),
+        (TOP_MODEL, ["--f", "x=1"], EXIT_INFEASIBLE, "1.0,,,infeasible,0,0,ok"),
+    ], ids=["constant-bottom-declared-real", "no-functionality", "top"])
+    def test_declaration_kinds(self, text, args, code, row, tmp_path, capsys):
+        path = tmp_path / "kinds.mcd"
+        path.write_text(text)
+        assert main(["solve", str(path), *args, "--format", "csv"]) == code
+        assert capsys.readouterr().out.splitlines()[1] == row
+
+    def test_no_functionality_query(self):
+        model, _ = load_model(NO_FUNCTIONALITY_MODEL)
+        assert model.build_query({}) == "*"
+        with pytest.raises(DomainError, match="takes no functionality arguments"):
+            model.build_query({"1": 2.0})
 
 
 UAV = str(example_path("uav"))
