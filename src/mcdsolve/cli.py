@@ -179,7 +179,7 @@ def cmd_check(args) -> int:
     )
     print(
         "functionality: %s"
-        % ", ".join("%s:%s" % (n, p.describe()) for n, p in model.query_axes())
+        % (", ".join("%s:%s" % (n, p.describe()) for n, p in model.query_axes()) or "none")
     )
     print(
         "resources: %s"

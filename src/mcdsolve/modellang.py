@@ -41,38 +41,42 @@ Grammar (EBNF; # starts a comment, statements begin at column 1):
 Omitting F(...) gives a constant a trivial one-point functionality.
 `map` bodies are monotone by construction: nonnegative constants,
 functionality names, +, *, max, min.  Elaboration compiles each body
-once into one Python function of the functionality value, generated
-from the expression tree and holding no model text, and types each
-output on the way (compile_expr): a real output reads numbers, real
-axes and chains of increasing numbers, a chain output is a bare axis
-on an equal chain, and anything else, like an unknown name, is a
-diagnostic.  The outputs are then members by construction and are not
-checked when the map runs.  affine is compiled the same way, as the
-map r_i = o_i + g_i * f.  The parser and the elaborator raise a _Fault
-at the first fault of a statement, record its diagnostic and go on with
-the next statement, so elaboration reports the first fault of each
-declaration; the term reports one for each faulty side of a series or
-par.  A duplicate name anywhere (posets, dps, uncertains share one
-namespace) is an error.  A node's span is the position where it starts,
-the line and column of its first token, which is what a diagnostic
-reports.  poset, dp and uncertain statements are one node, StDecl,
-holding the keyword, the name and the parsed body.  A term statement
-parses straight into the kernel's term type (dp.Atom, Series,
-Par, Loop).  A number read as a chain element, in a chain or in a point
-on a chain axis, is an int when integral (chain_number).  A point keeps
-the word inf as written: on a chain axis it is the label inf, as in a
-chain or a --f query, and on a real axis it is infinity.  Each builtin's
-argument layout, axis names and relaxations constructor live in one
-table, _BUILTINS, which the parser, renderer, elaborator and reserved
-words all read.  Brackets (a parenthesis, max( or min( in a map
-expression; series(, par( or loop( in a term) nest at most MAX_NESTING
-levels, and so does a chain like a + b + c, where each operator after
-the first opens a level (parse_mexpr); so deep text is a diagnostic,
-never a RecursionError.
+once into one Python function of the functionality value, generated from
+the expression tree and holding no model text, and types each output on
+the way (compile_expr): a real output reads numbers, real axes and
+chains of increasing numbers, a chain output is a bare axis on an equal
+chain, and anything else, like an unknown name, is a diagnostic.  The
+outputs are then members by construction and are not checked when the
+map runs.  affine is compiled the same way, as the map r_i = o_i +
+g_i * f.  The parser and the elaborator raise a _Fault at the first
+fault of a statement, record its diagnostic and go on with the next
+statement, so elaboration reports the first fault of each declaration;
+the term reports one for each faulty side of a series or par.  A
+duplicate name anywhere (posets, dps, uncertains share one namespace) is
+an error.  A token is a (kind, text, offset) tuple, read by one match
+with the whitespace and comments after it; a node's span is the offset
+of its first token.  A diagnostic's line and column are found from an
+offset when it is made, by bisecting a table of the text's line starts
+(_Lines, which the Document keeps).  poset, dp and uncertain statements
+are one node, StDecl, holding the keyword, the name and the parsed body.
+A term statement parses straight into the kernel's term type (dp.Atom,
+Series, Par, Loop).  Catalogue points are checked a column at a time.  A
+number read as a chain element, in a chain or in a point on a chain
+axis, is an int when integral (chain_number).  A point keeps the word
+inf as written: on a chain axis it is the label inf, as in a chain or a
+--f query, and on a real axis it is infinity.  Each builtin's argument
+layout, axis names and relaxations constructor live in one table,
+_BUILTINS, which the parser, renderer, elaborator and reserved words all
+read.  Map expressions and terms are read with an explicit stack, not by
+recursion.  Brackets (a parenthesis, max( or min( in a map expression;
+series(, par( or loop( in a term) nest at most MAX_NESTING levels, and
+so does a chain like a + b + c, where each operator after the first
+opens a level (parse_mexpr); deeper text is a diagnostic.
 """
 
 import math
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -125,27 +129,9 @@ _BUILTINS = {
 RESERVED = frozenset(
     KEYWORDS
     + tuple(_BUILTINS)
-    + (
-        "chain",
-        "constant",
-        "affine",
-        "catalogue",
-        "map",
-        "identity",
-        "bottom",
-        "top",
-        "gain",
-        "offset",
-        "series",
-        "par",
-        "loop",
-        "pm",
-        "interval",
-        "inf",
-        "max",
-        "min",
-        "F",
-        "R",
+    + tuple(
+        "chain constant affine catalogue map identity bottom top gain offset "
+        "series par loop pm interval inf max min F R".split()
     )
 )
 
@@ -153,10 +139,10 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 _PREC = {"+": 1, "*": 2}  # how tightly map operators bind, for parsing and printing
 
-# Levels of brackets a map expression or a term may nest.  The parser
-# takes up to four Python frames a level, so 200 levels stay well inside
-# the default recursion limit of 1000 frames, and Python compiles a map
-# only to 200 nested parentheses anyway.
+# Levels of brackets a map expression or a term may nest: a rule of the
+# language.  The parser keeps its own stack; the elaborator recurses one
+# or two frames a level, and Python compiles a map only to 200 nested
+# parentheses anyway.
 MAX_NESTING = 200
 
 
@@ -166,20 +152,34 @@ def chain_number(v: float):
     return int(v) if v.is_integer() else v
 
 
-def _point_value(axis: Poset, v):
-    """A point's coordinate as its axis reads it: on a chain axis a number
-    is an element by chain_number and the word inf is the label inf; on a
-    real axis the word inf is infinity."""
+def _reader(axis: Poset) -> Callable:
+    """How axis reads a point's coordinate: on a chain axis a number is an
+    element by chain_number and the word inf is the label inf; on a real
+    axis the word inf is infinity."""
     if isinstance(axis, FinitePoset):
-        return chain_number(v) if isinstance(v, float) else v
-    return math.inf if v == "inf" else v
+        return lambda v: chain_number(v) if isinstance(v, float) else v
+    return lambda v: math.inf if v == "inf" else v
 
 
 class Span(NamedTuple):
-    """Where a token or node starts: 1-based line and column."""
+    """Where a diagnostic points: 1-based line and column."""
 
     line: int
     col: int
+
+
+class _Lines:
+    """The line and column of an offset in a text, by bisecting a table
+    of the offsets where its lines start, made on the first call."""
+
+    def __init__(self, text: str):
+        self.text, self.starts = text, None
+
+    def span(self, offset: int) -> Span:
+        if self.starts is None:
+            self.starts = [0] + [m.end() for m in re.finditer("\n", self.text)]
+        line = bisect_right(self.starts, offset)
+        return Span(line, offset - self.starts[line - 1] + 1)
 
 
 def _sp():
@@ -199,45 +199,28 @@ class Diagnostic:
 
 # --- lexer ------------------------------------------------------------------
 
-
-@dataclass(slots=True)  # one per token: slots keep a model's token list small
-class Token:
-    kind: str
-    text: str
-    span: Span
-
-
+_SKIP = r"(?:[ \t\r\n]+|#[^\n]*)*"  # whitespace and comments
+_SKIP_RE = re.compile(_SKIP)
 _TOKEN_RE = re.compile(
-    r"(?P<skip>[ \t\r]+|#[^\n]*)"
-    r"|(?P<nl>\n)"
+    r"(?:(?P<word>[A-Za-z_$][A-Za-z0-9_$/^]*)"
+    r"|(?P<punct>->|<=|[(){}\[\],;=:%+*])"
     r"|(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+)"
-    r"|(?P<arrow>->)"
-    r"|(?P<le><=)"
-    r"|(?P<word>[A-Za-z_$][A-Za-z0-9_$/^]*)"
     r"|(?P<string>\"[^\"\n]*\")"
-    r"|(?P<punct>[(){}\[\],;=:%+*])"
-    r"|(?P<bad>.)"
+    r"|(?P<bad>.))" + _SKIP
 )
 
 
-def tokenize(text: str, diagnostics: list) -> list[Token]:
-    toks: list[Token] = []
-    line = 1
-    line_start = 0
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "nl":
-            line += 1
-            line_start = m.end()
-        elif kind != "skip":
-            span = Span(line, m.start() - line_start + 1)
-            if kind == "bad":
-                diagnostics.append(Diagnostic("unexpected character %r" % m.group(), span))
-            else:
-                if kind in ("punct", "arrow", "le"):
-                    kind = m.group()
-                toks.append(Token(kind, m.group(), span))
-    toks.append(Token("eof", "", Span(line, len(text) - line_start + 1)))
+def tokenize(text: str, diagnostics: list) -> list[tuple]:
+    """(kind, text, offset) of each token, then ("eof", "", len(text)).
+    A character that starts no token is a diagnostic, not a token."""
+    start = _SKIP_RE.match(text).end()
+    toks = [(m.lastgroup, m[m.lastindex], m.start()) for m in _TOKEN_RE.finditer(text, start)]
+    bad = [t for t in toks if t[0] == "bad"]
+    if bad:
+        at = _Lines(text).span
+        diagnostics += [Diagnostic("unexpected character %r" % c, at(off)) for _, c, off in bad]
+        toks = [t for t in toks if t[0] != "bad"]
+    toks.append(("eof", "", len(text)))
     return toks
 
 
@@ -247,13 +230,13 @@ def tokenize(text: str, diagnostics: list) -> list[Token]:
 @dataclass
 class PosetReal:
     unit: str
-    span: Span = _sp()
+    span: int = _sp()
 
 
 @dataclass
 class PosetChain:
     labels: list
-    span: Span = _sp()
+    span: int = _sp()
 
 
 @dataclass
@@ -261,39 +244,39 @@ class Axis:
     name: str
     unit: str | None
     ref: str | None
-    span: Span = _sp()
+    span: int = _sp()
 
 
 @dataclass
 class Sig:
     f_axes: list | None
     r_axes: list
-    span: Span = _sp()
+    span: int = _sp()
 
 
 @dataclass
 class PointNode:
     values: list
-    span: Span = _sp()
+    span: int = _sp()
 
 
 @dataclass
 class Assign:
     name: str
     expr: object
-    span: Span = _sp()
+    span: int = _sp()
 
 
 @dataclass
 class ENum:
     value: float
-    span: Span = _sp()
+    span: int = _sp()
 
 
 @dataclass
 class EVar:
     name: str
-    span: Span = _sp()
+    span: int = _sp()
 
 
 @dataclass
@@ -301,14 +284,14 @@ class EBin:
     op: str
     left: object
     right: object
-    span: Span = _sp()
+    span: int = _sp()
 
 
 @dataclass
 class KConstant:
     sig: Sig
     points: list
-    span: Span = _sp()
+    span: int = _sp()
 
 
 @dataclass
@@ -316,28 +299,28 @@ class KAffine:
     sig: Sig
     gain: PointNode
     offset: PointNode
-    span: Span = _sp()
+    span: int = _sp()
 
 
 @dataclass
 class KCatalogue:
     sig: Sig
     entries: list
-    span: Span = _sp()
+    span: int = _sp()
 
 
 @dataclass
 class KMap:
     sig: Sig
     assigns: list
-    span: Span = _sp()
+    span: int = _sp()
 
 
 @dataclass
 class KSig:
     word: str  # identity, bottom or top: kinds given by their signature alone
     sig: Sig
-    span: Span = _sp()
+    span: int = _sp()
 
 
 @dataclass
@@ -345,28 +328,28 @@ class KBuiltin:
     fn: str
     numbers: list
     units: list
-    span: Span = _sp()
+    span: int = _sp()
 
 
 @dataclass
 class UPm:
     dp_name: str
     percent: float
-    span: Span = _sp()
+    span: int = _sp()
 
 
 @dataclass
 class UInterval:
     lower_name: str
     upper_name: str
-    span: Span = _sp()
+    span: int = _sp()
 
 
 @dataclass
 class StModel:
     name: str
     description: str
-    span: Span = _sp()
+    span: int = _sp()
 
 
 @dataclass
@@ -374,19 +357,20 @@ class StDecl:
     keyword: str  # poset, dp or uncertain
     name: str
     body: object
-    span: Span = _sp()
+    span: int = _sp()
 
 
 @dataclass
 class StTerm:
     expr: object
-    span: Span = _sp()
+    span: int = _sp()
 
 
 @dataclass
 class Document:
     statements: list
-    span: Span = _sp()
+    span: int = _sp()
+    lines: _Lines = _sp()  # the spans of the text's offsets
 
 
 @dataclass
@@ -411,59 +395,76 @@ class _Fault(Exception):
         self.diag = diag
 
 
+@dataclass(slots=True)
+class _Chain:
+    """A chain of a map expression still open (see _Parser.parse_mexpr)."""
+
+    min_prec: int
+    depth: int
+    bracket: list | None  # [opening token, first argument or None], if a bracket holds it
+    left: object = None  # the expression read so far
+    level: int = 0
+    op: str = ""  # its last operator, "" before the first
+
+
 class _Parser:
-    def __init__(self, tokens: list[Token], diagnostics: list):
-        self.toks = tokens
+    def __init__(self, text: str, diagnostics: list):
+        self.toks = tokenize(text, diagnostics)
         self.i = 0
         self.diags = diagnostics
-        self.declared: dict[str, Span] = {}
+        self.lines = _Lines(text)
+        self.declared: dict[str, int] = {}
 
-    def cur(self) -> Token:
+    def cur(self) -> tuple:
         return self.toks[self.i]
 
-    def advance(self) -> Token:
+    def advance(self) -> tuple:
         tok = self.toks[self.i]
-        if tok.kind != "eof":
+        if tok[0] != "eof":
             self.i += 1
         return tok
 
     def at(self, text: str) -> bool:
-        return self.cur().text == text and self.cur().kind != "string"
+        # a string keeps its quotes, so it never reads as a word or a sign
+        return self.toks[self.i][1] == text
 
-    def _describe(self, tok: Token) -> str:
-        return "end of file" if tok.kind == "eof" else repr(tok.text)
+    def _describe(self, tok: tuple) -> str:
+        return "end of file" if tok[0] == "eof" else repr(tok[1])
 
-    def fail(self, message: str, tok: Token | None = None):
+    def fail(self, message: str, tok: tuple | None = None):
         tok = tok or self.cur()
-        raise _Fault(Diagnostic(message, tok.span))
+        raise _Fault(Diagnostic(message, self.lines.span(tok[2])))
 
-    def expect(self, text: str) -> Token:
-        if not self.at(text):
-            self.fail("expected %r, found %s" % (text, self._describe(self.cur())))
-        return self.advance()
+    def expect(self, text: str) -> tuple:
+        tok = self.toks[self.i]
+        if tok[1] != text:
+            self.fail("expected %r, found %s" % (text, self._describe(tok)))
+        self.i += 1  # not past the end: eof matches no text expected
+        return tok
 
-    def expect_name(self, what: str = "a name") -> Token:
+    def expect_name(self, what: str = "a name") -> tuple:
         tok = self.cur()
-        if tok.kind != "word" or not _NAME_RE.match(tok.text):
+        if tok[0] != "word" or not _NAME_RE.match(tok[1]):
             self.fail("expected %s, found %s" % (what, self._describe(tok)))
-        if tok.text in RESERVED:
-            self.fail("%r is a reserved word" % tok.text)
+        if tok[1] in RESERVED:
+            self.fail("%r is a reserved word" % tok[1])
         return self.advance()
 
-    def expect_unit(self) -> Token:
-        tok = self.cur()
-        if tok.kind != "word":
-            self.fail("expected a unit, found %s" % self._describe(tok))
-        return self.advance()
+    def expect_unit(self) -> str:
+        return self.expect_kind("word", "a unit")
 
     def expect_num(self) -> float:
-        tok = self.cur()
-        if tok.kind != "num":
-            self.fail("expected a number, found %s" % self._describe(tok))
-        self.advance()
-        return float(tok.text)
+        return float(self.expect_kind("num", "a number"))
 
-    def deeper(self, depth: int, tok: Token) -> int:
+    def expect_kind(self, kind: str, what: str) -> str:
+        """The text of the current token, which must be a kind token."""
+        tok = self.cur()
+        if tok[0] != kind:
+            self.fail("expected %s, found %s" % (what, self._describe(tok)))
+        self.i += 1
+        return tok[1]
+
+    def deeper(self, depth: int, tok: tuple) -> int:
         """Nesting level of the brackets tok opens, inside depth levels."""
         if depth >= MAX_NESTING:
             self.fail("nested deeper than %d levels" % MAX_NESTING, tok)
@@ -477,33 +478,27 @@ class _Parser:
             items.append(item())
         return items
 
-    def declare(self, tok: Token):
-        name = tok.text
-        if name in self.declared:
-            first = self.declared[name]
-            self.diags.append(
-                Diagnostic(
-                    "duplicate identifier %r (first declared at %d:%d)"
-                    % (name, first.line, first.col),
-                    tok.span,
-                )
-            )
-        else:
-            self.declared[name] = tok.span
+    def declare(self, tok: tuple):
+        _, name, offset = tok
+        first = self.declared.setdefault(name, offset)
+        if first != offset:
+            message = "duplicate identifier %r (first declared at %d:%d)" % (
+                name, *self.lines.span(first))
+            self.diags.append(Diagnostic(message, self.lines.span(offset)))
 
     # statements
 
     def parse_document(self) -> Document:
         statements = []
         first = self.cur()
-        while self.cur().kind != "eof":
+        while self.cur()[0] != "eof":
             tok = self.cur()
             try:
-                if tok.text == "model":
+                if tok[1] == "model":
                     statements.append(self.parse_model())
-                elif tok.text in _DECLS:
+                elif tok[1] in _DECLS:
                     statements.append(self.parse_decl())
-                elif tok.text == "term":
+                elif tok[1] == "term":
                     statements.append(self.parse_term_stmt())
                 else:
                     self.fail(
@@ -513,101 +508,91 @@ class _Parser:
             except _Fault as e:
                 self.diags.append(e.diag)
                 self.recover()
-        return Document(statements, span=first.span)
+        return Document(statements, span=first[2], lines=self.lines)
 
     def recover(self):
-        """Skip to the next statement keyword at the start of a line.
-
-        The failure position may already sit on that keyword (a statement
-        cut short by the next one); resume there without skipping it.
-        Statement parsers always consume their leading keyword first, so
-        this cannot loop.
-        """
-        while self.cur().kind != "eof":
-            tok = self.cur()
-            if tok.text in KEYWORDS and tok.span.col == 1:
+        """Skip to the next statement keyword at the start of a line, or stay
+        on it (a statement cut short by the next one); statement parsers
+        consume their keyword first, so this cannot loop."""
+        while self.cur()[0] != "eof":
+            _, text, offset = self.cur()
+            if text in KEYWORDS and self.lines.span(offset).col == 1:
                 return
             self.advance()
 
     def parse_model(self) -> StModel:
         kw = self.expect("model")
         name = self.expect_name("a model name")
-        desc = ""
-        if self.cur().kind == "string":
-            desc = self.advance().text[1:-1]
-        return StModel(name.text, desc, span=kw.span)
+        desc = self.advance()[1][1:-1] if self.cur()[0] == "string" else ""
+        return StModel(name[1], desc, span=kw[2])
 
     def parse_decl(self) -> StDecl:
         kw = self.advance()
-        what, body = _DECLS[kw.text]
+        what, body = _DECLS[kw[1]]
         name = self.expect_name(what)
         self.declare(name)
         self.expect("=")
-        return StDecl(kw.text, name.text, body(self), span=kw.span)
+        return StDecl(kw[1], name[1], body(self), span=kw[2])
 
     def parse_poset_expr(self):
         tok = self.cur()
-        if tok.text == "R":
+        if tok[1] == "R":
             self.advance()
             self.expect("+")
             self.expect("[")
             unit = self.expect_unit()
             self.expect("]")
-            return PosetReal(unit.text, span=tok.span)
-        if tok.text == "chain":
+            return PosetReal(unit, span=tok[2])
+        if tok[1] == "chain":
             self.advance()
             self.expect("{")
             labels = self.comma_list(self.parse_elem)
             self.expect("}")
-            return PosetChain(labels, span=tok.span)
+            return PosetChain(labels, span=tok[2])
         self.fail("expected a poset expression (R+[...], chain)")
 
     def parse_elem(self):
-        tok = self.cur()
-        if tok.kind == "num":
+        kind, text, _ = tok = self.cur()
+        if kind == "num":
             self.advance()
-            return chain_number(float(tok.text))
-        if tok.kind == "word":
+            return chain_number(float(text))
+        if kind == "word":
             self.advance()
-            return tok.text
+            return text
         self.fail("expected a chain element, found %s" % self._describe(tok))
 
     def parse_dp_kind(self):
         tok = self.cur()
-        if tok.text == "constant":
-            self.advance()
-            sig = self.parse_sig()
+        word, span = tok[1], tok[2]
+        if word in _BUILTINS:
+            return self.parse_builtin()
+        if word not in ("constant", "affine", "catalogue", "map", "identity", "bottom", "top"):
+            self.fail("unknown design problem kind %s" % self._describe(tok))
+        self.advance()
+        sig = self.parse_sig()
+        if word == "constant":
             self.expect("{")
             points = self.comma_list(self.parse_point)
             self.expect("}")
-            return KConstant(sig, points, span=tok.span)
-        if tok.text == "affine":
-            self.advance()
-            sig = self.parse_sig()
+            return KConstant(sig, points, span=span)
+        if word == "affine":
             self.expect("gain")
             gain = self.parse_point()
             self.expect("offset")
-            offset = self.parse_point()
-            return KAffine(sig, gain, offset, span=tok.span)
-        if tok.text == "catalogue":
-            self.advance()
-            sig = self.parse_sig()
+            return KAffine(sig, gain, self.parse_point(), span=span)
+        if word == "catalogue":
             self.expect("{")
             entries = []
-            while not self.at("}") and self.cur().kind != "eof":
+            while not self.at("}") and self.cur()[0] != "eof":
                 fpoint = self.parse_point()
                 self.expect("->")
-                rpoint = self.parse_point()
-                entries.append((fpoint, rpoint))
-                if self.at(","):
-                    self.advance()
-                else:
+                entries.append((fpoint, self.parse_point()))
+                if not self.at(","):
                     break
+                self.advance()
             self.expect("}")
-            return KCatalogue(sig, entries, span=tok.span)
-        if tok.text == "map":
-            self.advance()
-            sig = self.parse_sig()
+            return KCatalogue(sig, entries, span=span)
+        if word == "map":
             self.expect("{")
             assigns = [self.parse_assign()]
             while self.at(";"):
@@ -616,27 +601,22 @@ class _Parser:
                     break
                 assigns.append(self.parse_assign())
             self.expect("}")
-            return KMap(sig, assigns, span=tok.span)
-        if tok.text in ("identity", "bottom", "top"):
-            self.advance()
-            return KSig(tok.text, self.parse_sig(), span=tok.span)
-        if tok.text in _BUILTINS:
-            return self.parse_builtin()
-        self.fail("unknown design problem kind %s" % self._describe(tok))
+            return KMap(sig, assigns, span=span)
+        return KSig(word, sig, span=span)
 
     def parse_builtin(self) -> KBuiltin:
         fn = self.advance()
-        spec = _BUILTINS[fn.text]
+        spec = _BUILTINS[fn[1]]
         self.expect("(")
         numbers = self.comma_list(self.expect_num, spec.numbers)
         units = []
         comma = spec.sep != " "
-        if self.at(",") if comma else self.cur().kind == "word":
+        if self.at(",") if comma else self.cur()[0] == "word":
             if comma:
                 self.advance()
-            units = self.comma_list(lambda: self.expect_unit().text, spec.units)
+            units = self.comma_list(self.expect_unit, spec.units)
         self.expect(")")
-        return KBuiltin(fn.text, numbers, units, span=fn.span)
+        return KBuiltin(fn[1], numbers, units, span=fn[2])
 
     def parse_sig(self) -> Sig:
         f_axes = None
@@ -650,98 +630,116 @@ class _Parser:
         self.expect("(")
         r_axes = self.comma_list(self.parse_axis)
         self.expect(")")
-        return Sig(f_axes, r_axes, span=start.span)
+        return Sig(f_axes, r_axes, span=start[2])
 
     def parse_axis(self) -> Axis:
-        name = self.expect_name("an axis name")
+        _, name, span = self.expect_name("an axis name")
         if self.at("["):
             self.advance()
             unit = self.expect_unit()
             self.expect("]")
-            return Axis(name.text, unit.text, None, span=name.span)
+            return Axis(name, unit, None, span=span)
         if self.at(":"):
             self.advance()
             ref = self.expect_name("a poset name")
-            return Axis(name.text, None, ref.text, span=name.span)
-        self.fail("axis %r needs [unit] or :poset" % name.text)
+            return Axis(name, None, ref[1], span=span)
+        self.fail("axis %r needs [unit] or :poset" % name)
 
     def parse_point(self) -> PointNode:
-        tok = self.cur()
-        if self.at("("):
-            self.advance()
-            values = self.comma_list(self.parse_scalar)
+        """point = scalar | "(" scalar { "," scalar } ")", read in one loop
+        over its tokens; a scalar is a number or a word, inf too, which the
+        axis reads."""
+        toks, i = self.toks, self.i
+        span = toks[i][2]
+        bracket = toks[i][1] == "("
+        i += bracket
+        values = []
+        while True:
+            kind, text, _ = toks[i]
+            if kind not in ("num", "word"):
+                self.i = i
+                self.fail("expected a number, 'inf', or a label, found %s"
+                          % self._describe(toks[i]))
+            values.append(float(text) if kind == "num" else text)
+            i += 1
+            if not bracket or toks[i][1] != ",":
+                break
+            i += 1
+        self.i = i
+        if bracket:
             self.expect(")")
-        else:
-            values = [self.parse_scalar()]
-        return PointNode(values, span=tok.span)
-
-    def parse_scalar(self):
-        tok = self.cur()
-        if tok.kind == "num":
-            self.advance()
-            return float(tok.text)
-        if tok.kind == "word":  # inf too: the axis decides what it means
-            self.advance()
-            return tok.text
-        self.fail("expected a number, 'inf', or a label, found %s" % self._describe(tok))
+        return PointNode(values, span=span)
 
     def parse_assign(self) -> Assign:
         name = self.expect_name("an output axis name")
         self.expect("=")
-        expr, _ = self.parse_mexpr()
-        return Assign(name.text, expr, span=name.span)
+        return Assign(name[1], self.parse_mexpr(), span=name[2])
 
-    def parse_mexpr(self, min_prec: int = 1, depth: int = 0):
-        """Operands joined by + and * at precedence min_prec or above,
-        grouped to the left, inside depth levels; returns the expression
-        and the deepest level it reaches.
+    def parse_mexpr(self):
+        """A map expression, read with a stack of open chains: operands
+        joined by operators of the chain's min_prec or above, grouped to the
+        left, inside depth levels.  The operand after an operator is a chain
+        at its precedence plus one; each argument of a bracket is a chain
+        one level deeper.  A chain a + b + c is a tree as deep as it is long,
+        so each operator after its first opens a level past the deepest one
+        reached so far, by the chain and by its operands."""
+        chains = [_Chain(1, 0, None)]
+        while True:
+            chain = chains[-1]
+            tok = self.cur()
+            if chain.left is None:  # its first operand
+                if tok[1] in ("(", "max", "min"):
+                    inner = self.deeper(chain.depth, tok)
+                    self.advance()
+                    if tok[1] != "(":
+                        self.expect("(")
+                    chains.append(_Chain(1, inner, [tok, None]))
+                else:
+                    chain.left, chain.level = self.parse_operand(), chain.depth
+                continue
+            prec = _PREC.get(tok[1], 0)
+            if prec >= chain.min_prec:
+                self.advance()
+                if chain.op:
+                    chain.level = self.deeper(chain.level, tok)
+                chain.op = tok[1]
+                chains.append(_Chain(prec + 1, chain.depth, None))
+                continue
+            chains.pop()
+            node, level = chain.left, chain.level
+            if chain.bracket is not None:
+                opener, first = chain.bracket
+                if opener[1] != "(" and first is None:  # max( or min( reads a second argument
+                    self.expect(",")
+                    chains.append(_Chain(1, chain.depth, [opener, (node, level)]))
+                    continue
+                self.expect(")")
+                if first is not None:
+                    node = EBin(opener[1], first[0], node, span=opener[2])
+                    level = max(first[1], level)
+            if not chains:
+                return node
+            outer = chains[-1]  # node is its first operand or the right one of its operator
+            if outer.left is None:
+                outer.left, outer.level = node, level
+            else:
+                outer.left = EBin(outer.op, outer.left, node, span=outer.left.span)
+                outer.level = max(outer.level, level)
 
-        A chain a + b + c is a tree as deep as the chain is long, so
-        each operator that extends one (every operator after its first)
-        opens a level past the deepest one reached so far, by the chain
-        and by the operands it has read.  The levels then bound the
-        depth of every expression tree, not only its brackets."""
-        left, level = self.parse_mfactor(depth)
-        extends = False
-        while _PREC.get(self.cur().text, 0) >= min_prec:
-            tok = self.advance()
-            if extends:
-                level = self.deeper(level, tok)
-            extends = True
-            right, reached = self.parse_mexpr(_PREC[tok.text] + 1, depth)
-            level = max(level, reached)
-            left = EBin(tok.text, left, right, span=left.span)
-        return left, level
-
-    def parse_mfactor(self, depth: int):
-        """One operand inside depth levels, and the deepest level it reaches."""
-        tok = self.cur()
-        if tok.kind == "num":
+    def parse_operand(self):
+        """A number or a name in a map expression."""
+        kind, text, span = tok = self.cur()
+        if kind == "num":
             self.advance()
-            return ENum(float(tok.text), span=tok.span), depth
-        if tok.text in ("max", "min"):
-            inner = self.deeper(depth, tok)
+            return ENum(float(text), span=span)
+        if kind == "word" and _NAME_RE.match(text) and text not in RESERVED:
             self.advance()
-            self.expect("(")
-            left, reached_left = self.parse_mexpr(depth=inner)
-            self.expect(",")
-            right, reached_right = self.parse_mexpr(depth=inner)
-            self.expect(")")
-            return EBin(tok.text, left, right, span=tok.span), max(reached_left, reached_right)
-        if self.at("("):
-            inner = self.deeper(depth, tok)
-            self.advance()
-            expr, reached = self.parse_mexpr(depth=inner)
-            self.expect(")")
-            return expr, reached
-        if tok.kind == "word" and _NAME_RE.match(tok.text) and tok.text not in RESERVED:
-            self.advance()
-            return EVar(tok.text, span=tok.span), depth
+            return EVar(text, span=span)
         self.fail("expected an expression, found %s" % self._describe(tok))
 
     def parse_uncertain_kind(self):
         tok = self.cur()
-        if tok.text == "pm":
+        if tok[1] == "pm":
             self.advance()
             self.expect("(")
             target = self.expect_name("a design problem name")
@@ -749,35 +747,50 @@ class _Parser:
             pct = self.expect_num()
             self.expect("%")
             self.expect(")")
-            return UPm(target.text, pct, span=tok.span)
-        if tok.text == "interval":
+            return UPm(target[1], pct, span=tok[2])
+        if tok[1] == "interval":
             self.advance()
             self.expect("(")
             lo = self.expect_name("a design problem name")
             self.expect(",")
             hi = self.expect_name("a design problem name")
             self.expect(")")
-            return UInterval(lo.text, hi.text, span=tok.span)
+            return UInterval(lo[1], hi[1], span=tok[2])
         self.fail("expected pm(...) or interval(...), found %s" % self._describe(tok))
 
     def parse_term_stmt(self) -> StTerm:
         kw = self.expect("term")
-        return StTerm(self.parse_texpr(), span=kw.span)
+        return StTerm(self.parse_texpr(), span=kw[2])
 
-    def parse_texpr(self, depth: int = 0):
-        """A term inside depth levels of series, par and loop."""
-        tok = self.cur()
-        node = {"series": Series, "par": Par, "loop": Loop}.get(tok.text)
-        if node is not None:
-            inner = self.deeper(depth, tok)
-            self.advance()
-            self.expect("(")
-            parts = self.comma_list(lambda: self.parse_texpr(inner), 1 if node is Loop else 2)
-            self.expect(")")
-            return node(*parts, span=tok.span)
-        name = self.expect_name("a design problem name")
-        return Atom(name.text, span=name.span)
+    def parse_texpr(self):
+        """A term, read with an explicit stack of the series, par and loop
+        open: (node type, its token, the parts read so far)."""
+        opened = []
+        while True:
+            tok = self.cur()
+            node = _TERMS.get(tok[1])
+            if node is not None:
+                self.deeper(len(opened), tok)
+                self.advance()
+                self.expect("(")
+                opened.append((node, tok, []))
+                continue
+            name = self.expect_name("a design problem name")
+            term = Atom(name[1], span=name[2])
+            while opened:
+                node, tok, parts = opened[-1]
+                parts.append(term)
+                if len(parts) < (1 if node is Loop else 2):
+                    self.expect(",")
+                    break
+                opened.pop()
+                self.expect(")")
+                term = node(*parts, span=tok[2])
+            else:
+                return term
 
+
+_TERMS = {"series": Series, "par": Par, "loop": Loop}
 
 # declaration keyword -> (what its name is called, parser of its body)
 _DECLS = {
@@ -786,13 +799,12 @@ _DECLS = {
     "uncertain": ("an uncertain name", _Parser.parse_uncertain_kind),
 }
 
+
 def parse(text: str) -> ParseResult:
     """Parse model text; errors do not abort, they accumulate."""
     diagnostics: list[Diagnostic] = []
-    tokens = tokenize(text, diagnostics)
-    parser = _Parser(tokens, diagnostics)
-    doc = parser.parse_document()
-    return ParseResult(doc, diagnostics)
+    document = _Parser(text, diagnostics).parse_document()
+    return ParseResult(document, diagnostics)
 
 
 # --- renderer -----------------------------------------------------------------
@@ -922,6 +934,8 @@ class ElaboratedModel:
     def axis_index(self, key) -> int:
         """0-based index of a functionality axis given by name or by
         1-based index (an int or a digit string)."""
+        if self.funsp == UNIT_POSET:
+            raise DomainError("this model takes no functionality arguments")
         axes = self.query_axes()
         if isinstance(key, int) or (isinstance(key, str) and key.isdigit()):
             idx = int(key) - 1
@@ -930,9 +944,8 @@ class ElaboratedModel:
             return idx
         hits = [i for i, (n, _) in enumerate(axes) if n == key]
         if not hits:
-            raise DomainError(
-                "unknown axis %r; axes are: %s" % (key, ", ".join(n for n, _ in axes))
-            )
+            names = ", ".join(n for n, _ in axes)
+            raise DomainError("unknown axis %r; axes are: %s" % (key, names))
         if len(hits) > 1:
             raise DomainError("axis name %r is ambiguous; use its 1-based index" % key)
         return hits[0]
@@ -943,10 +956,6 @@ class ElaboratedModel:
         Values are numbers (math.inf included) or finite-poset labels;
         every axis must be covered exactly once.
         """
-        if self.funsp == UNIT_POSET:
-            if assignments:
-                raise DomainError("this model takes no functionality arguments")
-            return "*"
         axes = self.query_axes()
         slots: list = [None] * len(axes)
         for key, value in assignments.items():
@@ -954,6 +963,8 @@ class ElaboratedModel:
             if slots[idx] is not None:
                 raise DomainError("axis %r assigned twice" % key)
             slots[idx] = value
+        if self.funsp == UNIT_POSET:
+            return "*"
         missing = [axes[i][0] for i, v in enumerate(slots) if v is None]
         if missing:
             raise DomainError("missing functionality axes: %s" % ", ".join(missing))
@@ -998,11 +1009,11 @@ class _Elaborator:
         self.builtin_decls: dict[str, KBuiltin] = {}
         self.model_name = ""
 
-    def error(self, message: str, span: Span):
-        self.diags.append(Diagnostic(message, span))
+    def error(self, message: str, span: int):
+        self.diags.append(Diagnostic(message, self.doc.lines.span(span)))
 
-    def fail(self, message: str, span: Span):
-        raise _Fault(Diagnostic(message, span))
+    def fail(self, message: str, span: int):
+        raise _Fault(Diagnostic(message, self.doc.lines.span(span)))
 
     def run(self) -> ElaboratedModel | None:
         do = {"poset": self.do_poset, "dp": self.do_dp, "uncertain": self.do_uncertain}
@@ -1031,16 +1042,9 @@ class _Elaborator:
         checked = self._texpr(terms[0].expr)
         if self.diags:
             return None
-        funsp, ressp, fnames, rnames = checked
+        # checked is (funsp, ressp, fnames, rnames)
         return ElaboratedModel(
-            name=self.model_name,
-            uvaluation=self.uvaluation,
-            term=terms[0].expr,
-            funsp=funsp,
-            ressp=ressp,
-            fnames=fnames,
-            rnames=rnames,
-            builtin_decls=self.builtin_decls,
+            self.model_name, self.uvaluation, terms[0].expr, *checked, self.builtin_decls
         )
 
     # declarations: each raises _Fault at its first fault and binds nothing
@@ -1069,12 +1073,9 @@ class _Elaborator:
     def point_element(self, node: PointNode, space: Poset, span_ctx: str):
         want = len(space.factors)
         if len(node.values) != want:
-            self.fail(
-                "%s point has %d coordinates, space %s has %d"
-                % (span_ctx, len(node.values), space.describe(), want),
-                node.span,
-            )
-        values = [_point_value(p, v) for p, v in zip(space.factors, node.values)]
+            self.fail("%s point has %d coordinates, space %s has %d"
+                      % (span_ctx, len(node.values), space.describe(), want), node.span)
+        values = [_reader(p)(v) for p, v in zip(space.factors, node.values)]
         element = tuple(values) if want > 1 else values[0]
         try:
             space.check_member(element)
@@ -1115,9 +1116,7 @@ class _Elaborator:
             return ConstantResource(Antichain(r_space, pts), f_space)
         if isinstance(k, KAffine):
             if not isinstance(f_space, RealPlus):
-                self.fail(
-                    "affine needs a single real functionality axis", k.sig.span
-                )
+                self.fail("affine needs a single real functionality axis", k.sig.span)
             if not r_space.real_factors:
                 self.fail("affine needs real resource axes", k.sig.span)
             width = len(r_space.factors)
@@ -1130,14 +1129,13 @@ class _Elaborator:
             parts = ["c[%d] + _times(c[%d], x)" % (2 * j, 2 * j + 1) for j in range(width)]
             return _compiled_map(f_space, r_space, parts, consts)
         if isinstance(k, KCatalogue):
-            entries = [
-                (
-                    self.point_element(fnode, f_space, "functionality"),
-                    self.point_element(rnode, r_space, "resource"),
-                )
-                for fnode, rnode in k.entries
-            ]
-            return Catalogue._of(f_space, r_space, entries)  # point_element checked them
+            fs = _column_elements([f for f, _ in k.entries], f_space)
+            rs = _column_elements([r for _, r in k.entries], r_space)
+            if fs is None or rs is None:  # point_element raises at the first faulty point
+                for fnode, rnode in k.entries:
+                    self.point_element(fnode, f_space, "functionality")
+                    self.point_element(rnode, r_space, "resource")
+            return Catalogue._of(f_space, r_space, list(zip(fs, rs)))  # checked
         if isinstance(k, KMap):
             try:
                 return self.build_map_dp(k, f_space, r_space, fnames, rnames)
@@ -1159,11 +1157,8 @@ class _Elaborator:
     def scalars_of_width(self, node: PointNode, width: int, what: str) -> list:
         values = node.values * width if len(node.values) == 1 else node.values
         if len(values) != width:
-            self.fail(
-                "%s needs %d values, got %d" % (what, width, len(node.values)),
-                node.span,
-            )
-        out = [_point_value(RealPlus(), v) for v in values]
+            self.fail("%s needs %d values, got %d" % (what, width, len(node.values)), node.span)
+        out = list(map(_reader(RealPlus()), values))
         if not all(isinstance(v, float) for v in out):
             self.fail("%s values must be numbers" % what, node.span)
         return out
@@ -1183,19 +1178,14 @@ class _Elaborator:
         for a in k.assigns:
             targets = [j for j, n in enumerate(rnames) if n == a.name]
             if not targets:
-                self.fail(
-                    "map assigns %r, which is not an output axis" % a.name, a.span
-                )
+                self.fail("map assigns %r, which is not an output axis" % a.name, a.span)
             if parts[targets[0]] is not None:
                 self.fail("output axis %r assigned twice" % a.name, a.span)
             for j in targets:
                 parts[j] = self.compile_expr(a.expr, a.name, r_space.factors[j], axes, consts)
         missing = [n for n, part in zip(rnames, parts) if part is None]
         if missing:
-            self.fail(
-                "map leaves output axes unassigned: %s" % ", ".join(missing),
-                k.span,
-            )
+            self.fail("map leaves output axes unassigned: %s" % ", ".join(missing), k.span)
         return _compiled_map(f_space, r_space, parts, consts)
 
     def compile_expr(self, e, out_name: str, out: Poset, axes: dict, consts: list) -> str:
@@ -1214,31 +1204,20 @@ class _Elaborator:
         if isinstance(e, EVar):
             axis = axes.get(e.name)
             if axis is None:
-                self.fail(
-                    "unknown functionality %r in map expression" % e.name, e.span
-                )
+                self.fail("unknown functionality %r in map expression" % e.name, e.span)
             text, p = axis
             if isinstance(out, FinitePoset):
                 if p != out:
-                    self.fail(
-                        "map output %r on %s cannot read %r on %s: a chain output "
-                        "takes a functionality on the same chain"
-                        % (out_name, out.describe(), e.name, p.describe()),
-                        e.span,
-                    )
+                    self.fail("map output %r on %s cannot read %r on %s: a chain output takes "
+                              "a functionality on the same chain"
+                              % (out_name, out.describe(), e.name, p.describe()), e.span)
             elif not _reads_as_number(p):
-                self.fail(
-                    "map output %r is real, but %r is on chain %s, whose labels "
-                    "are not numbers increasing upward" % (out_name, e.name, p.describe()),
-                    e.span,
-                )
+                self.fail("map output %r is real, but %r is on chain %s, whose labels are not "
+                          "numbers increasing upward" % (out_name, e.name, p.describe()), e.span)
             return text
         if isinstance(out, FinitePoset):
-            self.fail(
-                "map output %r on %s must be a functionality on the same chain, "
-                "not a computed value" % (out_name, out.describe()),
-                e.span,
-            )
+            self.fail("map output %r on %s must be a functionality on the same chain, not a "
+                      "computed value" % (out_name, out.describe()), e.span)
         if isinstance(e, ENum):
             consts.append(e.value)
             return "c[%d]" % (len(consts) - 1)
@@ -1256,7 +1235,7 @@ class _Elaborator:
         try:
             if isinstance(k, UPm):
                 dp = self.plain_dps.get(k.dp_name)
-                if dp is None:
+                if not isinstance(dp, Catalogue):
                     self.fail("pm needs a plain catalogue, %r is not one" % k.dp_name, k.span)
                 if not 0 <= k.percent < 100:
                     self.fail("spread must satisfy 0 <= p < 100", k.span)
@@ -1267,9 +1246,8 @@ class _Elaborator:
                 hi = self.plain_dps.get(k.upper_name)
                 if lo is None or hi is None:
                     which = k.lower_name if lo is None else k.upper_name
-                    self.fail(
-                        "interval needs plain design problems, %r is not one" % which, k.span
-                    )
+                    self.fail("interval needs plain design problems, %r is not one" % which,
+                              k.span)
                 udp = UncertainDP(lo, hi)
                 check_udp(udp)
                 axes_of = k.lower_name
@@ -1290,19 +1268,17 @@ class _Elaborator:
             fnames, rnames = self.axis_names[tex.name]
             return udp.funsp, udp.ressp, list(fnames), list(rnames)
         if isinstance(tex, (Series, Par)):
-            left = self._texpr(tex.left)
-            right = self._texpr(tex.right)
-            if left is None or right is None:
+            sides = self._texpr(tex.left), self._texpr(tex.right)
+            if None in sides:
                 return None
-            lf, lr, lfn, lrn = left
-            rf, rr, rfn, rrn = right
+            (lf, lr, lfn, lrn), (rf, rr, rfn, rrn) = sides
             if isinstance(tex, Par):
                 return ProductPoset((lf, rf)), ProductPoset((lr, rr)), lfn + rfn, lrn + rrn
             if lr != rf:
                 self.error(
                     "series mismatch: left side (%d:%d) produces %s but right "
                     "side consumes %s"
-                    % (tex.left.span.line, tex.left.span.col, lr.describe(), rf.describe()),
+                    % (*self.doc.lines.span(tex.left.span), lr.describe(), rf.describe()),
                     tex.right.span,
                 )
                 return None
@@ -1318,17 +1294,28 @@ class _Elaborator:
                 self.error(
                     "loop mismatch: body functionality %s must end with its "
                     "resources %s (body at %d:%d)"
-                    % (
-                        bf.describe(),
-                        br.describe(),
-                        tex.body.span.line,
-                        tex.body.span.col,
-                    ),
+                    % (bf.describe(), br.describe(), *self.doc.lines.span(tex.body.span)),
                     tex.span,
                 )
                 return None
             return f1sp, br, bfn[: len(f1sp.factors)], brn
         raise TypeError("not a term expression: %r" % (tex,))
+
+
+def _column_elements(nodes: list, space: Poset) -> list | None:
+    """The elements of points on space, read a column at a time with each
+    axis's reader; None when a point is faulty.  A coordinate is a float or
+    a word, so each distinct value of a column is checked once."""
+    width = len(space.factors)
+    if any(len(node.values) != width for node in nodes):
+        return None
+    columns = []
+    for j, axis in enumerate(space.factors):
+        read = _reader(axis)
+        columns.append([read(node.values[j]) for node in nodes])
+        if not all(map(axis.contains, set(columns[-1]))):
+            return None
+    return list(zip(*columns)) if width > 1 else columns[0]
 
 
 def _reads_as_number(p: Poset) -> bool:
@@ -1364,8 +1351,7 @@ def elaborate(doc: Document) -> tuple[ElaboratedModel | None, list[Diagnostic]]:
     diagnostic was produced.
     """
     el = _Elaborator(doc)
-    model = el.run()
-    return model, el.diags
+    return el.run(), el.diags
 
 
 def load_model(text: str) -> tuple[ElaboratedModel | None, list[Diagnostic]]:

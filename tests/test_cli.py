@@ -326,6 +326,30 @@ class TestSolve:
         assert model.build_query({}) == "*"
         with pytest.raises(DomainError, match="takes no functionality arguments"):
             model.build_query({"1": 2.0})
+        with pytest.raises(DomainError, match="takes no functionality arguments"):
+            model.axis_index("y")
+
+    @pytest.mark.parametrize("command", [
+        ["solve"], ["sweep", "--tolerance", "c=10"], ["sweep", "--axis", "y"],
+    ])
+    @pytest.mark.parametrize("f", ["1=2", "y=1"])
+    def test_no_functionality_arguments(self, command, f, tmp_path, capsys):
+        path = tmp_path / "none.mcd"
+        path.write_text(NO_FUNCTIONALITY_MODEL)
+        args = command[:1] + [str(path), "--f", f] + command[1:]
+        assert main(args) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: this model takes no functionality arguments\n"
+
+    def test_check_no_functionality(self, tmp_path, capsys):
+        path = tmp_path / "none.mcd"
+        path.write_text(NO_FUNCTIONALITY_MODEL)
+        assert main(["check", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "functionality: none",
+            "resources: y:R+[$], z:lvl",
+        ]
 
 
 UAV = str(example_path("uav"))

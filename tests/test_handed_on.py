@@ -12,7 +12,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mcdsolve import dp
+from mcdsolve import dp, modellang
 from mcdsolve.dp import (
     Catalogue,
     LoopDP,
@@ -127,17 +127,24 @@ class TestSeriesPassThrough:
 
 class TestCataloguesCheckedOnce:
     def test_uav_load_checks_each_point_once(self, monkeypatch):
+        # the battery catalogue's 192 points are checked a column at a
+        # time, and no point is checked again on its own
         callers = collections.Counter()
-        check_member = Poset.check_member
+        check_member, columns = Poset.check_member, modellang._column_elements
 
         def counted(self, x):
             callers[sys._getframe(1).f_code.co_name] += 1
             return check_member(self, x)
 
+        def counted_columns(nodes, space):
+            callers["_column_elements"] += len(nodes)
+            return columns(nodes, space)
+
         monkeypatch.setattr(Poset, "check_member", counted)
+        monkeypatch.setattr(modellang, "_column_elements", counted_columns)
         model, diags = load_model(example_path("uav").read_text(encoding="utf-8"))
         assert model is not None and diags == []
-        assert callers == {"point_element": 192}
+        assert callers == {"_column_elements": 192}
 
     @pytest.mark.parametrize("body, at", [
         ("F(f[W]) R(c:lvl) {\n    1.0 -> mid\n}", "3:12"),

@@ -1,4 +1,5 @@
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from mcdsolve.errors import DomainError
 from mcdsolve.modellang import (
     _BUILTINS,
     RESERVED,
+    _Lines,
     Diagnostic,
     Span,
     elaborate,
@@ -47,25 +49,61 @@ def elaborate_ok(text):
 class TestTokenize:
     def test_comments_stripped(self):
         toks = tokenize("term a # trailing\n# full line\n", [])
-        assert [t.text for t in toks if t.kind != "eof"] == ["term", "a"]
+        assert [text for kind, text, _ in toks if kind != "eof"] == ["term", "a"]
 
     def test_spans_are_one_based(self):
-        toks = tokenize("dp x = identity R(v[W])", [])
-        assert toks[0].span.line == 1
-        assert toks[0].span.col == 1
-        assert toks[1].text == "x"
-        assert toks[1].span.col == 4
+        text = "dp x = identity R(v[W])"
+        toks = tokenize(text, [])
+        spans = [_Lines(text).span(offset) for _, _, offset in toks]
+        assert spans[0].line == 1
+        assert spans[0].col == 1
+        assert toks[1][1] == "x"
+        assert spans[1].col == 4
 
     def test_unit_words(self):
         toks = tokenize("poset v = R+[km/h]", [])
-        assert any(t.text == "km/h" for t in toks)
+        assert any(text == "km/h" for _, text, _ in toks)
         toks = tokenize("x Wh/$ y", [])
-        assert [t.text for t in toks if t.kind == "word"] == ["x", "Wh/$", "y"]
+        assert [text for kind, text, _ in toks if kind == "word"] == ["x", "Wh/$", "y"]
 
     def test_bad_character_reported(self):
         diags = []
         tokenize("dp a = ?", diags)
         assert [d.format("m.mcd") for d in diags] == ["m.mcd:1:8: error: unexpected character '?'"]
+
+
+# pieces that end any comment or string they open, and characters that
+# start no token and join no neighbour
+_SAFE_PIECES = ["\n", "\n\n", "\t", "\r", "\r\n", " ", "# a ( ? \"\n", '"s # ?"', "dp", "x_1",
+                "1.5e3", ".5", "(", "->", "<=", "}", ",", "Wh/$"]
+_BAD_CHARACTERS = ["?", "@", "!", "~", "&", "\u00e9", "\x0b", "\x0c"]
+
+
+def naive_position(text, offset):
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+class TestPositions:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.lists(st.sampled_from(_SAFE_PIECES + _BAD_CHARACTERS), max_size=60))
+    def test_positions_are_a_naive_count(self, pieces):
+        text = "".join(pieces)
+        bad_at, offset = [], 0
+        for piece in pieces:
+            if piece in _BAD_CHARACTERS:
+                bad_at.append(offset)
+            offset += len(piece)
+        diags = []
+        toks = tokenize(text, diags)
+        lines = _Lines(text)
+        for _, token_text, offset in toks:
+            assert text.startswith(token_text, offset)
+            assert tuple(lines.span(offset)) == naive_position(text, offset)
+        assert [(d.message, tuple(d.span)) for d in diags] == [
+            ("unexpected character %r" % text[at], naive_position(text, at)) for at in bad_at
+        ]
+        # the parser reports the same lexer diagnostics first
+        assert parse(text).diagnostics[: len(diags)] == diags
 
 
 class TestParse:
@@ -393,7 +431,7 @@ ELABORATION_FAULTS = [
     ("pm of a builtin", "dp s = uid(0.25 W)\nuncertain u = pm(s, 10 %)\nterm u\n",
      ["2:15: error: pm needs a plain catalogue, 's' is not one"]),
     ("pm of a non-catalogue", "dp a = identity R(x[W])\nuncertain u = pm(a, 10 %)\nterm u\n",
-     ["2:15: error: can only scale catalogue design problems"]),
+     ["2:15: error: pm needs a plain catalogue, 'a' is not one"]),
     ("pm spread",
      "dp c = catalogue F(f[W]) R(r[g]) { 1.0 -> 2.0 }\nuncertain u = pm(c, 100 %)\nterm u\n",
      ["2:15: error: spread must satisfy 0 <= p < 100"]),
@@ -586,6 +624,20 @@ class TestNesting:
     @pytest.mark.parametrize("kind", NESTED)
     def test_loads_at_the_bound(self, kind):
         model, diags = load_model(nested(kind, modellang.MAX_NESTING))
+        assert diags == []
+        assert model is not None
+
+    @pytest.mark.parametrize("kind", NESTED)
+    @pytest.mark.parametrize("levels", [modellang.MAX_NESTING - 1, modellang.MAX_NESTING])
+    def test_loads_from_a_deep_stack(self, kind, levels):
+        # the parser keeps its own stack, so a caller 400 frames deep has
+        # room under the default limit of 1000 for the elaborator's
+        # recursion of one or two frames a level
+        def load_at_depth(frames):
+            return load_model(nested(kind, levels)) if frames == 0 else load_at_depth(frames - 1)
+
+        assert sys.getrecursionlimit() == 1000
+        model, diags = load_at_depth(400)
         assert diags == []
         assert model is not None
 
