@@ -8,7 +8,7 @@ DPs compose in series (resources of one feed the functionality of the
 next), in parallel (product of interfaces), and by closing a feedback
 loop.  A loop's front at f1 is Min{r : some p in h(f1, r) has p <= r},
 with h the body.  It is the least fixed point of a one-step map over
-resource fronts, computed by Kleene iteration from the bottom front.
+resource fronts, computed by Kleene iteration.
 The step takes each point r of the front to the minimal upper bounds of
 r and each p in h(f1, r) (Poset.joins; just p when r <= p), so it is
 monotone and every iterate lies below the answer.  On infinite posets
@@ -16,6 +16,18 @@ convergence additionally relies on the ascent reaching a fixed point
 within the iteration cap, and a capped run is reported as a (valid)
 lower bound with converged=False.  The cap is an argument of solve and
 kleene_solve, not part of the tree.
+
+The step is monotone in f1 too, so the least fixed point at f1' <= f1
+lies below the one at f1 and is a post-fixed point of the step there:
+an ascent from it reaches the least fixed point at f1, in no more steps
+than one from the bottom front.  So a LoopDP keeps f1 and the front of
+its last ascent that converged, for as long as its tree lives, and
+starts the next ascent from that front when f1' <= f1; otherwise, and
+when f1' equals f1 written differently (0.0 and -0.0, 1 and 1.0), from
+the bottom front.  Where a loop is asked at several points in turn (a
+Kleene step over its front, a series node over its middle front), the
+points are visited in the order of their repr, so the front a loop
+keeps, and the iterations it counts, do not depend on the hash seed.
 
 The ascent asks a loop body the same questions over and over: parts of
 the body that never see the fed-back resources get the same input at
@@ -28,10 +40,11 @@ first; on the drone sweeps and random finite loops they never hit.
 Outside loops, where a node is asked once per solve, a memo would only
 cost time.  Atoms live as long as the model, and of them only a
 catalogue with a real first axis remembers: one front per cell of its
-axes (see Catalogue).  Loops, and composites containing one, are not
-memoised either: each Kleene solve reports its iterations to solve,
-and a remembered front would drop them from the count.  A memo lives
-as long as its tree, so queries solved on one tree share it.
+axes (see Catalogue).  Loops, and composites containing one, get no
+memo: each Kleene solve reports its iterations to solve, and a
+remembered front would drop them from the count; a loop remembers only
+where to start.  A memo lives as long as its tree, so queries solved
+on one tree share it.
 
 Queries are checked once, by evaluate, solve and kleene_solve; composites
 call their parts' _eval directly.  Inside the kernel a front travels as
@@ -81,6 +94,7 @@ class DesignProblem:
 
     funsp: Poset
     ressp: Poset
+    holds_loop = False  # whether a LoopDP is this node or below it
 
     def __init__(self, funsp: Poset, ressp: Poset):
         self.funsp = funsp
@@ -269,6 +283,7 @@ class SeriesDP(DesignProblem):
         super().__init__(first.funsp, second.ressp)
         self.first = first
         self.second = second
+        self.holds_loop = first.holds_loop or second.holds_loop
 
     def _eval(self, f) -> frozenset:
         memo = self._memo
@@ -282,6 +297,8 @@ class SeriesDP(DesignProblem):
             (r1,) = mid  # a front is minimal already: hand it on as it is
             front = self.second._eval(r1)
         else:
+            if self.second.holds_loop:  # a fixed order for the loop's starts
+                mid = sorted(mid, key=repr)
             pts = []
             for r1 in mid:
                 pts.extend(self.second._eval(r1))
@@ -298,6 +315,7 @@ class ParDP(DesignProblem):
         )
         self.left = left
         self.right = right
+        self.holds_loop = left.holds_loop or right.holds_loop
         self._flat = (isinstance(left.ressp, ProductPoset), isinstance(right.ressp, ProductPoset))
         # where a query splits, and whether each side's part is a tuple
         self._cut = len(left.funsp.factors)
@@ -334,28 +352,28 @@ def loop_signature(funsp: Poset, ressp: Poset) -> tuple[Poset, Poset]:
     return f1sp, ressp
 
 
-def _enable_memos(dp: DesignProblem) -> bool:
+def _enable_memos(dp: DesignProblem) -> None:
     """Switch memos on in the loop-free series nodes under dp, not
-    looking inside loops; returns whether dp itself is loop-free."""
-    if isinstance(dp, LoopDP):
-        return False
+    looking inside loops."""
     if isinstance(dp, SeriesDP):
+        if not dp.holds_loop and dp._memo is None:
+            dp._memo = {}
         parts = (dp.first, dp.second)
     elif isinstance(dp, ParDP):
         parts = (dp.left, dp.right)
     else:
-        return True
-    loop_free = [_enable_memos(p) for p in parts]  # visit both parts
-    if not all(loop_free):
-        return False
-    if isinstance(dp, SeriesDP) and dp._memo is None:
-        dp._memo = {}
-    return True
+        return
+    for p in parts:
+        if not isinstance(p, LoopDP):
+            _enable_memos(p)
 
 
 class LoopDP(DesignProblem):
     """Feedback closure: the trailing functionality inputs are the DP's
     own resources, solved to the least fixed point."""
+
+    holds_loop = True
+    _last = None  # (f1, front) of the last ascent that converged
 
     def __init__(self, body: DesignProblem):
         self.signature = loop_signature(body.funsp, body.ressp)
@@ -365,7 +383,18 @@ class LoopDP(DesignProblem):
 
     def _eval(self, f1) -> frozenset:
         max_iter, reports = _solve_run.get()
-        report = kleene_solve(self.body, f1, max_iter, signature=self.signature)
+        start = None
+        if self._last is not None:
+            last_f1, front = self._last
+            if self.funsp.leq(last_f1, f1) and (
+                last_f1 != f1 or _memo_key(last_f1) == _memo_key(f1)
+            ):
+                start = front
+        report = kleene_solve(
+            self.body, f1, max_iter, signature=self.signature, start=start
+        )
+        if report.converged:
+            self._last = (f1, report.front.points)
         if reports is not None:
             reports.append(report)
         return report.front.points
@@ -411,8 +440,10 @@ def kleene_solve(
     max_iter: int | None = None,
     keep_history: bool = False,
     signature: tuple[Poset, Poset] | None = None,
+    start: frozenset | None = None,
 ) -> SolveReport:
-    """Least fixed point of the loop map by Kleene ascent from {bottom}.
+    """Least fixed point of the loop map by Kleene ascent from start,
+    {bottom} when None.
 
     Iterations count applications of the loop map, including the one
     that confirms the front stopped changing.  The map re-evaluates the
@@ -421,6 +452,11 @@ def kleene_solve(
     the two.  The map is monotone, so the ascent cannot skip the least
     fixed point.  Hitting the cap returns the last iterate, which
     under-approximates the true front, with converged=False.
+
+    start, the points of a front, must lie at or below the least fixed
+    point at f1 and be a post-fixed point of the loop map there; the
+    least fixed point at any f1' <= f1 is both.  An ascent from it
+    reaches the same front as one from {bottom}, in no more iterations.
 
     A caller passing the body's loop signature (LoopDP, which derived it
     once) vouches for it and for f1; otherwise both are checked here.
@@ -440,13 +476,14 @@ def kleene_solve(
             hit = cache[r] = dp._eval(concat_elements(f1sp, f1, rsp, r))
         return hit
 
-    front = frozenset((rsp.bottom(),))
+    front = frozenset((rsp.bottom(),)) if start is None else start
+    ordered = dp.holds_loop  # a fixed order for the inner loops' starts
     history = [Antichain._of(rsp, front)] if keep_history else None
     iterations = 0
     converged = False
     while iterations < max_iter:
         pts = []
-        for r in front:
+        for r in sorted(front, key=repr) if ordered else front:
             for p in eval_at(r):
                 if rsp.leq(r, p):
                     pts.append(p)
@@ -474,7 +511,8 @@ def solve(dp: DesignProblem, f, max_iter: int | None = None) -> SolveReport:
 
     max_iter caps every loop solved on the way (DEFAULT_MAX_ITER when
     None).  iterations sums the loop-map applications of those loops
-    (nested loops re-solve under each outer step); converged is the
+    (an inner loop is solved again at each outer step, from the front
+    it last found when that is a valid start); converged is the
     conjunction.  A loop-free evaluation reports 0 iterations.
     """
     reports: list[SolveReport] = []

@@ -184,7 +184,7 @@ def scale_catalogue(cat: Catalogue, p: float) -> UncertainDP:
 
     def scaled(divisor):
         entries = [
-            (f, tuple(v / divisor for v in r) if isinstance(r, tuple) else r / divisor)
+            (f, tuple([v / divisor for v in r]) if isinstance(r, tuple) else r / divisor)
             for f, r in cat.entries
         ]
         return Catalogue._of(cat.funsp, cat.ressp, entries)

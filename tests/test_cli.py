@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -643,6 +644,86 @@ class TestDeterminism:
         a = self._run(args, "1")
         b = self._run(args, "999")
         assert a.stdout == b.stdout
+
+
+# Each random finite instance with a loop inside a loop, solved at every
+# query on one reused pair.  Its labels are strings, whose hashes, and so
+# the order of a front's points in a set, change with the hash seed; an
+# inner loop starts from the front it last found, so the order in which
+# an outer step asks it decides its iterations unless that order is fixed.
+NESTED_LOOPS = """
+import json, random
+from mcdsolve.dp import Loop, Par, Series
+from mcdsolve.oracle import random_instance, random_ordered_uvaluation
+from mcdsolve.uncertainty import evaluate_uncertain
+
+def nested(term, inside=False):
+    if isinstance(term, Loop):
+        return inside or nested(term.body, True)
+    if isinstance(term, (Series, Par)):
+        return nested(term.left, inside) or nested(term.right, inside)
+    return False
+
+out = {}
+for depth in (3, 4):
+    rng = random.Random(7)
+    nests, fronts, iterations = 0, [], 0
+    while nests < 150:
+        inst = random_instance(rng, depth=depth)
+        if not nested(inst.term):
+            continue
+        nests += 1
+        uval, _ = random_ordered_uvaluation(rng, inst.valuation)
+        pair = evaluate_uncertain(inst.term, uval)
+        for q in inst.queries:
+            sol = pair.solve(q)
+            fronts.append([repr(sol.lower.front), repr(sol.upper.front)])
+            iterations += sol.lower.iterations + sol.upper.iterations
+    out[depth] = {"nests": nests, "fronts": fronts, "iterations": iterations}
+print(json.dumps(out))
+"""
+
+
+def test_nested_loops_stable_across_hash_seeds():
+    # without a fixed order over a series node's middle front, seeds 0 and
+    # 2 count 3402 and 3401 iterations at depth 3; without one over a
+    # Kleene step's front, 3863 and 3861 at depth 4
+    runs = []
+    for seed in ("0", "2"):
+        done = subprocess.run(
+            [sys.executable, "-c", NESTED_LOOPS],
+            capture_output=True,
+            env=dict(os.environ, PYTHONHASHSEED=seed),
+            check=True,
+        )
+        runs.append(json.loads(done.stdout))
+    assert runs[0]["3"]["nests"] == runs[0]["4"]["nests"] == 150
+    assert runs[0] == runs[1]
+
+
+def loop_nest(levels: int) -> str:
+    """levels loops around a map that passes g through; each loop feeds
+    back the last functionality axis left by the loops inside it."""
+    fed_back = ", ".join("r%d[W]" % i for i in range(levels))
+    return "dp h = map F(g[W], %s) R(r[W]) { r = g }\nterm %s%s%s\n" % (
+        fed_back, "loop(" * levels, "h", ")" * levels
+    )
+
+
+@pytest.mark.parametrize("cap", [[], ["--max-iter", "3"]])
+def test_deep_loop_nest_costs_a_sum_of_iterations(cap, tmp_path, capsys):
+    # each inner loop starts from the front it found at the outer loop's
+    # last step, so the n = 100 nest takes 5150 iterations a side (20, 65
+    # and 135 at n = 5, 10 and 15), not about 2**(n + 1) from the bottom
+    path = tmp_path / "nest.mcd"
+    path.write_text(loop_nest(100))
+    started = time.perf_counter()
+    assert main(["solve", str(path), "--f", "g=1", *cap]) == EXIT_OK
+    assert time.perf_counter() - started < 5.0
+    out = json.loads(capsys.readouterr().out)
+    for side in ("lower", "upper"):
+        assert out[side]["antichain"] == [{"value": 1.0, "unit": "W"}]
+        assert (out[side]["iterations"], out[side]["converged"]) == (5150, True)
 
 
 class TestArgparse:

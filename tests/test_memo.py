@@ -3,6 +3,7 @@ in the loop-free series nodes under a loop, and cut the work of a sweep."""
 
 import contextlib
 import io
+import json
 import math
 import pathlib
 import random
@@ -229,8 +230,10 @@ def test_cap_is_per_solve_on_a_reused_tree():
     assert (capped.iterations, capped.converged) == (2, False)
     full = solve(lp, 0.0)
     assert (full.iterations, full.converged, full.front.points) == (6, True, {5.0})
+    # the uncapped solve converged at the same query, so the next ascent
+    # starts from its front and confirms it in one step
     again = solve(lp, 0.0, max_iter=3)
-    assert (again.iterations, again.converged) == (3, False)
+    assert (again.iterations, again.converged, again.front.points) == (1, True, {5.0})
 
 
 SWEEP = ["sweep", str(example_path("uav")), "--axis", "endurance", "--from", "0.5",
@@ -240,10 +243,28 @@ ATOMS = (dp.Catalogue, dp.MonotoneMap, dp.IdentityDP, dp.ConstantResource,
          dp.BottomDP, dp.TopDP)
 
 
-@pytest.mark.parametrize("extra, expected", [
+SWEEP_PINS = [
     ([], "uav_endurance_sweep.json"),
     (["--max-iter", "2"], "uav_endurance_sweep_max_iter_2.json"),
-])
+]
+
+
+def cli_output(args) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(args) == cli.EXIT_OK
+    return out.getvalue()
+
+
+def drop_iterations(text: str) -> dict:
+    doc = json.loads(text)
+    for row in doc["rows"]:
+        for side in ("lower", "upper"):
+            del row[side]["iterations"]
+    return doc
+
+
+@pytest.mark.parametrize("extra, expected", SWEEP_PINS)
 def test_axis_sweep_work_and_output(extra, expected, monkeypatch):
     calls = [0]
     made = [0]  # Antichain objects; inside the kernel fronts are frozensets
@@ -268,14 +289,19 @@ def test_axis_sweep_work_and_output(extra, expected, monkeypatch):
 
     monkeypatch.setattr(Antichain, "__init__", counted_init)
     monkeypatch.setattr(Antichain, "_of", classmethod(counted_of))
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert cli.main(SWEEP + extra) == cli.EXIT_OK
-    # byte-identical to solving every row on trees of its own
-    assert out.getvalue() == (EXPECTED / expected).read_text(encoding="utf-8")
+    text = cli_output(SWEEP + extra)
+    assert text == (EXPECTED / expected).read_text(encoding="utf-8")
     if not extra:
         assert calls[0] <= 3400  # 5721 without memos and with a tree per row
         assert made[0] <= 100  # 5105 when every node built one
+    # the same fronts and verdicts as solving every row on a tree of its
+    # own; only the iterations differ, where a row's loop ascent starts
+    # from the front an earlier row found
+    rows = drop_iterations(text)["rows"]
+    for row in rows:
+        alone = ["--from", row["value"], "--to", row["value"], "--steps", "1"]
+        swept = SWEEP[:SWEEP.index("--from")] + alone + SWEEP[SWEEP.index("--f"):]
+        assert drop_iterations(cli_output(swept + extra))["rows"] == [row]
 
 
 def test_axis_sweep_scans_each_cell_once(monkeypatch):
@@ -303,3 +329,8 @@ def test_catalogue_cells_bounded(monkeypatch):
     for f in queries + queries[::-1]:
         assert cat.evaluate(f).points == {float(math.ceil(f))}
     assert list(cat._cells) == [(1,), (2,), (3,)]  # the cells of the first three queries
+
+
+if __name__ == "__main__":
+    for extra, expected in SWEEP_PINS:
+        (EXPECTED / expected).write_text(cli_output(SWEEP + extra), encoding="utf-8")

@@ -1,15 +1,33 @@
 """Property tests: the sort-based front minimisation and the catalogue
-index against plain pairwise and full-scan references, and the Kleene
-loop solver against the definition of a loop."""
+index against plain pairwise and full-scan references, the Kleene loop
+solver against the definition of a loop, and loops that start from the
+front they last found against loops solved afresh."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mcdsolve.antichains import Antichain, _minimize
-from mcdsolve.dp import Catalogue, kleene_solve
+from mcdsolve.dp import (
+    Catalogue,
+    IdentityDP,
+    Loop,
+    LoopDP,
+    Par,
+    Series,
+    kleene_solve,
+    par,
+)
+from mcdsolve.oracle import (
+    FiniteInstance,
+    brute_compose,
+    random_instance,
+    random_ordered_uvaluation,
+)
 from mcdsolve.posets import FinitePoset, ProductPoset, RealPlus
+from mcdsolve.uncertainty import UncertainDP, evaluate_uncertain
 
 PROPERTY = settings(max_examples=150, derandomize=True, database=None, deadline=None)
 
@@ -176,3 +194,112 @@ STEP = st.sampled_from(GRID[1:])
 @given(loop_rows(st.sampled_from(GRID + [math.inf]), STEP, STEP, 0.0, 0.0))
 def test_kleene_solves_real_loops_by_their_definition(rows):
     check_loop([R, R, R], rows, GRID + [math.inf], [(a, b) for a in GRID for b in GRID])
+
+
+# --- loops on a reused pair -------------------------------------------------
+#
+# A loop starts its ascent from the front it last found when that front's
+# query lies below the new one.  Asked in any order, a pair built once
+# must give the fronts of a pair built afresh for each query, and a capped
+# ascent from a remembered start must stay at or below the loop's front.
+
+
+def nesting(term) -> int:
+    """Most loops on one path from the root of term to a leaf."""
+    if isinstance(term, Loop):
+        return 1 + nesting(term.body)
+    if isinstance(term, (Series, Par)):
+        return max(nesting(term.left), nesting(term.right))
+    return 0
+
+
+def in_drawn_order(draw, queries):
+    return draw(st.permutations(queries)) + draw(st.lists(st.sampled_from(queries), max_size=4))
+
+
+def check_reused_pair(build, order, expected, max_iter):
+    """build makes a new pair; expected(side, f) is a side's front at f."""
+    pair = build()
+    for f in order:
+        capped = pair.solve(f, max_iter)  # from where the last full solve left off
+        sol = pair.solve(f)
+        fresh = build().solve(f)
+        assert capped.lower.front.leq(sol.lower.front)
+        for side in ("lower", "upper"):
+            got = getattr(sol, side)
+            assert got.converged
+            assert repr(got.front) == repr(getattr(fresh, side).front)
+            assert repr(got.front) == repr(expected(side, f))
+        assert sol.verdict == fresh.verdict
+
+
+@st.composite
+def loop_nests(draw):
+    """A random finite instance whose loops nest 1 to 3 deep, an ordered
+    uncertain valuation of it, and its queries in a drawn order."""
+    levels = draw(st.integers(min_value=1, max_value=3))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    inst = random_instance(rng, depth=4)
+    while nesting(inst.term) != levels:
+        inst = random_instance(rng, depth=4)
+    uvaluation, _ = random_ordered_uvaluation(rng, inst.valuation)
+    return inst, uvaluation, in_drawn_order(draw, inst.queries)
+
+
+@PROPERTY
+@given(loop_nests(), st.integers(min_value=1, max_value=2))
+def test_reused_pair_solves_loop_nests_like_fresh_pairs(nest, max_iter):
+    inst, uvaluation, order = nest
+    # the oracle solves each loop level by level from its definition
+    brute = {
+        side: brute_compose(FiniteInstance(
+            inst.term, {k: getattr(u, side) for k, u in uvaluation.items()}, inst.queries
+        ))
+        for side in ("lower", "upper")
+    }
+    check_reused_pair(
+        lambda: evaluate_uncertain(inst.term, uvaluation), order,
+        lambda side, f: brute[side][f], max_iter,
+    )
+
+
+# The real loop over F(g, c, a, b) R(c, a, b): c passes the query g through
+# to the front as it was written, and a and b are fed back through
+# catalogue rows as above.  Equal queries written differently (0, 0.0 and
+# -0.0; 1 and 1.0) must keep their own representatives.
+TWINS = [0, 0.0, -0.0, 1, 1.0]
+
+
+R3 = ProductPoset([R, R, R])
+
+
+def passthrough_loop(rows):
+    return LoopDP(par(IdentityDP(R), Catalogue(R3, ProductPoset([R, R]), rows)))
+
+
+def real_loop_front(rows, g) -> Antichain:
+    rsp = ProductPoset([R, R])
+    feasible = [
+        (a, b) for a in GRID for b in GRID
+        if any(R3.leq((g, a, b), fi) and rsp.leq(ri, (a, b)) for fi, ri in rows)
+    ]
+    return Antichain(R3, [(g,) + r for r in feasible])
+
+
+@st.composite
+def real_loop_pairs(draw):
+    rows = draw(loop_rows(st.sampled_from(GRID + [math.inf]), STEP, STEP, 0.0, 0.0))
+    fewer = [row for row in rows if draw(st.booleans())]  # the upper side
+    queries = draw(st.lists(st.sampled_from(GRID + [math.inf] + TWINS), min_size=1, max_size=6))
+    return rows, fewer, in_drawn_order(draw, queries)
+
+
+@PROPERTY
+@given(real_loop_pairs(), st.integers(min_value=1, max_value=2))
+def test_reused_pair_solves_real_loops_like_fresh_pairs(drawn, max_iter):
+    rows, fewer, order = drawn
+    sides = {"lower": rows, "upper": fewer}
+    check_reused_pair(
+        lambda: UncertainDP(passthrough_loop(rows), passthrough_loop(fewer)), order,
+        lambda side, g: real_loop_front(sides[side], g), max_iter,
+    )
