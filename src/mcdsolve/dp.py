@@ -52,17 +52,24 @@ the frozenset of its points: every _eval returns one, already minimal.
 A series node minimises the union of its second part's fronts once, and
 when its middle front is one point it hands that point's front on as
 it is, the same frozenset; a par node takes the product of its parts'
-fronts, which needs no minimising.  An Antichain object is made only
-where a front leaves the kernel: by evaluate, and by kleene_solve for
-its report and history.  Atom outputs are checked where they enter: a
-single MonotoneMap point by the resource space's check_member, a list
-of them by the Antichain constructor, catalogue rows in the Catalogue
-constructor.  A model's atoms enter when it is elaborated: the model
-language types every output of a map it compiles, so each point is a
-member by construction, and builds it with MonotoneMap._of, whose
-points are not checked again; it checks each catalogue point as it
-reads it and builds the catalogue with Catalogue._of, which does not
-check the rows again, and so does scale_catalogue for its two sides.
+fronts, which needs no minimising.  A node whose every front is one
+point has a point function, f -> that point: a one-point map built by
+MonotoneMap._of (a compiled model map, uid's snaps), an identity, and a
+series or par node whose parts both have one.  A series node whose
+middle front has several points calls its second part's point function
+once for each, in the order it would call _eval, and no node below
+runs its _eval.  An Antichain object is made only where a front leaves
+the kernel: by evaluate, and by kleene_solve for its report and
+history.  Atom outputs are checked where they enter: of a MonotoneMap
+built by its constructor, a single point by the resource space's
+check_member, a list of them by the Antichain constructor; catalogue
+rows in the Catalogue constructor.  Outputs that are members by
+construction enter unchecked through MonotoneMap._of: every output of
+a map the model language compiles (it types them), and the sampled
+inverses' fronts, which are minimised once.  The model language checks
+each catalogue point as it reads it and builds the catalogue with
+Catalogue._of, which does not check the rows again, and so does
+scale_catalogue for its two sides.
 """
 
 import bisect
@@ -95,6 +102,7 @@ class DesignProblem:
     funsp: Poset
     ressp: Poset
     holds_loop = False  # whether a LoopDP is this node or below it
+    point = None  # f -> the one point of the front at f, where every front has one
 
     def __init__(self, funsp: Poset, ressp: Poset):
         self.funsp = funsp
@@ -129,25 +137,31 @@ class MonotoneMap(DesignProblem):
     caller's obligation; find_monotonicity_violation can spot-check it.
     """
 
-    _trusted = False  # set by _of: fn gives one member of ressp, unchecked
+    _trusted = False  # set by _of(front=True): fn gives a list of members of ressp, unchecked
 
     def __init__(self, funsp, ressp, fn):
         super().__init__(funsp, ressp)
         self.fn = fn
 
     @classmethod
-    def _of(cls, funsp, ressp, fn) -> "MonotoneMap":
+    def _of(cls, funsp, ressp, fn, front=False) -> "MonotoneMap":
         """Map whose fn returns one member of ressp for every member of
-        funsp, proved by its maker (the model language types each map it
-        compiles), so its outputs are not checked again."""
+        funsp (with front=True, a list of members, minimised here),
+        proved by its maker (the model language types each map it
+        compiles; a sample of a member demand is a member), so its
+        outputs are not checked.  A one-point fn is its point function."""
         m = cls(funsp, ressp, fn)
-        m._trusted = True
+        m._trusted = front
+        m.point = None if front else fn
         return m
 
     def _eval(self, f) -> frozenset:
+        point = self.point
+        if point is not None:
+            return frozenset((point(f),))
         out = self.fn(f)
         if self._trusted:
-            return frozenset((out,))
+            return frozenset(_minimize(out, self.ressp))
         if isinstance(out, (list, set, frozenset)):
             return Antichain(self.ressp, out).points
         self.ressp.check_member(out)
@@ -254,6 +268,8 @@ class TopDP(DesignProblem):
 class IdentityDP(DesignProblem):
     """Passes the required functionality through as the needed resource."""
 
+    point = staticmethod(lambda f: f)
+
     def __init__(self, space: Poset):
         super().__init__(space, space)
 
@@ -284,6 +300,9 @@ class SeriesDP(DesignProblem):
         self.first = first
         self.second = second
         self.holds_loop = first.holds_loop or second.holds_loop
+        g, h = first.point, second.point
+        if g is not None and h is not None:
+            self.point = lambda f: h(g(f))
 
     def _eval(self, f) -> frozenset:
         memo = self._memo
@@ -296,6 +315,8 @@ class SeriesDP(DesignProblem):
         if len(mid) == 1:
             (r1,) = mid  # a front is minimal already: hand it on as it is
             front = self.second._eval(r1)
+        elif self.second.point is not None:  # one call per middle point
+            front = frozenset(_minimize(list(map(self.second.point, mid)), self.ressp))
         else:
             if self.second.holds_loop:  # a fixed order for the loop's starts
                 mid = sorted(mid, key=repr)
@@ -320,6 +341,17 @@ class ParDP(DesignProblem):
         # where a query splits, and whether each side's part is a tuple
         self._cut = len(left.funsp.factors)
         self._split = (isinstance(left.funsp, ProductPoset), isinstance(right.funsp, ProductPoset))
+        g, h = left.point, right.point
+        if g is not None and h is not None:
+            cut = self._cut
+            (left_tuple, right_tuple), (left_flat, right_flat) = self._split, self._flat
+
+            def point(f):  # the split of _eval and the concatenation of _cross
+                a = g(f[:cut] if left_tuple else f[0])
+                b = h(f[cut:] if right_tuple else f[cut])
+                return (a if left_flat else (a,)) + (b if right_flat else (b,))
+
+            self.point = point
 
     def _eval(self, f) -> frozenset:
         cut = self._cut
@@ -494,6 +526,9 @@ def kleene_solve(
         if keep_history:
             history.append(Antichain._of(rsp, nxt))
         if nxt == front:
+            # equal points may be written differently (a warm start's 1.0,
+            # the body's 1): keep the body's, as a cold ascent does
+            front = nxt
             converged = True
             break
         front = nxt

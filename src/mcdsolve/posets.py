@@ -12,7 +12,9 @@ as the elaborator reads it, DesignProblem.evaluate, solve and
 kleene_solve on their query, model queries (build_query) and
 lower_from_points.  A map compiled from a model is typed when the model
 is elaborated, so its outputs are members by construction and are not
-checked per evaluation.  A model's catalogue rows, checked as they are
+checked per evaluation; nor are the samples of the sampled inverses of
++ and * at a member demand, their meets, or uid's snaps of a member,
+which are members too.  A model's catalogue rows, checked as they are
 read, and the rows scale_catalogue divides are members already and enter
 through Catalogue._of unchecked.  Past those points values are trusted: leq,
 meet and joins do not re-validate their arguments, and a non-member

@@ -16,7 +16,9 @@ Two families of uncertain DPs deliberately coarsen a problem:
 
 One builder, _sampled_inverse, makes all three sampled inverses; a
 family only says where its samples lie.  Samples of a member demand are
-members, so each atom output is checked and minimised once, by MonotoneMap.
+members, and so are their meets, so no output is checked: each front is
+minimised once, by MonotoneMap.  uid's snaps give members too, one point
+each, so they are point functions (see dp).
 """
 
 import math
@@ -34,13 +36,17 @@ def uid(alpha: float, unit: str = "") -> UncertainDP:
         raise DomainError("tolerance must be a positive finite number")
     space = RealPlus(unit)
 
+    # x passes through where x / alpha overflows: at inf, and at finite x
+    # whose float neighbours lie further apart than alpha
     def snap_down(x):
-        return x if math.isinf(x) else alpha * math.floor(x / alpha)
+        return x if math.isinf(x / alpha) else alpha * math.floor(x / alpha)
 
     def snap_up(x):
-        return x if math.isinf(x) else alpha * math.ceil(x / alpha)
+        return x if math.isinf(x / alpha) else alpha * math.ceil(x / alpha)
 
-    return UncertainDP(MonotoneMap(space, space, snap_down), MonotoneMap(space, space, snap_up))
+    return UncertainDP(
+        MonotoneMap._of(space, space, snap_down), MonotoneMap._of(space, space, snap_up)
+    )
 
 
 def inject_tolerance(uvaluation, atom: str, alpha: float) -> dict:
@@ -73,6 +79,11 @@ def _meets(points, poset) -> list:
     unique = list(dict.fromkeys(points))
     if len(unique) < 2:
         return unique
+    if poset.real_factors and len(poset.factors) == 2:
+        # pairs of reals: the tuples' own order and coordinate mins are
+        # sort_key's order and meet (exactly so for floats, as samples are)
+        unique.sort()
+        return [(min(a[0], b[0]), min(a[1], b[1])) for a, b in zip(unique, unique[1:])]
     unique.sort(key=poset.sort_key)
     return [poset.meet(a, b) for a, b in zip(unique, unique[1:])]
 
@@ -90,25 +101,33 @@ def lower_from_points(points, poset: Poset) -> Antichain:
     return Antichain(poset, _meets(points, poset))
 
 
+_vdc_terms: list[float] = []  # the longest prefix made so far; replaced, never mutated
+
+
 def vdc(n: int) -> list[float]:
     """First n terms of the base-2 Van der Corput sequence.
 
     Dyadic, exactly representable, and prefix-stable: vdc(n+1) extends
     vdc(n), which makes sampled relaxations tighten monotonically.
+    Each term is computed once per process.
     """
+    global _vdc_terms
     if n < 0:
         raise DomainError("sequence length must be nonnegative")
-    out = []
-    for i in range(n):
-        x = 0.0
-        step = 0.5
-        while i:
-            if i & 1:
-                x += step
-            step /= 2
-            i >>= 1
-        out.append(x)
-    return out
+    terms = _vdc_terms
+    if n > len(terms):
+        terms = list(terms)  # a copy, so a concurrent call never sees a half-made prefix
+        for i in range(len(terms), n):
+            x = 0.0
+            step = 0.5
+            while i:
+                if i & 1:
+                    x += step
+                step /= 2
+                i >>= 1
+            terms.append(x)
+        _vdc_terms = terms
+    return terms[:n]
 
 
 def _sampled_inverse(fsp, rsp, samples) -> UncertainDP:
@@ -120,7 +139,10 @@ def _sampled_inverse(fsp, rsp, samples) -> UncertainDP:
     def lower_fn(f1):
         return _meets(samples(f1, True), rsp)
 
-    return UncertainDP(MonotoneMap(fsp, rsp, lower_fn), MonotoneMap(fsp, rsp, upper_fn))
+    return UncertainDP(
+        MonotoneMap._of(fsp, rsp, lower_fn, front=True),
+        MonotoneMap._of(fsp, rsp, upper_fn, front=True),
+    )
 
 
 def _relax_plus(family: str, n: int, unit: str) -> UncertainDP:

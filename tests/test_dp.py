@@ -227,6 +227,15 @@ class TestSolveAggregation:
         # second, which starts from the front the first found
         assert report.iterations == 6
 
+    def test_warm_start_keeps_the_representative_of_a_cold_one(self):
+        # from the front found at 0 the ascent at 1 meets the body's 1 at
+        # once, equal to the start's 1.0; it must return the 1 it found
+        three = FinitePoset.chain([0, 1, 2])
+        body = MonotoneMap(product(three, three), three, lambda f: max(f[0], 1.0))
+        warm = loop(body)
+        assert repr(solve(warm, 0).front) == "Antichain{1.0}"
+        assert repr(solve(warm, 1).front) == repr(solve(loop(body), 1).front) == "Antichain{1}"
+
     @pytest.mark.parametrize(
         "seed, query, iterations",
         [(48, ("p00", "p10"), 7), (60, ("p01", "p10"), 7), (422, ("p00", "p10"), 11)],

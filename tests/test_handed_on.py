@@ -1,8 +1,9 @@
 """Fronts and rows that are final are handed on, not rebuilt or checked
 again: a series node whose middle front is one point returns its second
-part's front itself, and catalogue rows that the model language or
-scale_catalogue made enter unchecked, while a model's points are still
-checked as they are read."""
+part's front itself, one whose second part has a point function takes
+one call of it per middle point, and catalogue rows that the model
+language or scale_catalogue made enter unchecked, while a model's points
+are still checked as they are read."""
 
 import collections
 import math
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from mcdsolve import dp, modellang
 from mcdsolve.dp import (
     Catalogue,
+    IdentityDP,
     LoopDP,
     MonotoneMap,
     ParDP,
@@ -22,11 +24,17 @@ from mcdsolve.dp import (
     evaluate_term,
     series,
 )
-from mcdsolve.examples import example_path
+from mcdsolve.errors import DomainError
+from mcdsolve.examples import EXAMPLE_NAMES, example_path, load_example
 from mcdsolve.modellang import load_model
 from mcdsolve.oracle import random_instance
 from mcdsolve.posets import Poset, RealPlus, product
-from mcdsolve.uncertainty import scale_catalogue, solve_uncertain
+from mcdsolve.uncertainty import (
+    default_query_grid,
+    evaluate_uncertain,
+    scale_catalogue,
+    solve_uncertain,
+)
 
 RW = RealPlus("W")
 RG = RealPlus("g")
@@ -123,6 +131,149 @@ class TestSeriesPassThrough:
         monkeypatch.setattr(dp, "_minimize", counted)
         solve_uncertain(model.term, model.uvaluation, model.build_query(UAV_QUERY))
         assert calls[0] <= 146
+
+
+def all_nodes(node):
+    yield node
+    if isinstance(node, SeriesDP):
+        yield from all_nodes(node.first)
+        yield from all_nodes(node.second)
+    elif isinstance(node, ParDP):
+        yield from all_nodes(node.left)
+        yield from all_nodes(node.right)
+    elif isinstance(node, LoopDP):
+        yield from all_nodes(node.body)
+
+
+def grid_answers(term, uvaluation, monkeypatch, points: bool) -> list:
+    """Everything a solve reports at each default_query_grid query, on a
+    new pair whose nodes keep or lose their point functions."""
+    pair = evaluate_uncertain(term, uvaluation)
+    if not points:
+        for side in (pair.lower, pair.upper):
+            for node in all_nodes(side):
+                monkeypatch.setattr(node, "point", None)
+    out = []
+    for f in default_query_grid(pair.funsp):
+        try:
+            sol = pair.solve(f)
+        except DomainError as e:
+            out.append(str(e))
+            continue
+        out.append([(repr(s.front), s.iterations, s.converged) for s in (sol.lower, sol.upper)])
+    return out
+
+
+def assert_points_invisible(term, uvaluation):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        with_points = grid_answers(term, uvaluation, monkeypatch, True)
+        assert with_points == grid_answers(term, uvaluation, monkeypatch, False)
+
+
+@st.composite
+def point_models(draw):
+    """Model text: a random composition of maps, identities, uid and the
+    sampled inverses of +, over one to three W axes."""
+    decls = []
+
+    def atom(a, b):
+        name = "d%d" % len(decls)
+        kinds = ["map"]
+        if a == b:
+            kinds += ["identity", "uid"] if a == 1 else ["identity"]
+        if a == 1 and b == 2:
+            kinds += ["invplus_vdc", "invplus_uniform"]
+        kind = draw(st.sampled_from(kinds))
+        xs = ["x%d" % i for i in range(a)]
+        if kind == "map":
+            outs = []
+            for j in range(b):
+                u, v = draw(st.sampled_from(xs)), draw(st.sampled_from(xs))
+                c = draw(st.sampled_from(["0", "0.5", "1", "2.5"]))
+                form = draw(st.sampled_from(["{c} * {u} + {v}", "max({u}, {v}) + {c}",
+                                             "min({u}, {v}) * {c}"]))
+                outs.append("y%d = " % j + form.format(c=c, u=u, v=v))
+            body = "map F(%s) R(%s) { %s }" % (
+                ", ".join(x + "[W]" for x in xs),
+                ", ".join("y%d[W]" % j for j in range(b)), "; ".join(outs))
+        elif kind == "identity":
+            body = "identity R(%s)" % ", ".join(x + "[W]" for x in xs)
+        elif kind == "uid":
+            body = "uid(%s W)" % draw(st.sampled_from(["0.25", "1", "3"]))
+        else:
+            body = "%s(%d, W)" % (kind, draw(st.integers(1, 9)))
+        decls.append("dp %s = %s" % (name, body))
+        return name
+
+    def term(a, b, depth):
+        kinds = ["atom"]
+        if depth:
+            kinds += ["series", "par"] if a > 1 and b > 1 else ["series"]
+        kind = draw(st.sampled_from(kinds))
+        if kind == "series":
+            m = draw(st.integers(1, 3))
+            return "series(%s, %s)" % (term(a, m, depth - 1), term(m, b, depth - 1))
+        if kind == "par":
+            a1, b1 = draw(st.integers(1, a - 1)), draw(st.integers(1, b - 1))
+            return "par(%s, %s)" % (term(a1, b1, depth - 1), term(a - a1, b - b1, depth - 1))
+        return atom(a, b)
+
+    b = draw(st.integers(1, 3))
+    if draw(st.booleans()):  # a split fanning out into a part over its two axes
+        root = "series(%s, %s)" % (term(1, 2, 0), term(2, b, 3))
+    else:
+        root = term(draw(st.integers(1, 3)), b, 3)
+    return "\n".join(decls + ["term " + root, ""])
+
+
+class TestPointFunctions:
+    @pytest.mark.parametrize("name", EXAMPLE_NAMES)
+    def test_examples_answer_the_same_without_point_functions(self, name):
+        model = load_example(name)
+        assert_points_invisible(model.term, model.uvaluation)
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(point_models())
+    def test_compositions_answer_the_same_without_point_functions(self, text):
+        model, diags = load_model(text)
+        assert model is not None, (text, diags)
+        assert_points_invisible(model.term, model.uvaluation)
+
+    def test_point_functions_compose(self):
+        model = load_example("power_split")
+        pair = evaluate_uncertain(model.term, model.uvaluation)
+        for side in (pair.lower, pair.upper):
+            # series(demand, series(split, series(par(solar, mains), total)))
+            rest = side.second.second
+            assert side.point is None and side.second.point is None
+            assert rest.point((2.0, 4.0)) == 2.0 * 2.0 + 3.0 + 4.0
+            assert rest.first.point((2.0, 4.0)) == (4.0, 7.0)
+            assert side.first.point is IdentityDP.point
+
+    def test_power_split_costs_the_same_at_any_sample_count(self, monkeypatch):
+        # each sample of split costs one call of the point function of the
+        # rest of the term, none of its _evals: lower and upper each
+        # evaluate split once and two series nodes
+        model = load_example("power_split")
+        calls = collections.Counter()
+
+        def counted(cls):
+            evaluate = cls._eval
+
+            def wrapper(self, f):
+                calls[cls.__name__] += 1
+                return evaluate(self, f)
+
+            monkeypatch.setattr(cls, "_eval", wrapper)
+
+        for cls in (MonotoneMap, SeriesDP, ParDP):
+            counted(cls)
+        f = model.build_query({"demand": 10.0})
+        for n in (20, 256):
+            calls.clear()
+            sol = solve_uncertain(model.term, model.override_relaxation("split", n), f)
+            assert sol.verdict == "feasible"
+            assert calls == {"MonotoneMap": 2, "SeriesDP": 4}, n
 
 
 class TestCataloguesCheckedOnce:
