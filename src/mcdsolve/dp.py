@@ -29,22 +29,23 @@ Kleene step over its front, a series node over its middle front), the
 points are visited in the order of their repr, so the front a loop
 keeps, and the iterations it counts, do not depend on the hash seed.
 
-The ascent asks a loop body the same questions over and over: parts of
-the body that never see the fed-back resources get the same input at
-every front point of every iteration.  So a LoopDP switches on a bounded
-memo (query -> front) in each series node of its body that contains no
-loop.  Par nodes get none: a par node's input is the input of the
-series above it or the output of that series' first part (at the body
-root, the loop's own per-solve cache), so a repeat is answered above it
-first; on the drone sweeps and random finite loops they never hit.
-Outside loops, where a node is asked once per solve, a memo would only
-cost time.  Atoms live as long as the model, and of them only a
-catalogue with a real first axis remembers: one front per cell of its
-axes (see Catalogue).  Loops, and composites containing one, get no
-memo: each Kleene solve reports its iterations to solve, and a
-remembered front would drop them from the count; a loop remembers only
-where to start.  A memo lives as long as its tree, so queries solved
-on one tree share it.
+A tree is asked the same questions over and over: a loop body at every
+front point of every Kleene iteration, and a sweep on every row.  So
+some nodes keep a bounded memo (query -> front) for as long as their
+tree lives, and each node decides whether it keeps one when it is
+built; nothing walks or changes a finished tree.  The rules:
+every series node with no loop below it keeps up to MEMO_SIZE fronts,
+wherever it sits; a catalogue whose first axis is real keeps the front
+of each cell of its axes it is asked (see Catalogue); a loop keeps only
+where its next ascent starts; loops, nodes that contain a loop, par
+nodes and other atoms keep nothing.  A loop, and a node above one, runs
+on every query because each Kleene solve reports its iterations to
+solve, and a remembered front would drop them from the count.  A par
+node's input is the input of the series above it or the output of that
+series' first part (at a loop body's root, the loop's own per-solve
+cache), so a repeat is answered above it first.  A memo changes no
+answer: its key keeps how the query is written (_memo_key), so 0.0 and
+-0.0, which a front may hand on, are remembered apart.
 
 Queries are checked once, by evaluate, solve and kleene_solve; composites
 call their parts' _eval directly.  Inside the kernel a front travels as
@@ -288,8 +289,6 @@ def _memo_key(f):
 
 
 class SeriesDP(DesignProblem):
-    _memo = None  # dict key -> front, switched on under loops
-
     def __init__(self, first: DesignProblem, second: DesignProblem):
         if first.ressp != second.funsp:
             raise CompositionError(
@@ -300,6 +299,7 @@ class SeriesDP(DesignProblem):
         self.first = first
         self.second = second
         self.holds_loop = first.holds_loop or second.holds_loop
+        self._memo = None if self.holds_loop else {}  # key -> front
         g, h = first.point, second.point
         if g is not None and h is not None:
             self.point = lambda f: h(g(f))
@@ -384,22 +384,6 @@ def loop_signature(funsp: Poset, ressp: Poset) -> tuple[Poset, Poset]:
     return f1sp, ressp
 
 
-def _enable_memos(dp: DesignProblem) -> None:
-    """Switch memos on in the loop-free series nodes under dp, not
-    looking inside loops."""
-    if isinstance(dp, SeriesDP):
-        if not dp.holds_loop and dp._memo is None:
-            dp._memo = {}
-        parts = (dp.first, dp.second)
-    elif isinstance(dp, ParDP):
-        parts = (dp.left, dp.right)
-    else:
-        return
-    for p in parts:
-        if not isinstance(p, LoopDP):
-            _enable_memos(p)
-
-
 class LoopDP(DesignProblem):
     """Feedback closure: the trailing functionality inputs are the DP's
     own resources, solved to the least fixed point."""
@@ -411,7 +395,6 @@ class LoopDP(DesignProblem):
         self.signature = loop_signature(body.funsp, body.ressp)
         super().__init__(*self.signature)
         self.body = body
-        _enable_memos(body)
 
     def _eval(self, f1) -> frozenset:
         max_iter, reports = _solve_run.get()

@@ -3,7 +3,9 @@
 Functionality and resource quantities live in posets.  Three kinds are
 supported: nonnegative real chains with a unit tag (including +inf as the
 top element), finite posets given by an explicit order-pair list, and
-flat n-ary products ordered componentwise.
+flat n-ary products ordered componentwise.  A member of a real chain is
+a nonnegative float or int; an int above the largest float is not one,
+since the kernel's sums and products could not convert it.
 
 Membership is checked where values enter the program: the public
 Antichain constructor, the outputs of a MonotoneMap built by its
@@ -27,6 +29,7 @@ per factor.  Scalars are never wrapped in 1-tuples.
 
 import itertools
 import math
+import sys
 
 from .errors import DomainError
 
@@ -106,9 +109,10 @@ class RealPlus(Poset):
         self.unit = unit
 
     def contains(self, x) -> bool:
+        # NaN fails x >= 0; an int above the largest float has no float
         if isinstance(x, bool) or not isinstance(x, (int, float)):
             return False
-        return not math.isnan(x) and x >= 0
+        return x >= 0 and (isinstance(x, float) or x <= sys.float_info.max)
 
     def leq(self, a, b) -> bool:
         return a <= b

@@ -7,7 +7,11 @@ by interval containment, and a term is evaluated under uncertainty by
 interpreting it once with all lower sides and once with all upper sides.
 Anything the upper run achieves is certainly feasible; anything the
 lower run rules out is certainly infeasible; in between the answer is
-indeterminate.
+indeterminate.  A loop stopped by the iteration cap returns its last
+Kleene iterate, which lies below the least fixed point: on the lower
+side that is still a lower bound, and an empty iterate (the top front)
+proves infeasibility; on the upper side its points are not proved
+feasible.  So the verdict is feasible only when the upper run converged.
 
 Build a pair once with evaluate_uncertain and solve it at many queries
 with UncertainDP.solve: the trees, and the fronts their loops remember,
@@ -152,7 +156,7 @@ class UncertainSolution:
 
 
 def classify(lower: SolveReport, upper: SolveReport) -> str:
-    if upper.feasible:
+    if upper.feasible and upper.converged:
         return VERDICT_FEASIBLE
     if not lower.feasible:
         return VERDICT_INFEASIBLE

@@ -380,6 +380,17 @@ class TestIterationCap:
         assert captured.out == ""
         assert captured.err == "error: --max-iter must be at least 1\n"
 
+    @pytest.mark.parametrize("endurance", ["5", "8", "12"])
+    def test_capped_loop_is_never_feasible(self, endurance, capsys):
+        # one Kleene step leaves a non-empty upper iterate, which lies
+        # below the least fixed point and so proves nothing
+        args = ["solve", UAV, "--f", "endurance=" + endurance, *UAV_QUERY[2:]]
+        assert main([*args, "--max-iter", "1"]) == EXIT_NO_CONVERGENCE
+        capped = json.loads(capsys.readouterr().out)
+        assert capped["upper"]["antichain"] and capped["verdict"] == "indeterminate"
+        assert main(args) == EXIT_INFEASIBLE
+        assert json.loads(capsys.readouterr().out)["verdict"] == "infeasible"
+
     @pytest.mark.parametrize("name", ["tolerance", "relax_n"])
     def test_cap_reaches_every_row(self, name, capsys):
         args = [*UAV_COMMANDS[name], "--format", "csv"]
@@ -619,6 +630,19 @@ class TestPairReuse:
         assert all(row["status"].startswith("error:") for row in rows)
 
 
+MEMO_SIZED_CLI = """
+import sys
+from mcdsolve import cli, dp
+dp.MEMO_SIZE = int(sys.argv[1])
+sys.exit(cli.main(sys.argv[2:]))
+"""
+AXIS_SWEEPS = {
+    "uav": ["--axis", "endurance", "--from", "0.5", "--to", "3", "--steps", "5", *UAV_QUERY[2:]],
+    "power_split": ["--axis", "demand", "--from", "0", "--to", "8", "--steps", "9"],
+    "energy_meter": ["--axis", "power", "--from", "0", "--to", "8", "--steps", "9"],
+}
+
+
 class TestDeterminism:
     def _run(self, args, seed):
         env = dict(os.environ, PYTHONHASHSEED=seed)
@@ -644,6 +668,22 @@ class TestDeterminism:
         a = self._run(args, "1")
         b = self._run(args, "999")
         assert a.stdout == b.stdout
+
+    @pytest.mark.parametrize("name", sorted(AXIS_SWEEPS))
+    def test_axis_sweep_bytes_stable_across_memo_sizes(self, name):
+        # every loop-free series node keeps a memo, outside loops too
+        outputs = set()
+        for size in ("1024", "0"):
+            for seed in ("0", "7"):
+                done = subprocess.run(
+                    [sys.executable, "-c", MEMO_SIZED_CLI, size, "sweep",
+                     str(example_path(name)), *AXIS_SWEEPS[name]],
+                    capture_output=True,
+                    env=dict(os.environ, PYTHONHASHSEED=seed),
+                    check=True,
+                )
+                outputs.add(done.stdout)
+        assert len(outputs) == 1 and b'"rows"' in outputs.pop()
 
 
 # Each random finite instance with a loop inside a loop, solved at every

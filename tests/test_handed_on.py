@@ -77,8 +77,8 @@ class TestSeriesPassThrough:
         second._eval = remembered
         node = series(MonotoneMap(RW, RG, lambda f: 2.0 * f), second)
         assert node._eval(3.0) is fronts[6.0]
-        # a memoised node stores and returns that same object
-        node._memo = {}
+        # the node's memo (every loop-free series node has one) stores
+        # and returns that same object
         front = node._eval(4.0)
         assert front is fronts[8.0] and node._eval(4.0) is front
 

@@ -1,5 +1,5 @@
-"""The fronts that loop bodies remember: they change no answer, sit only
-in the loop-free series nodes under a loop, and cut the work of a sweep."""
+"""The fronts that trees remember: they change no answer, sit in every
+series node with no loop below it, and cut the work of a sweep."""
 
 import contextlib
 import io
@@ -37,14 +37,6 @@ R = RealPlus()
 THREE = FinitePoset.chain([0, 1, 2], name="three")
 
 
-def build_pair(term, uvaluation, memos: bool, monkeypatch):
-    if memos:
-        return evaluate_uncertain(term, uvaluation)
-    with monkeypatch.context() as m:
-        m.setattr(dp, "_enable_memos", lambda body: False)
-        return evaluate_uncertain(term, uvaluation)
-
-
 def answers(pair, queries, max_iter=None):
     """Everything a solve reports, with fronts by repr so that equal
     values with different representatives (0, 0.0, -0.0) tell apart."""
@@ -64,10 +56,12 @@ def answers(pair, queries, max_iter=None):
 
 def assert_memo_invisible(term, uvaluation, queries, monkeypatch, max_iter=None):
     # one pair per setting, asked every query twice: memos carry over
-    on = build_pair(term, uvaluation, True, monkeypatch)
-    off = build_pair(term, uvaluation, False, monkeypatch)
     twice = list(queries) * 2
-    assert answers(on, twice, max_iter) == answers(off, twice, max_iter)
+    on = answers(evaluate_uncertain(term, uvaluation), twice, max_iter)
+    with monkeypatch.context() as m:
+        m.setattr(dp, "MEMO_SIZE", 0)  # no memo or catalogue cell stores a front
+        off = answers(evaluate_uncertain(term, uvaluation), twice, max_iter)
+    assert on == off
 
 
 def has_loop(term) -> bool:
@@ -128,14 +122,15 @@ def passthrough_loop(space, one):
     (THREE, 1, [1, 1.0, 0, 0.0, 2.0, 2, 1.0], ["(1.0,1)", "(1,1)"]),
 ])
 def test_twin_queries_keep_their_representatives(space, one, twins, shown, monkeypatch):
-    loops = {}
+    fronts = {}
     for memos in (True, False):
+        lp = passthrough_loop(space, one)
+        assert lp.body._memo is not None
         with monkeypatch.context() as m:
             if not memos:
-                m.setattr(dp, "_enable_memos", lambda body: False)
-            loops[memos] = passthrough_loop(space, one)
-    assert loops[True].body._memo is not None
-    fronts = {k: [repr(solve(lp, f).front) for f in twins] for k, lp in loops.items()}
+                m.setattr(dp, "MEMO_SIZE", 0)
+            fronts[memos] = [repr(solve(lp, f).front) for f in twins]
+        assert bool(lp.body._memo) == memos
     assert fronts[True] == fronts[False]
     for text in shown:
         assert "Antichain{%s}" % text in fronts[True]
@@ -176,17 +171,33 @@ class TestWhereMemosSit:
                 if loops is None:  # an atom
                     assert "_memo" not in vars(node), node
                 else:
-                    want = under and not loops and isinstance(node, SeriesDP)
+                    want = loops is False and isinstance(node, SeriesDP)
                     assert (getattr(node, "_memo", None) is not None) == want, node
 
-    def test_no_memo_outside_loops(self):
-        model = load_example("power_split")
-        pair = evaluate_uncertain(model.term, model.uvaluation)
-        for side in (pair.lower, pair.upper):
+    def test_memo_in_every_loop_free_series_node(self):
+        # outside any loop too: a node decides when it is built
+        for name in ("power_split", "energy_meter"):
+            model = load_example(name)
+            pair = evaluate_uncertain(model.term, model.uvaluation)
+            for side in (pair.lower, pair.upper):
+                nodes = []
+                composites(side, nodes)
+                chain = [n for n, _, loops in nodes if isinstance(n, SeriesDP)]
+                assert chain and all(loops is False for _, _, loops in nodes if loops is not None)
+                assert all(n._memo is not None for n in chain), name
+
+    def test_closing_a_loop_changes_nothing_below_it(self):
+        model = load_example("uav")
+        bodies = evaluate_uncertain(model.term.body, model.uvaluation)
+        for body in (bodies.lower, bodies.upper):
             nodes = []
-            composites(side, nodes)
-            assert any(loops is False for _, _, loops in nodes)
-            assert all(getattr(n, "_memo", None) is None for n, _, _ in nodes)
+            composites(body, nodes)
+            before = [(node, dict(vars(node))) for node, _, _ in nodes]
+            LoopDP(body)
+            for node, attrs in before:
+                now = vars(node)
+                assert now.keys() == attrs.keys(), node
+                assert all(now[k] is v for k, v in attrs.items()), node
 
     def test_nested_loop_and_its_ancestors_are_not_memoised(self):
         ladder = FinitePoset.chain([0, 1, 2, 3, 4])
@@ -195,7 +206,7 @@ class TestWhereMemosSit:
         joiner = MonotoneMap(product(ladder, ladder), ladder, lambda f: max(f))
         around = par(inner, IdentityDP(ladder))
         outer = LoopDP(series(around, joiner))
-        assert inner.body._memo is not None  # switched on by the inner loop
+        assert inner.body._memo is not None  # loop-free: memoised when built
         assert not hasattr(around, "_memo") and outer.body._memo is None
         assert getattr(inner, "_memo", None) is None
         assert solve(outer, 0).front.points == {2}

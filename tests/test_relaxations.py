@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -362,12 +363,16 @@ class TestSampledInverseFronts:
         assert calls == [f] and len(front) > 1
 
 
-# zero both ways, subnormals, the largest floats, infinity and ints.  Ints
-# stop at 2**1000: a member int past the float range overflows every real
-# sum and product in the kernel, not only these.
-MEMBER_DEMANDS = st.one_of(
-    st.sampled_from([0, 0.0, -0.0, 5e-324, 2.2e-308, 1e308, 1.7976931348623157e308, math.inf]),
+BEYOND_FLOATS = int(sys.float_info.max) + 1  # the least int that is not a member of R+
+
+# zero both ways, subnormals, the largest floats, infinity and ints, up to
+# the largest float and past it, where an int is no member and the query
+# is refused
+REAL_DEMANDS = st.one_of(
+    st.sampled_from([0, 0.0, -0.0, 5e-324, 2.2e-308, 1e308, 1.7976931348623157e308, math.inf,
+                     BEYOND_FLOATS - 1, BEYOND_FLOATS]),
     st.integers(min_value=0, max_value=2**1000),
+    st.integers(min_value=BEYOND_FLOATS, max_value=2**1100),
     st.floats(min_value=0, allow_nan=False),
 )
 
@@ -377,7 +382,7 @@ MEMBER_DEMANDS = st.one_of(
     st.sampled_from(["uniform", "vdc", "times", "uid"]),
     st.integers(min_value=1, max_value=64),
     st.sampled_from([1e-300, 0.001, 0.25, 1.0, 3.0, 1e300]),
-    MEMBER_DEMANDS,
+    REAL_DEMANDS,
 )
 def test_sampled_inverses_and_uid_emit_members(family, n, scale, f):
     u = {
@@ -386,6 +391,11 @@ def test_sampled_inverses_and_uid_emit_members(family, n, scale, f):
         "times": lambda: relax_times_vdc(n, scale, max(scale, 1.0) * 10.0),
         "uid": lambda: uid(scale),
     }[family]()
+    if isinstance(f, int) and f >= BEYOND_FLOATS:
+        for side in (u.lower, u.upper):
+            with pytest.raises(DomainError, match="not an element of R"):
+                side.evaluate(f)
+        return
     for side in (u.lower, u.upper):
         out = side.fn(f)  # every sample or meet, before minimising
         for p in out if isinstance(out, list) else [out]:
@@ -409,3 +419,13 @@ def test_meets_of_real_pairs_match_the_generic_path(points):
         plane.meet(a, b) for a, b in zip(unique, unique[1:])
     ]
     assert repr(_meets(points, plane)) == repr(generic)
+
+
+@pytest.mark.parametrize("enter", [
+    lambda f: uid(0.5).upper.evaluate(f),
+    lambda f: relax_plus_vdc(4).upper.evaluate(f),
+    lambda f: Antichain(RealPlus(), [f]),
+], ids=["uid", "relax_plus_vdc", "antichain"])
+def test_int_beyond_the_float_range_is_refused_where_it_enters(enter):
+    with pytest.raises(DomainError, match="not an element of R"):
+        enter(10**400)

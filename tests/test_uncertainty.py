@@ -1,14 +1,20 @@
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mcdsolve.antichains import Antichain
 from mcdsolve.dp import (
     Atom,
     Catalogue,
     IdentityDP,
     MonotoneMap,
     Series,
+    SolveReport,
     solve,
 )
 from mcdsolve.errors import DomainError
+from mcdsolve.oracle import random_instance, random_ordered_uvaluation
 from mcdsolve.posets import FinitePoset, RealPlus, product
 from mcdsolve.uncertainty import (
     UncertainDP,
@@ -107,6 +113,18 @@ class TestVerdicts:
         infeas = solve(Catalogue(RW, RG, [(1.0, 5.0)]), 2.0)
         assert classify(infeas, feas) == VERDICT_FEASIBLE
 
+    def test_capped_upper_front_proves_nothing(self):
+        # a capped loop's front is a Kleene iterate, below the least fixed
+        # point; an empty lower iterate is still a proof of infeasibility
+        def report(points, converged):
+            return SolveReport(Antichain(RG, points), 1, converged)
+
+        capped = report([2.0], False)
+        assert classify(report([1.0], True), capped) == VERDICT_INDETERMINATE
+        assert classify(report([1.0], False), capped) == VERDICT_INDETERMINATE
+        assert classify(report([], False), capped) == VERDICT_INFEASIBLE
+        assert classify(report([1.0], False), report([2.0], True)) == VERDICT_FEASIBLE
+
     def test_solve_uncertain(self):
         uval = {"pair": bounded_pair(1.0, 2.0)}
         sol = solve_uncertain(Atom("pair"), uval, 3.0)
@@ -163,3 +181,25 @@ class TestScaleCatalogue:
         cat = Catalogue(RW, RG, [(1.0, 2.0)])
         u = scale_catalogue(cat, 0.0)
         assert u.lower.evaluate(1.0).points == u.upper.evaluate(1.0).points == {2.0}
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=5))
+def test_capped_verdicts_on_random_finite_loops(seed, cap):
+    rng = random.Random(seed)
+    inst = random_instance(rng, depth=3)
+    uval, _ = random_ordered_uvaluation(rng, inst.valuation)
+    while not evaluate_uncertain(inst.term, uval).lower.holds_loop:
+        inst = random_instance(rng, depth=3)
+        uval, _ = random_ordered_uvaluation(rng, inst.valuation)
+    # one capped pair, asked every query in turn as a sweep asks its rows
+    capped = evaluate_uncertain(inst.term, uval)
+    full = evaluate_uncertain(inst.term, uval)
+    for f in inst.queries:
+        got, want = capped.solve(f, cap), full.solve(f)
+        assert want.converged
+        if got.verdict == VERDICT_FEASIBLE:
+            assert got.upper.converged
+        if got.verdict == VERDICT_INFEASIBLE:
+            assert want.verdict == VERDICT_INFEASIBLE
+        assert got.lower.front.leq(want.lower.front)
