@@ -145,6 +145,10 @@ class TestKleene:
         hist = [sorted(a.points) for a in report.history]
         assert hist == [[0], [1], [2], [2]]
 
+    def test_report_repr_leaves_history_out(self):
+        report = kleene_solve(ladder_body(), 0, keep_history=True)
+        assert repr(report) == "SolveReport(front=Antichain{2}, iterations=3, converged=True)"
+
     def test_ascending_history(self):
         report = kleene_solve(ladder_body(), 0, keep_history=True)
         for earlier, later in zip(report.history, report.history[1:]):
@@ -362,6 +366,22 @@ class TestTerms:
         t = Loop(Series(Atom("dbl"), Atom("wrong")))
         with pytest.raises(CompositionError, match=r"term\.loop: series mismatch"):
             evaluate_term(t, {"dbl": doubler(), "wrong": IdentityDP(RG)})
+
+    def test_span_takes_no_part_in_eq_hash_or_repr(self):
+        here = Series(Atom("a", span=0), Loop(Atom("b"), span=9), span=3)
+        code = Series(Atom("a"), Loop(Atom("b")))
+        assert here == code
+        assert hash(here) == hash(code)
+        assert repr(here) == repr(code)
+        assert {here: 1}[code] == 1
+
+    def test_fields_and_type_decide_eq_and_repr(self):
+        assert Series(Atom("a"), Atom("b")) != Par(Atom("a"), Atom("b"))
+        assert Series(Atom("a"), Atom("b")) != Series(Atom("b"), Atom("a"))
+        assert repr(Series(Atom("a"), Atom("b"), span=3)) == (
+            "Series(left=Atom(name='a'), right=Atom(name='b'))"
+        )
+        assert repr(Loop(Atom("a"))) == "Loop(body=Atom(name='a'))"
 
 
 class TestOrderAndMonotonicity:

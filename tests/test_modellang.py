@@ -162,6 +162,31 @@ class TestParse:
             assert result is not None
 
 
+class TestRecords:
+    def test_span_takes_no_part_in_eq_or_repr(self):
+        here, there = modellang.PosetReal("W", span=4), modellang.PosetReal("W", span=40)
+        assert here == there
+        assert repr(here) == repr(there) == "PosetReal(unit='W')"
+        assert here != modellang.PosetReal("g", span=4)
+
+    def test_node_types_with_equal_fields_differ(self):
+        assert modellang.PosetReal("W", span=0) != modellang.EVar("W", span=0)
+        assert modellang.ENum(1.0, span=0) != modellang.EVar(1.0, span=0)
+
+    def test_document_eq_ignores_spans_and_lines(self):
+        tight = parse_ok("poset w = R+[W]\nterm a\n")
+        loose = parse_ok("# a comment\n\nposet w =   R+[W]\n\n\nterm a # the term\n")
+        assert tight.lines.span(16) != loose.lines.span(16)
+        assert tight.statements[1].span != loose.statements[1].span
+        assert tight == loose
+        assert tight != parse_ok("poset w = R+[W]\nterm b\n")
+
+    def test_diagnostic_eq_reads_message_and_span(self):
+        assert Diagnostic("boom", Span(3, 7)) == Diagnostic(span=Span(3, 7), message="boom")
+        assert Diagnostic("boom", Span(3, 7)) != Diagnostic("boom", Span(3, 8))
+        assert Diagnostic("boom", Span(3, 7)) != Diagnostic("bang", Span(3, 7))
+
+
 class TestRoundTrip:
     def test_small_round_trip(self):
         doc = parse_ok(SMALL)

@@ -57,6 +57,15 @@ class TestUncertainDP:
         assert u.funsp == RW
         assert u.ressp == RG
 
+    def test_solution_repr_lists_its_fields(self):
+        sol = bounded_pair(1.0, 2.0).solve(3.0)
+        assert repr(sol) == (
+            "UncertainSolution(funsp=<RealPlus R+[W]>, query=3.0,"
+            " lower=SolveReport(front=Antichain{3.0}, iterations=0, converged=True),"
+            " upper=SolveReport(front=Antichain{6.0}, iterations=0, converged=True),"
+            " verdict='feasible')"
+        )
+
 
 class TestOrder:
     def test_udp_leq_containment(self):
