@@ -8,8 +8,11 @@ the empty antichain is the greatest element and encodes infeasibility,
 while {bottom} is the least.
 
 The public constructor checks that every point is a member of the poset;
-it is where values from outside the kernel (MonotoneMap outputs that are
-lists, model constants, relaxation samples) enter.  Inside the DP kernel
+it is where values from outside the kernel enter: the lists a MonotoneMap
+built by its constructor returns, a model's constant points, and the
+meets of lower_from_points.  The sampled inverses' fronts are members by
+construction and enter unchecked, through MonotoneMap._of(...,
+front=True) (see dp).  Inside the DP kernel
 fronts travel as plain frozensets of points; an Antichain object is made
 only where a front leaves it (DesignProblem.evaluate, a SolveReport and
 its history), by Antichain._of, which trusts a frozenset that is already
@@ -35,7 +38,7 @@ def _minimize_pairwise(unique, poset):
 
 
 def _minimize_real(unique, dims):
-    # On a product of real chains the lexicographic order extends the
+    # On one or two real chains the lexicographic order extends the
     # componentwise one, so a point can only be dominated by points
     # sorted before it (Kung, Luccio & Preparata 1975).
     if dims == 1:
@@ -43,20 +46,12 @@ def _minimize_real(unique, dims):
     order = sorted(range(len(unique)), key=unique.__getitem__)
     first = order[0]
     kept = [first]
-    if dims == 2:
-        lowest = unique[first][1]
-        for i in order[1:]:
-            y = unique[i][1]
-            if y < lowest:
-                kept.append(i)
-                lowest = y
-    else:
-        minima = [unique[first]]
-        for i in order[1:]:
-            p = unique[i]
-            if not any(all(u <= v for u, v in zip(q, p)) for q in minima):
-                kept.append(i)
-                minima.append(p)
+    lowest = unique[first][1]
+    for i in order[1:]:
+        y = unique[i][1]
+        if y < lowest:
+            kept.append(i)
+            lowest = y
     # emit in input order, so fronts are the same frozensets as built by
     # the pairwise path
     kept.sort()
@@ -69,8 +64,9 @@ def _minimize(points, poset):
     unique = list(dict.fromkeys(points))
     if len(unique) < 2:
         return unique
-    if poset.real_factors:
-        return _minimize_real(unique, len(poset.factors))
+    dims = len(poset.factors)
+    if poset.real_factors and dims < 3:
+        return _minimize_real(unique, dims)
     return _minimize_pairwise(unique, poset)
 
 

@@ -71,12 +71,19 @@ inverses' fronts, which are minimised once.  The model language checks
 each catalogue point as it reads it and builds the catalogue with
 Catalogue._of, which does not check the rows again, and so does
 scale_catalogue for its two sides.
+
+Terms, and the nodes of modellang's parse tree, are records: subclasses
+of Node.  A node's fields are the __slots__ of its class, and its
+constructor takes them in that order, then span.  ==, hash and repr go
+by the node's type and fields, repr as Name(field=value, ...).  span is
+where the parser found the node in a model text (None when built in
+code); it takes no part in ==, hash or repr.  A node is not changed
+once built.
 """
 
 import bisect
 import contextvars
 import marshal
-from dataclasses import dataclass, field
 
 from .antichains import Antichain, _cross, _minimize
 from .errors import CompositionError, DomainError
@@ -427,14 +434,21 @@ def loop(body: DesignProblem) -> LoopDP:
     return LoopDP(body)
 
 
-@dataclass
 class SolveReport:
-    """Outcome of a solve: the front plus loop-iteration bookkeeping."""
+    """Outcome of a solve: the front plus loop-iteration bookkeeping;
+    history, the front of each iterate, is kept on request and left out
+    of repr."""
 
-    front: Antichain
-    iterations: int
-    converged: bool
-    history: list | None = field(default=None, repr=False)
+    def __init__(self, front: Antichain, iterations: int, converged: bool, history=None):
+        self.front = front
+        self.iterations = iterations
+        self.converged = converged
+        self.history = history
+
+    def __repr__(self):
+        return "SolveReport(front=%r, iterations=%r, converged=%r)" % (
+            self.front, self.iterations, self.converged
+        )
 
     @property
     def feasible(self) -> bool:
@@ -549,37 +563,60 @@ def solve(dp: DesignProblem, f, max_iter: int | None = None) -> SolveReport:
 # --- term algebra ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Term:
-    """A composition of named atoms.  A node's span is where the parser
-    found it in the model text (None when built in code); it takes no
-    part in equality, hashing or repr."""
+class Node:
+    """A term or a parse-tree node: a record, by the rule in the module
+    docstring."""
+
+    __slots__ = ("span",)
+
+    def __init_subclass__(cls):
+        # each class gets its constructor written out, which costs what a
+        # hand-written one does (one taking *values parses a fifth slower)
+        cls._fields = fields = cls.__slots__
+        code = "def __init__(self, %sspan=None):\n%s    self.span = span\n" % (
+            "".join(f + ", " for f in fields),
+            "".join("    self.%s = %s\n" % (f, f) for f in fields),
+        )
+        scope = {}
+        exec(code, scope)
+        cls.__init__ = scope["__init__"]
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return "%s(%s)" % (
+            type(self).__qualname__,
+            ", ".join("%s=%r" % (f, getattr(self, f)) for f in self._fields),
+        )
 
 
-@dataclass(frozen=True)
+class Term(Node):
+    """A composition of named atoms."""
+
+    __slots__ = ()
+
+
 class Atom(Term):
-    name: str
-    span: object = field(default=None, compare=False, repr=False)
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
 class Series(Term):
-    left: Term
-    right: Term
-    span: object = field(default=None, compare=False, repr=False)
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Par(Term):
-    left: Term
-    right: Term
-    span: object = field(default=None, compare=False, repr=False)
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Loop(Term):
-    body: Term
-    span: object = field(default=None, compare=False, repr=False)
+    __slots__ = ("body",)
 
 
 def term_to_text(term: Term) -> str:

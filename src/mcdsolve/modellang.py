@@ -54,13 +54,15 @@ statement, so elaboration reports the first fault of each declaration;
 the term reports one for each faulty side of a series or par.  A
 duplicate name anywhere (posets, dps, uncertains share one namespace) is
 an error.  A token is a (kind, text, offset) tuple, read by one match
-with the whitespace and comments after it; a node's span is the offset
-of its first token.  A diagnostic's line and column are found from an
-offset when it is made, by bisecting a table of the text's line starts
-(_Lines, which the Document keeps).  poset, dp and uncertain statements
-are one node, StDecl, holding the keyword, the name and the parsed body.
-A term statement parses straight into the kernel's term type (dp.Atom,
-Series, Par, Loop).  Catalogue points are checked a column at a time.  A
+with the whitespace and comments after it.  Parse-tree nodes are
+records, as terms are (dp.Node; the rule is in the dp docstring), and a
+node's span is the offset of its first token.  A diagnostic's line and
+column are found from an offset when it is made, by bisecting a table
+of the text's line starts (_Lines, which the Document keeps).  poset, dp
+and uncertain statements are one node, StDecl, holding the keyword, the
+name and the parsed body.  A term statement parses straight into the
+kernel's term type (dp.Atom, Series, Par, Loop).  Catalogue points are
+checked a column at a time.  A
 number read as a chain element, in a chain or in a point on a chain
 axis, is an int when integral (chain_number).  A point keeps the word
 inf as written: on a chain axis it is the label inf, as in a chain or a
@@ -77,8 +79,7 @@ opens a level (parse_mexpr); deeper text is a diagnostic.
 import math
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from collections import namedtuple
 
 from . import relaxations
 from .antichains import Antichain
@@ -90,6 +91,7 @@ from .dp import (
     IdentityDP,
     Loop,
     MonotoneMap,
+    Node,
     Par,
     Series,
     Term,
@@ -106,15 +108,14 @@ from .uncertainty import UncertainDP, check_udp, degenerate, scale_catalogue
 KEYWORDS = ("model", "poset", "dp", "uncertain", "term")
 
 
-class _Builtin(NamedTuple):
-    """Argument layout and constructor of a builtin relaxation."""
-
-    numbers: int  # numeric arguments, always given
-    units: int  # trailing units, all given or none
-    sep: str  # text between the numbers and the units
-    counts_samples: bool  # the first number is a sample count
-    axes: tuple  # (functionality names, resource names)
-    build: Callable  # relaxations constructor, called as build(*numbers, *units)
+# Argument layout and constructor of a builtin relaxation:
+#   numbers         numeric arguments, always given
+#   units           trailing units, all given or none
+#   sep             text between the numbers and the units
+#   counts_samples  the first number is a sample count
+#   axes            (functionality names, resource names)
+#   build           relaxations constructor, called as build(*numbers, *units)
+_Builtin = namedtuple("_Builtin", "numbers units sep counts_samples axes build")
 
 
 _SPLIT = (("f",), ("r1", "r2"))  # an inverse splits f into r1 and r2
@@ -152,7 +153,7 @@ def chain_number(v: float):
     return int(v) if v.is_integer() else v
 
 
-def _reader(axis: Poset) -> Callable:
+def _reader(axis: Poset):
     """How axis reads a point's coordinate: on a chain axis a number is an
     element by chain_number and the word inf is the label inf; on a real
     axis the word inf is infinity."""
@@ -161,11 +162,7 @@ def _reader(axis: Poset) -> Callable:
     return lambda v: math.inf if v == "inf" else v
 
 
-class Span(NamedTuple):
-    """Where a diagnostic points: 1-based line and column."""
-
-    line: int
-    col: int
+Span = namedtuple("Span", "line col")  # where a diagnostic points, 1-based
 
 
 class _Lines:
@@ -182,16 +179,18 @@ class _Lines:
         return Span(line, offset - self.starts[line - 1] + 1)
 
 
-def _sp():
-    return field(compare=False, repr=False)
-
-
-@dataclass
 class Diagnostic:
-    """An error in a model text; any diagnostic makes the model unusable."""
+    """An error in a model text; any diagnostic makes the model unusable.
+    Diagnostics are equal when their messages and spans are."""
 
-    message: str
-    span: Span
+    def __init__(self, message: str, span: Span):
+        self.message = message
+        self.span = span
+
+    def __eq__(self, other):
+        return isinstance(other, Diagnostic) and (self.message, self.span) == (
+            other.message, other.span
+        )
 
     def format(self, filename: str = "<model>") -> str:
         return "%s:%d:%d: error: %s" % (filename, self.span.line, self.span.col, self.message)
@@ -227,156 +226,103 @@ def tokenize(text: str, diagnostics: list) -> list[tuple]:
 # --- syntax tree --------------------------------------------------------------
 
 
-@dataclass
-class PosetReal:
-    unit: str
-    span: int = _sp()
+class PosetReal(Node):
+    __slots__ = ("unit",)
 
 
-@dataclass
-class PosetChain:
-    labels: list
-    span: int = _sp()
+class PosetChain(Node):
+    __slots__ = ("labels",)
 
 
-@dataclass
-class Axis:
-    name: str
-    unit: str | None
-    ref: str | None
-    span: int = _sp()
+class Axis(Node):
+    __slots__ = ("name", "unit", "ref")
 
 
-@dataclass
-class Sig:
-    f_axes: list | None
-    r_axes: list
-    span: int = _sp()
+class Sig(Node):
+    __slots__ = ("f_axes", "r_axes")
 
 
-@dataclass
-class PointNode:
-    values: list
-    span: int = _sp()
+class PointNode(Node):
+    __slots__ = ("values",)
 
 
-@dataclass
-class Assign:
-    name: str
-    expr: object
-    span: int = _sp()
+class Assign(Node):
+    __slots__ = ("name", "expr")
 
 
-@dataclass
-class ENum:
-    value: float
-    span: int = _sp()
+class ENum(Node):
+    __slots__ = ("value",)
 
 
-@dataclass
-class EVar:
-    name: str
-    span: int = _sp()
+class EVar(Node):
+    __slots__ = ("name",)
 
 
-@dataclass
-class EBin:
-    op: str
-    left: object
-    right: object
-    span: int = _sp()
+class EBin(Node):
+    __slots__ = ("op", "left", "right")
 
 
-@dataclass
-class KConstant:
-    sig: Sig
-    points: list
-    span: int = _sp()
+class KConstant(Node):
+    __slots__ = ("sig", "points")
 
 
-@dataclass
-class KAffine:
-    sig: Sig
-    gain: PointNode
-    offset: PointNode
-    span: int = _sp()
+class KAffine(Node):
+    __slots__ = ("sig", "gain", "offset")
 
 
-@dataclass
-class KCatalogue:
-    sig: Sig
-    entries: list
-    span: int = _sp()
+class KCatalogue(Node):
+    __slots__ = ("sig", "entries")
 
 
-@dataclass
-class KMap:
-    sig: Sig
-    assigns: list
-    span: int = _sp()
+class KMap(Node):
+    __slots__ = ("sig", "assigns")
 
 
-@dataclass
-class KSig:
-    word: str  # identity, bottom or top: kinds given by their signature alone
-    sig: Sig
-    span: int = _sp()
+class KSig(Node):
+    __slots__ = ("word", "sig")  # word: identity, bottom or top, kinds given by their signature
 
 
-@dataclass
-class KBuiltin:
-    fn: str
-    numbers: list
-    units: list
-    span: int = _sp()
+class KBuiltin(Node):
+    __slots__ = ("fn", "numbers", "units")
 
 
-@dataclass
-class UPm:
-    dp_name: str
-    percent: float
-    span: int = _sp()
+class UPm(Node):
+    __slots__ = ("dp_name", "percent")
 
 
-@dataclass
-class UInterval:
-    lower_name: str
-    upper_name: str
-    span: int = _sp()
+class UInterval(Node):
+    __slots__ = ("lower_name", "upper_name")
 
 
-@dataclass
-class StModel:
-    name: str
-    description: str
-    span: int = _sp()
+class StModel(Node):
+    __slots__ = ("name", "description")
 
 
-@dataclass
-class StDecl:
-    keyword: str  # poset, dp or uncertain
-    name: str
-    body: object
-    span: int = _sp()
+class StDecl(Node):
+    __slots__ = ("keyword", "name", "body")  # keyword: poset, dp or uncertain
 
 
-@dataclass
-class StTerm:
-    expr: object
-    span: int = _sp()
+class StTerm(Node):
+    __slots__ = ("expr",)
 
 
-@dataclass
 class Document:
-    statements: list
-    span: int = _sp()
-    lines: _Lines = _sp()  # the spans of the text's offsets
+    """A parsed model text.  Documents are equal when their statements
+    are; span and lines (the spans of the text's offsets) take no part."""
+
+    def __init__(self, statements: list, span=None, lines=None):
+        self.statements = statements
+        self.span = span
+        self.lines = lines
+
+    def __eq__(self, other):
+        return isinstance(other, Document) and self.statements == other.statements
 
 
-@dataclass
 class ParseResult:
-    document: Document
-    diagnostics: list
+    def __init__(self, document: Document, diagnostics: list):
+        self.document = document
+        self.diagnostics = diagnostics
 
     @property
     def ok(self) -> bool:
@@ -395,16 +341,21 @@ class _Fault(Exception):
         self.diag = diag
 
 
-@dataclass(slots=True)
 class _Chain:
-    """A chain of a map expression still open (see _Parser.parse_mexpr)."""
+    """A chain of a map expression still open (see _Parser.parse_mexpr):
+    bracket is [opening token, first argument or None] if a bracket holds
+    it, left the expression read so far, op its last operator ("" before
+    the first)."""
 
-    min_prec: int
-    depth: int
-    bracket: list | None  # [opening token, first argument or None], if a bracket holds it
-    left: object = None  # the expression read so far
-    level: int = 0
-    op: str = ""  # its last operator, "" before the first
+    __slots__ = ("min_prec", "depth", "bracket", "left", "level", "op")
+
+    def __init__(self, min_prec: int, depth: int, bracket):
+        self.min_prec = min_prec
+        self.depth = depth
+        self.bracket = bracket
+        self.left = None
+        self.level = 0
+        self.op = ""
 
 
 class _Parser:
@@ -915,18 +866,21 @@ def render(doc: Document) -> str:
 # --- elaboration --------------------------------------------------------------
 
 
-@dataclass
 class ElaboratedModel:
     """A checked model ready to solve."""
 
-    name: str
-    uvaluation: dict
-    term: Term
-    funsp: Poset
-    ressp: Poset
-    fnames: list
-    rnames: list
-    builtin_decls: dict
+    def __init__(
+        self, name: str, uvaluation: dict, term: Term, funsp: Poset, ressp: Poset,
+        fnames: list, rnames: list, builtin_decls: dict,
+    ):
+        self.name = name
+        self.uvaluation = uvaluation
+        self.term = term
+        self.funsp = funsp
+        self.ressp = ressp
+        self.fnames = fnames
+        self.rnames = rnames
+        self.builtin_decls = builtin_decls
 
     def query_axes(self) -> list:
         return list(zip(self.fnames, self.funsp.factors))

@@ -9,8 +9,6 @@ in the body's front at (f1, r) has p <= r, found by evaluating the body
 at every element r of the (finite) resource poset.
 """
 
-from dataclasses import dataclass, field
-
 from .antichains import Antichain
 from .dp import (
     Atom,
@@ -71,13 +69,13 @@ def brute_lfp(dp: DesignProblem, f1) -> Antichain:
     )
 
 
-@dataclass
 class FiniteInstance:
     """A term over finite posets plus the queries to compare on."""
 
-    term: Term
-    valuation: dict
-    queries: list = field(default_factory=list)
+    def __init__(self, term: Term, valuation: dict, queries=None):
+        self.term = term
+        self.valuation = valuation
+        self.queries = [] if queries is None else queries
 
 
 def term_spaces(term: Term, valuation) -> tuple[Poset, Poset]:

@@ -19,7 +19,6 @@ are reused.  solve_uncertain builds and solves in one call.
 """
 
 import itertools
-from dataclasses import dataclass
 
 from .dp import (
     Catalogue,
@@ -132,15 +131,20 @@ def evaluate_uncertain(term: Term, uvaluation) -> UncertainDP:
     return UncertainDP(lower, upper)
 
 
-@dataclass
 class UncertainSolution:
     """Bracketed solve outcome at one query point."""
 
-    funsp: Poset
-    query: object
-    lower: SolveReport
-    upper: SolveReport
-    verdict: str
+    def __init__(self, funsp: Poset, query, lower: SolveReport, upper: SolveReport, verdict: str):
+        self.funsp = funsp
+        self.query = query
+        self.lower = lower
+        self.upper = upper
+        self.verdict = verdict
+
+    def __repr__(self):
+        return "UncertainSolution(funsp=%r, query=%r, lower=%r, upper=%r, verdict=%r)" % (
+            self.funsp, self.query, self.lower, self.upper, self.verdict
+        )
 
     @property
     def converged(self) -> bool:
