@@ -12,12 +12,12 @@ it is where values from outside the kernel enter: the lists a MonotoneMap
 built by its constructor returns, a model's constant points, and the
 meets of lower_from_points.  The sampled inverses' fronts are members by
 construction and enter unchecked, through MonotoneMap._of(...,
-front=True) (see dp).  Inside the DP kernel
-fronts travel as plain frozensets of points; an Antichain object is made
-only where a front leaves it (DesignProblem.evaluate, a SolveReport and
-its history), by Antichain._of, which trusts a frozenset that is already
-minimal.  The product of two antichains is one already, so cross (and a
-par node) builds it with _cross and minimises nothing.
+front=True) (see dp).  Inside the DP kernel fronts travel as plain
+frozensets of points; an Antichain object is made only where a front
+leaves it (DesignProblem.evaluate, a SolveReport and its history), by
+Antichain._of, which trusts a frozenset that is already minimal.  The
+product of two antichains is one already, so cross (and a par node)
+builds it with _cross and minimises nothing.
 """
 
 from .errors import DomainError
