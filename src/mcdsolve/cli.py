@@ -236,15 +236,18 @@ def cmd_sweep(args) -> int:
         for value_text, sol, status in rows:
             print(_csv_row(value_text, sol, status))
     else:
-        out = {"sweep": label, "rows": []}
+        # json.dumps({"sweep": label, "rows": rows}, indent=2), a row at a time
+        opening = json.dumps({"sweep": label, "rows": []}, indent=2)[: -len("]\n}")]
+        sep = opening
         for value_text, sol, status in rows:
             row = {"value": value_text, "status": status}
             if sol is not None:
                 row["lower"] = sol.lower.to_json()
                 row["upper"] = sol.upper.to_json()
                 row["verdict"] = sol.verdict
-            out["rows"].append(row)
-        print(json.dumps(out, indent=2))
+            print(sep + "\n    " + json.dumps(row, indent=2).replace("\n", "\n    "), end="")
+            sep = ","
+        print(opening + "]\n}" if sep is opening else "\n  ]\n}")
     return EXIT_OK
 
 

@@ -57,8 +57,8 @@ fronts, which needs no minimising.  A node whose every front is one
 point has a point function, f -> that point: a one-point map built by
 MonotoneMap._of (a compiled model map, uid's snaps), an identity, and a
 series or par node whose parts both have one.  A series node whose
-middle front has several points calls its second part's point function
-once for each, in the order it would call _eval, and no node below
+middle front has several points pushes them through point functions
+(below), and where they make its second part's front, no node below
 runs its _eval.  An Antichain object is made only where a front leaves
 the kernel: by evaluate, and by kleene_solve for its report and
 history.  Atom outputs are checked where they enter: of a MonotoneMap
@@ -71,6 +71,19 @@ inverses' fronts, which are minimised once.  The model language checks
 each catalogue point as it reads it and builds the catalogue with
 Catalogue._of, which does not check the rows again, and so does
 scale_catalogue for its two sides.
+
+A series node whose middle front has several points runs its second part
+only where it must.  A DP is monotone, so the front at m' >= m adds no
+minimal point to the front at m: the series front is that of the minimal
+middle points alone.  When built, the node composes push, the point
+functions heading its second part's chain of series nodes, and keeps
+rest, the chain after them; it minimises the images of its middle points
+under push once, then runs rest at each image left; with no rest, they
+are the front.  The front is the one a visit of every middle point
+gives, each point written alike, but for a point equal as a value to one
+of a lower image's and written differently (0.0, -0.0): it keeps the
+lower image's writing.  A second part that holds a loop runs at every
+middle point, in repr order, so solve's iterations do not move.
 
 Terms, and the nodes of modellang's parse tree, are records: subclasses
 of Node.  A node's fields are the __slots__ of its class, and its
@@ -295,7 +308,14 @@ def _memo_key(f):
         return (f, repr(f))
 
 
+def _then(g, h):
+    """The point function g, then h; None as either is the identity."""
+    return g if h is None else h if g is None else lambda f: h(g(f))
+
+
 class SeriesDP(DesignProblem):
+    _push = None  # the point functions heading second's series chain, composed
+
     def __init__(self, first: DesignProblem, second: DesignProblem):
         if first.ressp != second.funsp:
             raise CompositionError(
@@ -309,7 +329,16 @@ class SeriesDP(DesignProblem):
         self._memo = None if self.holds_loop else {}  # key -> front
         g, h = first.point, second.point
         if g is not None and h is not None:
-            self.point = lambda f: h(g(f))
+            self.point = _then(g, h)
+        # a fan-out runs rest only at the minimal images push gives (see
+        # the module docstring); second decided its own when it was built
+        self._rest = second
+        if h is not None:
+            self._push, self._rest = h, None
+        elif isinstance(second, SeriesDP) and not second.holds_loop:
+            head = second.first.point
+            if head is not None:
+                self._push, self._rest = _then(head, second._push), second._rest
 
     def _eval(self, f) -> frozenset:
         memo = self._memo
@@ -322,15 +351,19 @@ class SeriesDP(DesignProblem):
         if len(mid) == 1:
             (r1,) = mid  # a front is minimal already: hand it on as it is
             front = self.second._eval(r1)
-        elif self.second.point is not None:  # one call per middle point
-            front = frozenset(_minimize(list(map(self.second.point, mid)), self.ressp))
         else:
-            if self.second.holds_loop:  # a fixed order for the loop's starts
-                mid = sorted(mid, key=repr)
-            pts = []
-            for r1 in mid:
-                pts.extend(self.second._eval(r1))
-            front = frozenset(_minimize(pts, self.ressp))
+            push, rest = self._push, self._rest
+            if push is not None:  # rest runs only at the minimal images
+                mid = _minimize(list(map(push, mid)), self.ressp if rest is None else rest.funsp)
+            if rest is None:
+                front = frozenset(mid)
+            else:
+                if rest.holds_loop:  # a fixed order for the loop's starts
+                    mid = sorted(mid, key=repr)
+                pts = []
+                for r1 in mid:
+                    pts.extend(rest._eval(r1))
+                front = frozenset(_minimize(pts, self.ressp))
         if memo is not None and len(memo) < MEMO_SIZE:
             memo[key] = front
         return front

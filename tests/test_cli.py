@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from mcdsolve import dp, uncertainty
+from mcdsolve import cli, dp, uncertainty
 from mcdsolve.cli import (
     EXIT_ERROR,
     EXIT_INDETERMINATE,
@@ -537,6 +537,66 @@ class TestSweep:
     ])
     def test_bad_parameter_fails_csv_sweep_before_output(self, split_model, mode, capsys):
         code = main(["sweep", split_model, *mode, "--f", "demand=6", "--format", "csv"])
+        assert code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_json_rows_print_as_solved(self, monkeypatch, capsys):
+        # as with CSV: the three rows solved before the 4th solve fails are
+        # out, and only the sweep's close is missing
+        solve = uncertainty.UncertainDP.solve
+        calls = []
+
+        def failing_fourth(udp, *args):
+            calls.append(None)
+            if len(calls) == 4:
+                raise RuntimeError("stop")
+            return solve(udp, *args)
+
+        monkeypatch.setattr(uncertainty.UncertainDP, "solve", failing_fourth)
+        with pytest.raises(RuntimeError):
+            main([
+                "sweep", str(example_path("power_split")), "--axis", "demand",
+                "--from", "0", "--to", "8", "--steps", "100000",
+            ])
+        out = capsys.readouterr().out
+        payload = json.loads(out + "\n  ]\n}")
+        assert payload["sweep"] == "demand"
+        assert [row["value"] for row in payload["rows"]] == [repr(i * 8.0 / 99999) for i in range(3)]
+        assert all(row["status"] == "ok" for row in payload["rows"])
+
+    @pytest.mark.parametrize("steps", [1, 2, 5])
+    def test_json_sweep_prints_one_dump(self, tmp_path, capsys, steps):
+        # rows written as they are solved make the bytes of one
+        # json.dumps(..., indent=2) of the whole sweep, error rows included
+        path = tmp_path / "times.mcd"
+        path.write_text(
+            "dp demand = identity R(area[km])\n"
+            "dp plan = invtimes_vdc(2, 1.0, 4.0, km, km/h, h)\n"
+            "term series(demand, plan)\n"
+        )
+        code = main([
+            "sweep", str(path),
+            "--axis", "area", "--from", "2", "--to", "-32", "--steps", str(steps),
+        ])
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    def test_json_sweep_without_rows(self, split_model, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_solve_rows", lambda model, plan, max_iter: iter(()))
+        code = main(["sweep", split_model, "--relax-n", "split=1,2", "--f", "demand=6"])
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        assert out == json.dumps({"sweep": "relax:split", "rows": []}, indent=2) + "\n"
+
+    @pytest.mark.parametrize("mode", [
+        ["--relax-n", "split=2,0"],
+        ["--tolerance", "solar=1.0,-1.0"],
+    ])
+    def test_bad_parameter_fails_json_sweep_before_output(self, split_model, mode, capsys):
+        code = main(["sweep", split_model, *mode, "--f", "demand=6"])
         assert code == EXIT_ERROR
         captured = capsys.readouterr()
         assert captured.out == ""

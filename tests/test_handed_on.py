@@ -1,19 +1,22 @@
 """Fronts and rows that are final are handed on, not rebuilt or checked
 again: a series node whose middle front is one point returns its second
-part's front itself, one whose second part has a point function takes
-one call of it per middle point, and catalogue rows that the model
+part's front itself, one whose middle front has several points pushes
+them through the point functions heading its second part and runs the
+rest only at the minimal images, and catalogue rows that the model
 language or scale_catalogue made enter unchecked, while a model's points
 are still checked as they are read."""
 
 import collections
+import contextlib
+import io
 import math
 import random
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from mcdsolve import dp, modellang
+from mcdsolve import cli, dp, modellang
 from mcdsolve.dp import (
     Catalogue,
     IdentityDP,
@@ -145,14 +148,18 @@ def all_nodes(node):
         yield from all_nodes(node.body)
 
 
-def grid_answers(term, uvaluation, monkeypatch, points: bool) -> list:
+def grid_answers(term, uvaluation, monkeypatch, points=True, push=True) -> list:
     """Everything a solve reports at each default_query_grid query, on a
-    new pair whose nodes keep or lose their point functions."""
+    new pair whose nodes keep or lose their point functions, and whose
+    series nodes keep or lose the push of their fan-outs (made of those
+    functions)."""
     pair = evaluate_uncertain(term, uvaluation)
-    if not points:
-        for side in (pair.lower, pair.upper):
-            for node in all_nodes(side):
+    for side in (pair.lower, pair.upper):
+        for node in all_nodes(side):
+            if not points:
                 monkeypatch.setattr(node, "point", None)
+            if not (points and push) and isinstance(node, SeriesDP):
+                push_off(monkeypatch, node)
     out = []
     for f in default_query_grid(pair.funsp):
         try:
@@ -164,10 +171,21 @@ def grid_answers(term, uvaluation, monkeypatch, points: bool) -> list:
     return out
 
 
-def assert_points_invisible(term, uvaluation):
+def push_off(monkeypatch, node):
+    """The fan-out of a node built without the push: its second part
+    runs at every middle point."""
+    monkeypatch.setattr(node, "_push", None)
+    monkeypatch.setattr(node, "_rest", node.second)
+
+
+def assert_answers_unchanged(term, uvaluation, **off):
     with pytest.MonkeyPatch.context() as monkeypatch:
-        with_points = grid_answers(term, uvaluation, monkeypatch, True)
-        assert with_points == grid_answers(term, uvaluation, monkeypatch, False)
+        answers = grid_answers(term, uvaluation, monkeypatch)
+        assert answers == grid_answers(term, uvaluation, monkeypatch, **off)
+
+
+def assert_points_invisible(term, uvaluation):
+    assert_answers_unchanged(term, uvaluation, points=False)
 
 
 @st.composite
@@ -274,6 +292,142 @@ class TestPointFunctions:
             sol = solve_uncertain(model.term, model.override_relaxation("split", n), f)
             assert sol.verdict == "feasible"
             assert calls == {"MonotoneMap": 2, "SeriesDP": 4}, n
+
+
+# a fan-out whose second part holds a loop: split's samples go through
+# total's point function, and the loop runs at each of them
+LOOP_FAN_OUT = """
+dp split = invplus_vdc(4, W)
+dp total = map F(a[W], b[W]) R(s[W]) { s = a + b }
+dp body = map F(s[W], r[W]) R(r[W]) { r = min(s, r + 1.0) }
+term series(split, series(total, loop(body)))
+"""
+
+SWEEP = ["sweep", str(example_path("uav")), "--axis", "endurance", "--from", "0.5",
+         "--to", "3", "--steps", "5", "--f", "distance=20", "--f", "payload=300",
+         "--f", "missions=200"]
+
+PUSHES = {  # monotone point functions on pairs, as compiled maps make them
+    "min": lambda m: min(m[0], m[1]),
+    "max": lambda m: max(m[0], m[1]),
+    "sum": lambda m: m[0] + m[1],
+    "first": lambda m: m[0],
+}
+RESTS = {  # monotone maps of an image to a front
+    "pass": lambda x: [(x, 1.0), (x + 1.0, 0.5)],
+    "floor": lambda x: [(max(x, 2.5), x)],
+    "cap": lambda x: [(min(x, 1.0), 2.5)],
+}
+ZERO_ONE = st.sampled_from([0, 0.0, -0.0, 1, 1.0, 2.5, math.inf])
+
+
+class TestFanOut:
+    @pytest.mark.parametrize("name", EXAMPLE_NAMES)
+    def test_examples_answer_the_same_without_push(self, name):
+        model = load_example(name)
+        assert_answers_unchanged(model.term, model.uvaluation, push=False)
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(point_models())
+    def test_compositions_answer_the_same_without_push(self, text):
+        model, diags = load_model(text)
+        assert model is not None, (text, diags)
+        assert_answers_unchanged(model.term, model.uvaluation, push=False)
+
+    def test_fan_out_over_a_loop_visits_every_middle_point(self, monkeypatch):
+        # a remembered or skipped point would move the iterations solve
+        # reports, so the loop runs at each sample, in repr order
+        model, diags = load_model(LOOP_FAN_OUT)
+        assert model is not None, diags
+        assert_answers_unchanged(model.term, model.uvaluation, push=False)
+        root = evaluate_term(model.term, {k: u.upper for k, u in model.uvaluation.items()})
+        assert root._push is None and root._rest is root.second
+        loop_eval, seen = LoopDP._eval, []
+
+        def counted(self, f1):
+            seen.append(f1)
+            return loop_eval(self, f1)
+
+        monkeypatch.setattr(LoopDP, "_eval", counted)
+        samples = root.first._eval(10.0)
+        assert len(samples) > 1
+        root._eval(10.0)
+        assert seen == sorted((a + b for a, b in samples), key=repr)
+
+    def test_push_composes_the_point_heads_of_a_spine(self):
+        # the UAV body's fan-out: power_budget and capacity have point
+        # functions, par(ubattery, idcost) has none and starts the rest
+        model = load_example("uav")
+        pair = evaluate_uncertain(model.term, model.uvaluation)
+        for side in (pair.lower, pair.upper):
+            fan = side.body.second
+            budget, capacity = fan.second.first, fan.second.second.first
+            assert fan._rest is fan.second.second.second
+            m = (4.0, 0.5, 12.0, 6.0, 1.0, 200)  # ppcpt, flight, pact, cact, endurance, missions
+            assert fan._push(m) == capacity.point(budget.point(m)) == (19.0, 200, 6.0)
+        # a second part that has a point function is all push, and no rest
+        split = load_example("power_split")
+        node = evaluate_uncertain(split.term, split.uvaluation).upper.second
+        assert node._rest is None
+        assert node._push((2.0, 4.0)) == node.second.point((2.0, 4.0)) == 2.0 * 2.0 + 3.0 + 4.0
+
+    def test_sweep_scans_the_catalogue_at_minimal_images_only(self, monkeypatch):
+        calls = [0]
+        cat_eval = Catalogue._eval
+
+        def counted(self, f):
+            calls[0] += 1
+            return cat_eval(self, f)
+
+        monkeypatch.setattr(Catalogue, "_eval", counted)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(SWEEP) == cli.EXIT_OK
+        assert calls[0] <= 60  # 49; 399 when the rest ran at every middle point
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(
+        mid=st.lists(st.tuples(ZERO_ONE, ZERO_ONE), min_size=2, max_size=5),
+        push=st.sampled_from(sorted(PUSHES)),
+        rest=st.sampled_from(sorted(RESTS)),
+    )
+    @example(mid=[(0, 1.0), (1.0, -0.0)], push="min", rest="pass")
+    @example(mid=[(-0.0, 1.0), (1.0, 0.0), (0, 2.5)], push="min", rest="cap")
+    @example(mid=[(0.0, 1.0), (1, 0.0)], push="max", rest="floor")
+    def test_fan_out_over_signed_zeros(self, mid, push, rest):
+        # images equal as values but written 0, 0.0 or -0.0 (or 1 and
+        # 1.0): the rest runs at the first of them, which is where a visit
+        # of every middle point takes each point of its front from
+        mid_space, out_space = product(RG, RG), product(RW, RW)
+        node = series(
+            MonotoneMap(RW, mid_space, lambda f: list(mid)),
+            series(MonotoneMap._of(mid_space, RG, PUSHES[push]),
+                   MonotoneMap(RG, out_space, RESTS[rest])),
+        )
+        assert node._push is PUSHES[push]
+        got = node._eval(1.0)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            push_off(monkeypatch, node)
+            every = node._eval(2.0)  # a new query: the memo keeps 1.0's front
+        assert got == every  # as values
+        # a rest that writes one value alike from images of different
+        # values (cap) keeps the writing of the minimal image's front, see
+        # test_an_image_above_another_adds_no_point
+        images = set(map(PUSHES[push], node.first._eval(1.0)))
+        if rest != "cap" or len(images) == 1:
+            key = out_space.sort_key
+            assert repr(sorted(got, key=key)) == repr(sorted(every, key=key))
+
+    def test_an_image_above_another_adds_no_point(self):
+        # the rest runs only at the minimal image, so of points equal as
+        # values the front keeps the writing that image gives, whatever
+        # order the middle front is in
+        for mid in ([(1.0, 0.0), (0.0, 1.0)], [(0.0, 1.0), (1.0, 0.0)]):
+            node = series(
+                MonotoneMap(RW, product(RG, RG), lambda f, mid=mid: list(mid)),
+                series(MonotoneMap._of(product(RG, RG), RG, PUSHES["first"]),
+                       MonotoneMap(RG, RW, lambda x: [-0.0 if x > 0 else 0.0])),
+            )
+            assert repr(node._eval(1.0)) == "frozenset({0.0})"
 
 
 class TestCataloguesCheckedOnce:

@@ -329,7 +329,8 @@ def test_axis_sweep_scans_each_cell_once(monkeypatch):
     monkeypatch.setattr(dp.Catalogue, "_eval", counted)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(SWEEP) == cli.EXIT_OK
-    assert calls[0] >= 300  # 399 catalogue calls, each a row scan without cells
+    # 49 catalogue calls, each a row scan without cells
+    assert calls[0] > scans[0]
     assert scans[0] <= 24  # 12 measured
 
 
