@@ -25,14 +25,17 @@ from .posets import Poset, ProductPoset, product
 
 
 def _minimize_pairwise(unique, poset):
+    # a point above a dropped one is above a kept one (transitivity), so
+    # each point is tested only against the points kept so far, and drops
+    # those above it; the kept stay in input order
+    leq = poset.leq
     kept = []
-    for i, p in enumerate(unique):
-        dominated = False
-        for j, q in enumerate(unique):
-            if i != j and poset.leq(q, p):
-                dominated = True
+    for p in unique:
+        for q in kept:
+            if leq(q, p):
                 break
-        if not dominated:
+        else:
+            kept = [q for q in kept if not leq(p, q)]
             kept.append(p)
     return kept
 

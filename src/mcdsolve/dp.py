@@ -56,12 +56,15 @@ it is, the same frozenset; a par node takes the product of its parts'
 fronts, which needs no minimising.  A node whose every front is one
 point has a point function, f -> that point: a one-point map built by
 MonotoneMap._of (a compiled model map, uid's snaps), an identity, and a
-series or par node whose parts both have one.  A series node whose
-middle front has several points pushes them through point functions
-(below), and where they make its second part's front, no node below
-runs its _eval.  An Antichain object is made only where a front leaves
-the kernel: by evaluate, and by kleene_solve for its report and
-history.  Atom outputs are checked where they enter: of a MonotoneMap
+series or par node whose parts both have one.  A point function made by
+compile_point (every map the model language compiles) carries its
+source, a body text and its constants, and so does the identity's;
+uid's snaps, and any function wrapped after it was made, carry none.
+A series node whose middle front has several points pushes them through
+point functions (below), and where they make its second part's front,
+no node below runs its _eval.  An Antichain object is made only where a
+front leaves the kernel: by evaluate, and by kleene_solve for its report
+and history.  Atom outputs are checked where they enter: of a MonotoneMap
 built by its constructor, a single point by the resource space's
 check_member, a list of them by the Antichain constructor; catalogue
 rows in the Catalogue constructor.  Outputs that are members by
@@ -85,6 +88,16 @@ of a lower image's and written differently (0.0, -0.0): it keeps the
 lower image's writing.  A second part that holds a loop runs at every
 middle point, in repr order, so solve's iterations do not move.
 
+The first time a node pushes a front of several points, it fuses push
+when every stage carries a source: one straight-line function made from
+their bodies runs each stage once per point, with the same float
+operations in the same order, so its images are the composition's, bit
+for bit; its text holds only locals, x, c[i] and calls of _times, max
+and min.  Otherwise push stays composed.  Fusing walks the stages once
+per tree, never at a build; fused functions are kept by the sources of
+their stages, and each distinct text is compiled once (up to MEMO_SIZE
+of each).
+
 Terms, and the nodes of modellang's parse tree, are records: subclasses
 of Node.  A node's fields are the __slots__ of its class, and its
 constructor takes them in that order, then span.  ==, hash and repr go
@@ -97,6 +110,7 @@ once built.
 import bisect
 import contextvars
 import marshal
+import re
 
 from .antichains import Antichain, _cross, _minimize
 from .errors import CompositionError, DomainError
@@ -298,6 +312,9 @@ class IdentityDP(DesignProblem):
         return frozenset((f,))
 
 
+IdentityDP.point.source = ("x", ())
+
+
 def _memo_key(f):
     # Equal values can print differently (0, 0.0 and -0.0; 1 and 1.0) and
     # an atom may pass its input through to its front, so the key keeps
@@ -313,8 +330,100 @@ def _then(g, h):
     return g if h is None else h if g is None else lambda f: h(g(f))
 
 
+def _times(u, v):
+    # 0 * inf is 0 here: a zero gain switches a contribution off
+    return 0.0 if u == 0 or v == 0 else u * v
+
+
+_makers: dict = {}  # text -> the make(c) it defines, up to MEMO_SIZE texts
+_fused: dict = {}  # a push's parts (_parts) -> its fused function, up to MEMO_SIZE
+
+
+def _make(text: str):
+    """The function make(c) that text defines, compiled once per distinct
+    text; text calls only _times, max and min."""
+    make = _makers.get(text)
+    if make is None:
+        scope = {"__builtins__": {}, "_times": _times, "max": max, "min": min}
+        exec(text, scope)
+        make = scope["make"]
+        if len(_makers) < MEMO_SIZE:
+            _makers[text] = make
+    return make
+
+
+def compile_point(body: str, consts: tuple):
+    """The point function x -> body, for a body text that reads x and
+    the constants c[i] and calls _times, max and min.  It carries
+    (body, consts) as its source, which a fan-out's push fuses."""
+    fn = _make("def make(c):\n    return lambda x: %s\n" % body)(consts)
+    fn.source = (body, consts)
+    return fn
+
+
+def _parts(node, stop=None):
+    """The stages node's point function runs, up to the node stop of its
+    series chain, as a tuple: each atom's source, its constants marshalled
+    (which tells 0.0 from -0.0 and 1 from 1.0), and for a par node its
+    layout and each side's parts; None where a stage's point function has
+    no source."""
+    parts = ()
+    while isinstance(node, SeriesDP) and node is not stop:
+        first = _parts(node.first)
+        if first is None:
+            return None
+        parts += first
+        node = node.second
+    if node is stop:
+        return parts
+    if isinstance(node, ParDP):
+        left = _parts(node.left)
+        right = None if left is None else _parts(node.right)
+        if right is None:
+            return None
+        return parts + ((node._cut, node._split, node._flat, left, right),)
+    source = getattr(node.point, "source", None)
+    if source is None:
+        return None
+    return parts + ((source[0], marshal.dumps(source[1], 2)),)
+
+
+_RENAME = re.compile(r"\bx\b|c\[(\d+)\]")
+
+
+def _fused_text(parts, consts: list) -> str:
+    """Text defining make(c), whose point(x) runs parts straight through:
+    each body renamed and assigned to a fresh local, its constants
+    appended to consts."""
+    lines = []
+
+    def local(expr):
+        lines.append("        v%d = %s\n" % (len(lines), expr))
+        return "v%d" % (len(lines) - 1)
+
+    def emit(parts, var):
+        for part in parts:
+            if len(part) == 5:  # a par node: ParDP's split, _cross's tuples
+                cut, (left_tuple, right_tuple), (lf, rf), left, right = part
+                a = emit(left, local("%s[:%d]" % (var, cut) if left_tuple else var + "[0]"))
+                b = emit(right, local("%s[%d%s]" % (var, cut, ":" if right_tuple else "")))
+                var = local("%s + %s" % (a if lf else "(%s,)" % a, b if rf else "(%s,)" % b)
+                            if lf or rf else "(%s, %s)" % (a, b))
+            elif part[0] != "x":  # an atom; an identity adds no line
+                off = len(consts)
+                consts.extend(marshal.loads(part[1]))
+                var = local(_RENAME.sub(lambda m: var if m.group(1) is None
+                                        else "c[%d]" % (off + int(m.group(1))), part[0]))
+        return var
+
+    out = emit(parts, "x")
+    return "def make(c):\n    def point(x):\n%s        return %s\n    return point\n" % (
+        "".join(lines), out)
+
+
 class SeriesDP(DesignProblem):
     _push = None  # the point functions heading second's series chain, composed
+    _tried = False  # whether _fuse has run
 
     def __init__(self, first: DesignProblem, second: DesignProblem):
         if first.ressp != second.funsp:
@@ -354,6 +463,8 @@ class SeriesDP(DesignProblem):
         else:
             push, rest = self._push, self._rest
             if push is not None:  # rest runs only at the minimal images
+                if not self._tried:
+                    push = self._fuse()
                 mid = _minimize(list(map(push, mid)), self.ressp if rest is None else rest.funsp)
             if rest is None:
                 front = frozenset(mid)
@@ -367,6 +478,22 @@ class SeriesDP(DesignProblem):
         if memo is not None and len(memo) < MEMO_SIZE:
             memo[key] = front
         return front
+
+    def _fuse(self):
+        """The push, fused into one function where every stage has a
+        source (see the module docstring); else as composed."""
+        self._tried = True
+        parts = _parts(self.second, self._rest)
+        if parts is None:
+            return self._push
+        fn = _fused.get(parts)
+        if fn is None:
+            consts = []
+            fn = _make(_fused_text(parts, consts))(tuple(consts))
+            if len(_fused) < MEMO_SIZE:
+                _fused[parts] = fn
+        self._push = fn
+        return fn
 
 
 class ParDP(DesignProblem):

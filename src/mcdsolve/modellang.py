@@ -40,9 +40,10 @@ Grammar (EBNF; # starts a comment, statements begin at column 1):
 
 Omitting F(...) gives a constant a trivial one-point functionality.
 `map` bodies are monotone by construction: nonnegative constants,
-functionality names, +, *, max, min.  Elaboration compiles each body
-once into one Python function of the functionality value, generated from
-the expression tree and holding no model text, and types each output on
+functionality names, +, *, max, min.  Elaboration turns each body into
+one Python function of the functionality value, generated from the
+expression tree and holding no model text (dp.compile_point, which
+compiles each distinct text once per process), and types each output on
 the way (compile_expr): a real output reads numbers, real axes and
 chains of increasing numbers, a chain output is a bare axis on an equal
 chain, and anything else, like an unknown name, is a diagnostic.  The
@@ -98,6 +99,7 @@ from .dp import (
     UNIT_POSET,
     BottomDP,
     TopDP,
+    compile_point,
     loop_signature,
     term_to_text,
 )
@@ -1285,17 +1287,11 @@ def _reads_as_number(p: Poset) -> bool:
     )
 
 
-def _times(u, v):
-    # 0 * inf is 0 here: a zero gain switches a contribution off
-    return 0.0 if u == 0 or v == 0 else u * v
-
-
 def _compiled_map(f_space, r_space, parts: list, consts: list):
     """MonotoneMap computing every output from its typed text (see
     compile_expr) in one function of the functionality value."""
     body = parts[0] if len(parts) == 1 else "(%s)" % ", ".join(parts)
-    scope = {"__builtins__": {}, "c": tuple(consts), "_times": _times, "max": max, "min": min}
-    return MonotoneMap._of(f_space, r_space, eval("lambda x: " + body, scope))
+    return MonotoneMap._of(f_space, r_space, compile_point(body, tuple(consts)))
 
 
 def elaborate(doc: Document) -> tuple[ElaboratedModel | None, list[Diagnostic]]:

@@ -15,10 +15,14 @@ Two families of uncertain DPs deliberately coarsen a problem:
   sequence is, because each prefix extends the previous one.
 
 One builder, _sampled_inverse, makes all three sampled inverses; a
-family only says where its samples lie.  Samples of a member demand are
-members, and so are their meets, so no output is checked: each front is
-minimised once, by MonotoneMap.  uid's snaps give members too, one point
-each, so they are point functions (see dp).
+family only says where its samples lie.  The Van der Corput families
+sort their parameters once, when built, so their samples come in
+ascending order of the parameter (the lower side of the inverse of *
+adds its two bracket ends after them), and the sorts of the fronts they
+make run on sorted input.  Samples of a member demand are members, and
+so are their meets, so no output is checked: each front is minimised
+once, by MonotoneMap.  uid's snaps give members too, one point each, so
+they are point functions (see dp).
 """
 
 import math
@@ -152,8 +156,8 @@ def _relax_plus(family: str, n: int, unit: str) -> UncertainDP:
         upper_params = [0.5] if n == 1 else [i / (n - 1) for i in range(n)]
         lower_params = [i / n for i in range(n + 1)]
     else:
-        upper_params = vdc(n)
-        lower_params = upper_params + [0.0, 1.0]
+        upper_params = sorted(vdc(n))
+        lower_params = sorted(upper_params + [0.0, 1.0])
 
     def samples(f1, lower):
         # (f1*t, f1*(1-t)) on the trade-off segment; guard 0*inf when f1 is the top
@@ -207,7 +211,7 @@ def relax_times_vdc(
         raise DomainError("need at least one sample point")
     if not (0 < rmin <= rmax and math.isfinite(rmax)):
         raise DomainError("bracket must satisfy 0 < rmin <= rmax < inf")
-    params = vdc(n)
+    params = sorted(vdc(n))
 
     def samples(f1, lower):
         f1 = float(f1)

@@ -1,6 +1,8 @@
 """Maps of a model are compiled into one function each and typed when the
 model is elaborated: a map that could give a non-member is a load
-diagnostic, and a map that loads gives members without being checked."""
+diagnostic, and a map that loads gives members without being checked.
+A fan-out pushes its middle points through one function compiled from
+the bodies of its maps, which answers as their composition does."""
 
 import math
 import re
@@ -8,10 +10,11 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mcdsolve import cli, modellang
+from mcdsolve import cli, dp, modellang
+from mcdsolve.dp import MonotoneMap, ParDP, SeriesDP, evaluate_term, par, series
 from mcdsolve.examples import load_example
 from mcdsolve.modellang import load_model
-from mcdsolve.posets import Poset
+from mcdsolve.posets import Poset, RealPlus, product
 from mcdsolve.uncertainty import solve_uncertain
 
 LEVELS = "poset lvl = chain {low, high}\n"
@@ -188,7 +191,21 @@ dp m = map F(x[W], c[W], _times[W], lambda[W], __import__[W])
     __builtins__ = 0 * __import__ }
 term m
 """
+# a fan-out whose push fuses a map, a par of a map and an identity, and a map
+CLASH_FAN = """\
+dp s = invplus_vdc(4, W)
+dp m = map F(x[W], c[W]) R(c[W], lambda[W]) { c = x + c * 2.0; lambda = max(x, c) }
+dp n = map F(c[W]) R(_times[W]) { _times = 3.0 * c }
+dp i = identity R(lambda[W])
+dp k = map F(_times[W], __import__[W]) R(__builtins__[W]) {
+    __builtins__ = min(_times, __import__) + 1.0 }
+term series(s, series(m, series(par(n, i), k)))
+"""
 ALLOWED = re.compile(r"x\[\d+\]|c\[\d+\]|_times\(|max\(|min\(|[(), +]")
+MAP_HEAD = "def make(c):\n    return lambda x: "
+FUSED_HEAD, FUSED_TAIL = "def make(c):\n    def point(x):\n", "    return point\n"
+FUSED_LINE = re.compile(r"        (v\d+ = .*|return v\d+)\n")
+FUSED_ALLOWED = re.compile(r"(?:x|v\d+)(?:\[:?\d+:?\])?|c\[\d+\]|_times\(|max\(|min\(|[(), +]")
 
 
 def test_generated_source_holds_no_model_names(monkeypatch):
@@ -196,19 +213,162 @@ def test_generated_source_holds_no_model_names(monkeypatch):
 
     def spy(source, scope):
         sources.append(source)
-        return eval(source, scope)
+        exec(source, scope)
 
-    monkeypatch.setattr(modellang, "eval", spy, raising=False)
+    monkeypatch.setattr(dp, "exec", spy, raising=False)
+    monkeypatch.setattr(dp, "_makers", {})
+    monkeypatch.setattr(dp, "_fused", {})
     model, diags = load_model(CLASH)
     assert model is not None, diags
     (source,) = sources
-    assert source.startswith("lambda x: ")
-    assert ALLOWED.sub("", source[len("lambda x: "):]) == ""
-    assert "__" not in source and "lambda" not in source[len("lambda"):]
+    assert source.startswith(MAP_HEAD) and source.endswith("\n")
+    body = source[len(MAP_HEAD):-1]
+    assert ALLOWED.sub("", body) == ""
+    assert "__" not in body and "lambda" not in body
     sol = solve_uncertain(model.term, model.uvaluation, (1.0, 2.0, 3.0, 4.0, math.inf))
     # c = x + 2c, x = max(_times, lambda), lambda = min(__import__, x), 0 * inf = 0
     assert sol.upper.front.points == {(5.0, 4.0, 1.0, 0.0)}
     assert sol.lower.front.points == sol.upper.front.points
+
+    sources.clear()
+    model, diags = load_model(CLASH_FAN)
+    assert model is not None, diags
+    sol = solve_uncertain(model.term, model.uvaluation, 2.0)
+    # both sides fuse the same parts: one text for them
+    (fused,) = [t for t in sources if t.startswith(FUSED_HEAD)]
+    assert fused.endswith(FUSED_TAIL)
+    body = fused[len(FUSED_HEAD):-len(FUSED_TAIL)]
+    assert FUSED_LINE.sub("", body) == ""
+    for line in body.splitlines():
+        expr = line.split(" = ", 1)[-1].replace("return ", "")
+        assert FUSED_ALLOWED.sub("", expr) == "", line
+    assert "__" not in fused and "lambda" not in fused
+    # at the samples (0, 2), (1, 1), (0.5, 1.5), (1.5, 0.5) of 2: the cost
+    # min(3 (x + 2c), max(x, c)) + 1 is least, 2, at (1, 1)
+    assert sol.upper.front.points == {2.0}
+
+
+# --- a fused push against the composition of its stages ---------------------
+
+
+@st.composite
+def chains(draw):
+    """Model text of a chain of maps, identities and pars over one to three
+    W axes and a numeric chain, with inputs to push through it."""
+    kinds = start = ["W"] * draw(st.integers(1, 3)) + ["n"] * draw(st.booleans())
+    decls = ["poset n = chain {0, 3, 7.5, 1e999}"]
+
+    def axes(ks, prefix):
+        return ", ".join("%s%d%s" % (prefix, i, "[W]" if k == "W" else ":n")
+                         for i, k in enumerate(ks))
+
+    def atom(ks):
+        name = "d%d" % len(decls)
+        if draw(st.booleans()):
+            outs = draw(st.lists(expressions(len(ks)), min_size=1, max_size=3))
+            out_kinds = ["W"] * len(outs)
+            texts = ["y%d = %s" % (j, text_of(e)) for j, e in enumerate(outs)]
+            if "n" in ks and draw(st.booleans()):  # a chain output reads its axis as it is
+                texts.append("y%d = a%d" % (len(outs), ks.index("n")))
+                out_kinds.append("n")
+            decls.append("dp %s = map F(%s) R(%s) { %s }"
+                         % (name, axes(ks, "a"), axes(out_kinds, "y"), "; ".join(texts)))
+            return name, out_kinds
+        decls.append("dp %s = identity R(%s)" % (name, axes(ks, "a")))
+        return name, list(ks)
+
+    stages = []
+    for _ in range(draw(st.integers(1, 4))):
+        if len(kinds) > 1 and draw(st.booleans()):
+            cut = draw(st.integers(1, len(kinds) - 1))
+            (left, lk), (right, rk) = atom(kinds[:cut]), atom(kinds[cut:])
+            stages.append("par(%s, %s)" % (left, right))
+            kinds = lk + rk
+        else:
+            name, kinds = atom(kinds)
+            stages.append(name)
+    term = stages[-1]
+    for stage in reversed(stages[:-1]):
+        term = "series(%s, %s)" % (stage, term)
+    points = draw(st.lists(
+        st.tuples(*[INPUTS if k == "W" else st.sampled_from(CHAIN) for k in start]),
+        min_size=1, max_size=4,
+    ))
+    return "\n".join(decls + ["term " + term, ""]), points
+
+
+def fan_out(chain, points):
+    """series(a map giving points, chain), its push not yet fused."""
+    return series(MonotoneMap(RealPlus(), chain.funsp, lambda f: list(points)), chain)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(chains())
+def test_fused_push_answers_as_the_composition(case):
+    text, points = case
+    model, diags = load_model(text)
+    assert model is not None, (text, diags)
+    chain = evaluate_term(model.term, {k: u.lower for k, u in model.uvaluation.items()})
+    inputs = [x if len(x) > 1 else x[0] for x in points]
+    node = fan_out(chain, [])
+    composed = node._push
+    fused = node._fuse()
+    assert fused is not composed and fused is node._push
+    for x in inputs:
+        assert repr(fused(x)) == repr(composed(x)), (text, x)
+    # and a whole fan-out: minimal images written alike
+    fronts = []
+    for fuse in (True, False):
+        node = fan_out(chain, inputs)
+        node._tried = not fuse
+        fronts.append(repr(sorted(node._eval(1.0), key=repr)))
+    assert fronts[0] == fronts[1], text
+
+
+def test_fused_pushes_tell_equal_constants_apart_by_type_and_sign():
+    # -0.0 + -0.0 is -0.0 and 0 + 1 is 1, where 0.0 + -0.0 is 0.0 and
+    # 0.0 + 1 is 1.0: a fused push found by its parts keeps its constants' bits
+    space = product(RealPlus(), RealPlus())
+    for consts in ((0.0,), (-0.0,), (0,)):
+        fn = dp.compile_point("(c[0] + x[0], x[1])", consts)
+        node = fan_out(MonotoneMap._of(space, space, fn), [])
+        node._fuse()
+        for x in ((-0.0, 1.0), (1, -0.0)):
+            assert repr(node._push(x)) == repr(fn(x)), consts
+
+
+LINE = load_model(
+    "dp m = map F(a[W], b[W]) R(a[W], b[W]) { a = a + 1.0; b = max(b, a) * 0.5 }\n"
+    "dp u = map F(a[W]) R(y[W]) { y = 2.0 * a + 1.0 }\nterm m\n"
+)[0].uvaluation
+
+
+@pytest.mark.parametrize("shape", ["series", "par"])
+def test_long_chains_and_deep_pars_fuse(shape):
+    # 300 maps in series, or pars nested MAX_NESTING deep, still build,
+    # and the fused push answers as the composition does
+    if shape == "series":
+        m = LINE["m"].lower
+        chain = m
+        for _ in range(299):
+            chain = series(m, chain)
+        points = [(0.0, 3.0), (1.0, 2.0), (2.5, -0.0), (math.inf, 0.0)]
+    else:
+        u = LINE["u"].lower
+        chain = u
+        for _ in range(modellang.MAX_NESTING):
+            chain = par(u, chain)
+        assert isinstance(chain, ParDP) and len(chain.funsp.factors) == modellang.MAX_NESTING + 1
+        # rotations of one pattern: no point lies below another
+        points = [tuple(float((i + j) % 3) for j in range(modellang.MAX_NESTING + 1))
+                  for i in range(3)]
+    fronts = []
+    for fuse in (True, False):
+        node = fan_out(chain, points)
+        node._tried = not fuse
+        fronts.append(repr(sorted(node._eval(1.0), key=repr)))
+        assert (node._push is not chain.point) == fuse
+    assert fronts[0] == fronts[1]
 
 
 # --- membership is not checked per map evaluation ---------------------------
@@ -219,7 +379,9 @@ MAPS = ("requirements", "perception", "loading", "actuation", "power_budget",
 
 def test_uav_solve_checks_no_map_output(monkeypatch):
     # every output of a compiled map is one call of its point function,
-    # whether its own _eval makes it or a fan-out's push
+    # whether its own _eval makes it or a fan-out's push; a wrapped point
+    # function has no source, so no push fuses in the first solve, and the
+    # second, unwrapped, counts the calls of each fused push instead
     model = load_example("uav")
     inside, evals, checks = [False], [0], [0]
     check_member = Poset.check_member
@@ -249,3 +411,23 @@ def test_uav_solve_checks_no_map_output(monkeypatch):
     assert sol.verdict == "feasible"
     assert evals[0] > 200  # 375 outputs
     assert checks[0] == 0  # one per evaluation when each output was checked
+
+    fuse, fused = SeriesDP._fuse, []
+
+    def counted_fuse(self):
+        push = self._push
+        out = fuse(self)
+        if out is not push:
+            fused.append(out)
+            out = self._push = counted(out)
+        return out
+
+    monkeypatch.setattr(SeriesDP, "_fuse", counted_fuse)
+    evals[0] = 0
+    model = load_example("uav")
+    fused_sol = solve_uncertain(model.term, model.uvaluation, query)
+    assert repr(fused_sol) == repr(sol)
+    # three fan-outs on each side, and both sides push through the same maps
+    assert len(fused) == 6 and len(set(fused)) == 3
+    assert evals[0] > 100  # 192 pushed middle points
+    assert checks[0] == 0

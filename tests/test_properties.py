@@ -83,6 +83,26 @@ def test_minimize_matches_pairwise_on_mixed_product(points):
     assert same_list(_minimize(points, poset), pairwise_reference(points, poset))
 
 
+@PROPERTY
+@given(st.lists(st.tuples(SCALARS, SCALARS, SCALARS), max_size=30))
+def test_pairwise_minimize_tests_each_point_once_when_the_first_dominates(points):
+    # each later point is tested against the points kept so far, the first
+    # alone, which drops it: n - 1 comparisons, where testing each point
+    # against all the others from the start of the list made 2n - 2
+    poset = real_space(3)
+    calls = [0]
+    leq = poset.leq
+
+    def counted(a, b):
+        calls[0] += 1
+        return leq(a, b)
+
+    poset.leq = counted
+    unique = list(dict.fromkeys([(0, 0, 0)] + points))
+    assert same_list(_minimize(unique, poset), [(0, 0, 0)])
+    assert calls[0] == max(len(unique) - 1, 0)
+
+
 ROWS = st.lists(
     st.tuples(
         st.tuples(SCALARS, st.sampled_from(DIAMOND.elements())),

@@ -191,6 +191,43 @@ class TestRelaxPlusVdc:
             check_udp(relax_plus_vdc(n), fs=GRID)
 
 
+def plus_sample(f1, t):
+    return (f1 * t if t > 0 else 0.0, f1 * (1 - t) if t < 1 else 0.0)
+
+
+def times_samples(f1, ts, rmin, rmax):
+    lo, hi = max(rmin, f1 / rmax), min(rmax, f1 / rmin)
+    r1s = [math.exp(math.log(lo) + t * (math.log(hi) - math.log(lo))) for t in ts]
+    return [(r1, f1 / r1) for r1 in r1s]
+
+
+class TestSortedSamples:
+    # the parameters are sorted once, so the samples ascend; the sets are
+    # those of the parameters in sequence order
+    def test_plus_samples_ascend_with_the_same_sets(self):
+        rsp = product(RealPlus(), RealPlus())
+        for n in range(1, 257):
+            v = relax_plus_vdc(n)
+            for f1 in (0.0, 3.0, 10.0, math.inf):
+                upper = v.upper.fn(f1)
+                assert upper == sorted(upper)
+                assert set(upper) == {plus_sample(f1, t) for t in vdc(n)}
+                old_lower = [plus_sample(f1, t) for t in vdc(n) + [0.0, 1.0]]
+                assert set(v.lower.fn(f1)) == set(_meets(old_lower, rsp))
+
+    def test_times_samples_ascend_with_the_same_sets(self):
+        rsp = product(RealPlus(), RealPlus())
+        for n in range(1, 257):
+            v = relax_times_vdc(n, 1.0, 16.0)
+            for f1 in (2.0, 9.0, 100.0):
+                upper = v.upper.fn(f1)
+                assert upper == sorted(upper)
+                assert set(upper) == set(times_samples(f1, vdc(n), 1.0, 16.0))
+                lo, hi = max(1.0, f1 / 16.0), min(16.0, f1)
+                old_lower = times_samples(f1, vdc(n), 1.0, 16.0) + [(lo, f1 / lo), (hi, f1 / hi)]
+                assert set(v.lower.fn(f1)) == set(_meets(old_lower, rsp))
+
+
 class TestRelaxTimesVdc:
     def test_single_sample(self):
         v = relax_times_vdc(1, 1.0, 4.0)
