@@ -25,6 +25,19 @@ passed to them gives an unspecified result or an arbitrary exception.
 Products are kept flat: the product of two products concatenates their
 factor lists, and elements of a product are plain tuples with one slot
 per factor.  Scalars are never wrapped in 1-tuples.
+
+A product's leq and joins are straight-line functions, compiled the
+first time the product is compared, never when it is built: most
+products built are never compared.  A RealPlus factor is written out as
+a[i] <= b[i] and max(a[i], b[i]), a FinitePoset factor as a look-up in
+its up-sets and one call of its joins, any other factor as calls of its
+own leq and joins; the joins nest in itertools.product's order.  The
+text depends only on the kinds of the factors and is compiled once per
+tuple of kinds (up to MEMO_SIZE of them).  Each product binds its own
+factors' data and keeps the two functions, so later reads of p.leq find
+a plain function; read on the class, ProductPoset.leq and joins stay
+callable as (product, a, b).  The compiled functions trust their
+arguments as every leq and joins does.
 """
 
 import itertools
@@ -257,6 +270,66 @@ class FinitePoset(Poset):
         return hash(self._key)
 
 
+MEMO_SIZE = 1024  # factor kinds whose order text is kept; once full it adds no more
+_KINDS = {RealPlus: "r", FinitePoset: "f"}  # a factor of any other type is "p"
+# each kind's test in leq, and its line, slot and loop in joins; the
+# first factor's joins vary slowest, as in itertools.product
+_OWN_JOINS = ("s{0} = j{0}(a[{0}], b[{0}])", "x{0}", " for x{0} in s{0}")
+_TEXTS = {
+    "r": ("a[{0}] <= b[{0}]", "m{0} = max(a[{0}], b[{0}])", "m{0}", ""),
+    "f": ("b[{0}] in o{0}[a[{0}]]",) + _OWN_JOINS,
+    "p": ("o{0}(a[{0}], b[{0}])",) + _OWN_JOINS,
+}
+_makers: dict = {}  # factor kinds -> the make(...) their text defines, up to MEMO_SIZE
+
+
+def _make(kinds: tuple):
+    """The function make(o_i, j_i, ...) for these factor kinds, compiled
+    once per distinct kinds: it takes, for each factor i that is not a
+    RealPlus, its up-sets (a FinitePoset's) or leq, and its joins, and
+    returns straight-line leq and joins."""
+    make = _makers.get(kinds)
+    if make is None:
+        tests, lines, slots, loops = zip(*(
+            [t.format(i) for t in _TEXTS[k]] for i, k in enumerate(kinds)))
+        text = (
+            "def make(%s):\n"
+            "    def leq(a, b):\n        return %s\n"
+            "    def joins(a, b):\n        %s\n        return [(%s)%s]\n"
+            "    return leq, joins\n"
+        ) % ("".join("o%d, j%d, " % (i, i) for i, k in enumerate(kinds) if k != "r"),
+             " and ".join(tests), "; ".join(lines), ", ".join(slots), "".join(loops))
+        scope = {"__builtins__": {}, "max": max}
+        exec(text, scope)
+        make = scope["make"]
+        if len(_makers) < MEMO_SIZE:
+            _makers[kinds] = make
+    return make
+
+
+class _Compiled:
+    """A product's leq or joins.  The first read on a product compiles
+    both and keeps them on it, where they hide this descriptor; read on
+    the class it is itself, callable as (product, a, b)."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, p, owner=None):
+        if p is None:
+            return self
+        kinds = tuple(_KINDS.get(type(f), "p") for f in p._factors)
+        data = []
+        for f, k in zip(p._factors, kinds):
+            if k != "r":
+                data += (f._up if k == "f" else f.leq, f.joins)
+        p.leq, p.joins = _make(kinds)(*data)
+        return getattr(p, self.name)
+
+    def __call__(self, p, a, b):
+        return (vars(p).get(self.name) or self.__get__(p))(a, b)
+
+
 class ProductPoset(Poset):
     """Flat product of two or more scalar posets, ordered componentwise."""
 
@@ -283,22 +356,14 @@ class ProductPoset(Poset):
                 return False
         return True
 
-    def leq(self, a, b) -> bool:
-        for p, u, v in zip(self._factors, a, b):
-            if not p.leq(u, v):
-                return False
-        return True
+    leq = _Compiled()
+    joins = _Compiled()
 
     def bottom(self):
         return tuple(p.bottom() for p in self._factors)
 
     def meet(self, a, b):
         return tuple(p.meet(u, v) for p, u, v in zip(self._factors, a, b))
-
-    def joins(self, a, b) -> list:
-        return list(
-            itertools.product(*(p.joins(u, v) for p, u, v in zip(self._factors, a, b)))
-        )
 
     @property
     def is_finite(self) -> bool:

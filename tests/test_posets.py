@@ -1,10 +1,14 @@
+import itertools
 import math
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mcdsolve.errors import DomainError
 from mcdsolve.posets import (
     FinitePoset,
+    Poset,
     ProductPoset,
     RealPlus,
     arity,
@@ -209,3 +213,106 @@ class TestProductPoset:
         p = product(RealPlus("g"), FinitePoset.chain([200, 1000]))
         assert p.render((1.5, 200)) == [{"value": 1.5, "unit": "g"}, 200]
         assert p.format((1.5, 200)) == "(1.5,200)"
+
+
+class Divides(Poset):
+    """1..12 ordered by divisibility: a factor the compiled order reaches
+    only through its own leq and joins."""
+
+    def contains(self, x):
+        return x in range(1, 13)
+
+    def leq(self, a, b):
+        return b % a == 0
+
+    def joins(self, a, b):
+        lcm = a * b // math.gcd(a, b)
+        return [lcm] if lcm <= 12 else []
+
+    def describe(self):
+        return "divides"
+
+
+# equal values written differently (0, 0.0, -0.0; 1, 1.0), ints, inf and
+# floats at the top of the range
+REALS = st.one_of(
+    st.sampled_from([0, 0.0, -0.0, 1, 1.0, 2, 2.5, math.inf, 1e308, sys.float_info.max]),
+    st.integers(min_value=0, max_value=3),
+    st.floats(min_value=0.0, allow_nan=False),
+)
+
+
+@st.composite
+def non_chains(draw):
+    # e0 is the least element; e1 and e2 stay incomparable, since no
+    # label lies between them and the pair (1, 2) is never drawn
+    n = draw(st.integers(min_value=3, max_value=6))
+    more = [(i, j) for i in range(1, n) for j in range(i + 1, n) if (i, j) != (1, 2)]
+    pairs = [(0, j) for j in range(1, n)] + draw(st.lists(st.sampled_from(more)) if more
+                                                 else st.just([]))
+    return FinitePoset(["e%d" % i for i in range(n)], [("e%d" % i, "e%d" % j) for i, j in pairs])
+
+
+SCALAR_POSETS = st.one_of(st.builds(RealPlus, st.sampled_from(["", "g"])), non_chains(),
+                          st.just(Divides()))
+
+
+def values(p):
+    if isinstance(p, RealPlus):
+        return REALS
+    if isinstance(p, Divides):
+        return st.integers(min_value=1, max_value=12)
+    return st.sampled_from(p.elements())
+
+
+@st.composite
+def products_and_pairs(draw):
+    # two to four parts, each a scalar or a product of two, so products of
+    # products arise; the flat product keeps two to five factors
+    parts = draw(st.lists(st.one_of(
+        SCALAR_POSETS, st.builds(product, SCALAR_POSETS, SCALAR_POSETS)), min_size=2, max_size=4))
+    parts = [q for i, q in enumerate(parts) if sum(len(r.factors) for r in parts[:i + 1]) <= 5]
+    p = ProductPoset(parts)
+    pair = [tuple(draw(values(f)) for f in p.factors) for _ in range(2)]
+    return p, pair
+
+
+class TestCompiledOrder:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(products_and_pairs())
+    def test_matches_the_factors_own_order(self, drawn):
+        p, (a, b) = drawn
+        leq = all(f.leq(u, v) for f, u, v in zip(p.factors, a, b))
+        joins = list(itertools.product(*(f.joins(u, v) for f, u, v in zip(p.factors, a, b))))
+        # repr tells 0 from 0.0 and -0.0, so each join keeps its writing
+        assert repr(p.leq(a, b)) == repr(leq)
+        assert repr(p.joins(a, b)) == repr(joins)
+        assert repr(p.leq(b, a)) == repr(all(f.leq(v, u) for f, u, v in zip(p.factors, a, b)))
+
+    def test_compiled_on_first_use_not_when_built(self):
+        p = product(RealPlus("g"), FinitePoset.chain(["lo", "hi"]))
+        assert "leq" not in vars(p) and "joins" not in vars(p)
+        assert p.leq((1.0, "lo"), (2, "hi"))
+        # both now sit on the product as plain functions
+        assert p.leq is p.leq and p.joins is p.joins
+        assert p.joins((1.0, "hi"), (2, "lo")) == [(2, "hi")]
+
+    def test_called_through_the_class(self):
+        # as bench/tracing.py calls the wrapped ProductPoset.leq and joins
+        split = FinitePoset(["bot", "a", "b", "x", "y"], [
+            ("bot", "a"), ("bot", "b"), ("a", "x"), ("a", "y"), ("b", "x"), ("b", "y")])
+        p, fresh = product(RealPlus("g"), split), product(RealPlus("g"), split)
+        described, hashed = p.describe(), hash(p)
+        for a, b in [((1.0, "a"), (3, "b")), ((1, "a"), (0.5, "x")), ((1.0, "bot"), (1, "a"))]:
+            assert ProductPoset.leq(fresh, a, b) == p.leq(a, b)
+            assert ProductPoset.joins(fresh, a, b) == p.joins(a, b)
+            assert ProductPoset.leq(p, a, b) == p.leq(a, b)
+        assert (p.describe(), hash(p)) == (described, hashed)
+        assert p == fresh and hash(p) == hash(fresh)
+        # equal finite factors with different names: each product keeps its own
+        one = FinitePoset.chain(["lo", "hi"], name="one")
+        two = FinitePoset.chain(["lo", "hi"], name="two")
+        p1, p2 = product(RealPlus(), one), product(RealPlus(), two)
+        assert p1.leq((0, "lo"), (0, "hi")) and p2.leq((0, "lo"), (0, "hi"))
+        assert p1 == p2 and hash(p1) == hash(p2)
+        assert (p1.describe(), p2.describe()) == ("R+ x one", "R+ x two")
