@@ -40,36 +40,36 @@ def _minimize_pairwise(unique, poset):
     return kept
 
 
-def _minimize_real(unique, dims):
-    # On one or two real chains the lexicographic order extends the
-    # componentwise one, so a point can only be dominated by points
-    # sorted before it (Kung, Luccio & Preparata 1975).
-    if dims == 1:
-        return [min(unique)]
-    order = sorted(range(len(unique)), key=unique.__getitem__)
-    first = order[0]
-    kept = [first]
-    lowest = unique[first][1]
-    for i in order[1:]:
-        y = unique[i][1]
-        if y < lowest:
-            kept.append(i)
-            lowest = y
-    # emit in input order, so fronts are the same frozensets as built by
-    # the pairwise path
-    kept.sort()
-    return [unique[i] for i in kept]
+def _minimize_real(unique):
+    # On two real chains the lexicographic order extends the componentwise
+    # one, so one pass over the sorted points keeps each whose second
+    # coordinate is below all kept before it (Kung, Luccio & Preparata
+    # 1975).  The points are distinct, so their sort has one order; the
+    # kept are listed in input order, as the pairwise path lists them.
+    ordered = sorted(unique)
+    lowest = ordered[0][1]
+    kept = [ordered[0]]
+    for p in ordered:
+        if p[1] < lowest:
+            kept.append(p)
+            lowest = p[1]
+    if len(kept) == len(unique):
+        return unique
+    kept = set(kept)
+    return [p for p in unique if p in kept]
 
 
 def _minimize(points, poset):
+    if poset.real_factors and len(poset.factors) == 1:
+        # one real chain: min keeps the first of equal values (0, 0.0, -0.0)
+        return [min(points)] if points else []
     # drop duplicates first so only strict domination remains; the first
-    # of equal values (0, 0.0, -0.0) is the one kept
+    # of equal values is the one kept
     unique = list(dict.fromkeys(points))
     if len(unique) < 2:
         return unique
-    dims = len(poset.factors)
-    if poset.real_factors and dims < 3:
-        return _minimize_real(unique, dims)
+    if poset.real_factors and len(poset.factors) == 2:
+        return _minimize_real(unique)
     return _minimize_pairwise(unique, poset)
 
 

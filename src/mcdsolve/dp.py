@@ -88,15 +88,17 @@ of a lower image's and written differently (0.0, -0.0): it keeps the
 lower image's writing.  A second part that holds a loop runs at every
 middle point, in repr order, so solve's iterations do not move.
 
-The first time a node pushes a front of several points, it fuses push
-when every stage carries a source: one straight-line function made from
-their bodies runs each stage once per point, with the same float
-operations in the same order, so its images are the composition's, bit
-for bit; its text holds only locals, x, c[i] and calls of _times, max
-and min.  Otherwise push stays composed.  Fusing walks the stages once
-per tree, never at a build; fused functions are kept by the sources of
-their stages, and each distinct text is compiled once (up to MEMO_SIZE
-of each).
+The first time a node pushes a front of several points, it makes its
+front function, which pushes the whole front in one call and lists the
+images in the front's order.  Where every stage carries a source, it is
+fused from their bodies: one loop over the front whose body runs each
+stage once per point, with the same float operations in the same order,
+so its images are the composition's, bit for bit; the body holds only
+locals, x, c[i] and calls of _times, max and min.  Otherwise it maps
+push, which stays composed per point for a parent to compose with its
+own heads.  Fusing walks the stages once per tree, never at a build;
+fused functions are kept by the sources of their stages, and each
+distinct text is compiled once (up to MEMO_SIZE of each).
 
 Terms, and the nodes of modellang's parse tree, are records: subclasses
 of Node.  A node's fields are the __slots__ of its class, and its
@@ -336,7 +338,7 @@ def _times(u, v):
 
 
 _makers: dict = {}  # text -> the make(c) it defines, up to MEMO_SIZE texts
-_fused: dict = {}  # a push's parts (_parts) -> its fused function, up to MEMO_SIZE
+_fused: dict = {}  # a push's parts (_parts) -> its fused front function, up to MEMO_SIZE
 
 
 def _make(text: str):
@@ -392,13 +394,14 @@ _RENAME = re.compile(r"\bx\b|c\[(\d+)\]")
 
 
 def _fused_text(parts, consts: list) -> str:
-    """Text defining make(c), whose point(x) runs parts straight through:
-    each body renamed and assigned to a fresh local, its constants
-    appended to consts."""
+    """Text defining make(c), whose push(xs) runs parts straight through
+    at each point x of xs and gives the list of the images: each body
+    renamed and assigned to a fresh local, its constants appended to
+    consts."""
     lines = []
 
     def local(expr):
-        lines.append("        v%d = %s\n" % (len(lines), expr))
+        lines.append("            v%d = %s\n" % (len(lines), expr))
         return "v%d" % (len(lines) - 1)
 
     def emit(parts, var):
@@ -417,13 +420,14 @@ def _fused_text(parts, consts: list) -> str:
         return var
 
     out = emit(parts, "x")
-    return "def make(c):\n    def point(x):\n%s        return %s\n    return point\n" % (
-        "".join(lines), out)
+    return ("def make(c):\n    def push(xs):\n        out = []\n        append = out.append\n"
+            "        for x in xs:\n%s            append(%s)\n        return out\n    return push\n"
+            % ("".join(lines), out))
 
 
 class SeriesDP(DesignProblem):
     _push = None  # the point functions heading second's series chain, composed
-    _tried = False  # whether _fuse has run
+    _front = None  # push over a whole front, made by _fuse on first use
 
     def __init__(self, first: DesignProblem, second: DesignProblem):
         if first.ressp != second.funsp:
@@ -461,11 +465,10 @@ class SeriesDP(DesignProblem):
             (r1,) = mid  # a front is minimal already: hand it on as it is
             front = self.second._eval(r1)
         else:
-            push, rest = self._push, self._rest
-            if push is not None:  # rest runs only at the minimal images
-                if not self._tried:
-                    push = self._fuse()
-                mid = _minimize(list(map(push, mid)), self.ressp if rest is None else rest.funsp)
+            rest = self._rest
+            if self._push is not None:  # rest runs only at the minimal images
+                push = self._front or self._fuse()
+                mid = _minimize(push(mid), self.ressp if rest is None else rest.funsp)
             if rest is None:
                 front = frozenset(mid)
             else:
@@ -480,19 +483,21 @@ class SeriesDP(DesignProblem):
         return front
 
     def _fuse(self):
-        """The push, fused into one function where every stage has a
-        source (see the module docstring); else as composed."""
-        self._tried = True
+        """The front function: push fused into one loop over the front
+        where every stage has a source (see the module docstring), else
+        the composed push mapped over it."""
         parts = _parts(self.second, self._rest)
         if parts is None:
-            return self._push
-        fn = _fused.get(parts)
-        if fn is None:
-            consts = []
-            fn = _make(_fused_text(parts, consts))(tuple(consts))
-            if len(_fused) < MEMO_SIZE:
-                _fused[parts] = fn
-        self._push = fn
+            push = self._push
+            fn = lambda xs: list(map(push, xs))
+        else:
+            fn = _fused.get(parts)
+            if fn is None:
+                consts = []
+                fn = _make(_fused_text(parts, consts))(tuple(consts))
+                if len(_fused) < MEMO_SIZE:
+                    _fused[parts] = fn
+        self._front = fn
         return fn
 
 

@@ -19,10 +19,11 @@ family only says where its samples lie.  The Van der Corput families
 sort their parameters once, when built, so their samples come in
 ascending order of the parameter (the lower side of the inverse of *
 adds its two bracket ends after them), and the sorts of the fronts they
-make run on sorted input.  Samples of a member demand are members, and
-so are their meets, so no output is checked: each front is minimised
-once, by MonotoneMap.  uid's snaps give members too, one point each, so
-they are point functions (see dp).
+make run on sorted input.  A meet of two samples takes each coordinate
+from one of them and computes no new value.  Samples of a member demand
+are members, and so are their meets, so no output is checked: each
+front is minimised once, by MonotoneMap.  uid's snaps give members too,
+one point each, so they are point functions (see dp).
 """
 
 import math
@@ -84,10 +85,11 @@ def _meets(points, poset) -> list:
     if len(unique) < 2:
         return unique
     if poset.real_factors and len(poset.factors) == 2:
-        # pairs of reals: the tuples' own order and coordinate mins are
-        # sort_key's order and meet (exactly so for floats, as samples are)
+        # pairs of reals: the tuples' own order is sort_key's; after it
+        # a0 <= b0, so the meet (min(a0, b0), min(a1, b1)) is written
+        # without calls, each coordinate as min gives it (0.0, -0.0)
         unique.sort()
-        return [(min(a[0], b[0]), min(a[1], b[1])) for a, b in zip(unique, unique[1:])]
+        return [(a0, b1 if b1 < a1 else a1) for (a0, a1), (b0, b1) in zip(unique, unique[1:])]
     unique.sort(key=poset.sort_key)
     return [poset.meet(a, b) for a, b in zip(unique, unique[1:])]
 

@@ -1,8 +1,9 @@
 """Maps of a model are compiled into one function each and typed when the
 model is elaborated: a map that could give a non-member is a load
 diagnostic, and a map that loads gives members without being checked.
-A fan-out pushes its middle points through one function compiled from
-the bodies of its maps, which answers as their composition does."""
+A fan-out pushes its whole middle front, in one call, through one function
+compiled from the bodies of its maps, which answers as their composition
+does at each point."""
 
 import math
 import re
@@ -11,11 +12,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mcdsolve import cli, dp, modellang
-from mcdsolve.dp import MonotoneMap, ParDP, SeriesDP, evaluate_term, par, series
-from mcdsolve.examples import load_example
+from mcdsolve.dp import LoopDP, MonotoneMap, ParDP, SeriesDP, evaluate_term, par, series
+from mcdsolve.examples import EXAMPLE_NAMES, load_example
 from mcdsolve.modellang import load_model
-from mcdsolve.posets import Poset, RealPlus, product
-from mcdsolve.uncertainty import solve_uncertain
+from mcdsolve.posets import Poset, ProductPoset, RealPlus, product
+from mcdsolve.uncertainty import evaluate_uncertain, solve_uncertain
 
 LEVELS = "poset lvl = chain {low, high}\n"
 
@@ -203,8 +204,10 @@ term series(s, series(m, series(par(n, i), k)))
 """
 ALLOWED = re.compile(r"x\[\d+\]|c\[\d+\]|_times\(|max\(|min\(|[(), +]")
 MAP_HEAD = "def make(c):\n    return lambda x: "
-FUSED_HEAD, FUSED_TAIL = "def make(c):\n    def point(x):\n", "    return point\n"
-FUSED_LINE = re.compile(r"        (v\d+ = .*|return v\d+)\n")
+FUSED_HEAD = ("def make(c):\n    def push(xs):\n        out = []\n        append = out.append\n"
+              "        for x in xs:\n")
+FUSED_TAIL = "        return out\n    return push\n"
+FUSED_LINE = re.compile(r"            (v\d+ = .*|append\((?:x|v\d+)\))\n")
 FUSED_ALLOWED = re.compile(r"(?:x|v\d+)(?:\[:?\d+:?\])?|c\[\d+\]|_times\(|max\(|min\(|[(), +]")
 
 
@@ -240,7 +243,7 @@ def test_generated_source_holds_no_model_names(monkeypatch):
     body = fused[len(FUSED_HEAD):-len(FUSED_TAIL)]
     assert FUSED_LINE.sub("", body) == ""
     for line in body.splitlines():
-        expr = line.split(" = ", 1)[-1].replace("return ", "")
+        expr = line.split(" = ", 1)[-1].replace("append(", "(")
         assert FUSED_ALLOWED.sub("", expr) == "", line
     assert "__" not in fused and "lambda" not in fused
     # at the samples (0, 2), (1, 1), (0.5, 1.5), (1.5, 0.5) of 2: the cost
@@ -302,6 +305,16 @@ def fan_out(chain, points):
     return series(MonotoneMap(RealPlus(), chain.funsp, lambda f: list(points)), chain)
 
 
+def mapped(push):
+    """The front function of a push left unfused."""
+    return lambda xs: list(map(push, xs))
+
+
+def is_fused(front):
+    """Whether a front function was compiled from its stages' sources."""
+    return front.__name__ == "push"
+
+
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(chains())
 def test_fused_push_answers_as_the_composition(case):
@@ -313,14 +326,14 @@ def test_fused_push_answers_as_the_composition(case):
     node = fan_out(chain, [])
     composed = node._push
     fused = node._fuse()
-    assert fused is not composed and fused is node._push
-    for x in inputs:
-        assert repr(fused(x)) == repr(composed(x)), (text, x)
+    assert is_fused(fused) and fused is node._front and node._push is composed
+    assert repr(fused(inputs)) == repr([composed(x) for x in inputs]), text
     # and a whole fan-out: minimal images written alike
     fronts = []
     for fuse in (True, False):
         node = fan_out(chain, inputs)
-        node._tried = not fuse
+        if not fuse:
+            node._front = mapped(node._push)
         fronts.append(repr(sorted(node._eval(1.0), key=repr)))
     assert fronts[0] == fronts[1], text
 
@@ -332,9 +345,8 @@ def test_fused_pushes_tell_equal_constants_apart_by_type_and_sign():
     for consts in ((0.0,), (-0.0,), (0,)):
         fn = dp.compile_point("(c[0] + x[0], x[1])", consts)
         node = fan_out(MonotoneMap._of(space, space, fn), [])
-        node._fuse()
-        for x in ((-0.0, 1.0), (1, -0.0)):
-            assert repr(node._push(x)) == repr(fn(x)), consts
+        xs = [(-0.0, 1.0), (1, -0.0)]
+        assert repr(node._fuse()(xs)) == repr([fn(x) for x in xs]), consts
 
 
 LINE = load_model(
@@ -343,21 +355,27 @@ LINE = load_model(
 )[0].uvaluation
 
 
-@pytest.mark.parametrize("shape", ["series", "par"])
-def test_long_chains_and_deep_pars_fuse(shape):
-    # 300 maps in series, or pars nested MAX_NESTING deep, still build,
-    # and the fused push answers as the composition does
+def chain_of(shape):
+    """300 maps in series, or pars nested MAX_NESTING deep."""
     if shape == "series":
-        m = LINE["m"].lower
-        chain = m
+        chain = m = LINE["m"].lower
         for _ in range(299):
             chain = series(m, chain)
-        points = [(0.0, 3.0), (1.0, 2.0), (2.5, -0.0), (math.inf, 0.0)]
     else:
-        u = LINE["u"].lower
-        chain = u
+        chain = u = LINE["u"].lower
         for _ in range(modellang.MAX_NESTING):
             chain = par(u, chain)
+    return chain
+
+
+@pytest.mark.parametrize("shape", ["series", "par"])
+def test_long_chains_and_deep_pars_fuse(shape):
+    # long chains and deep pars still build, and the fused push answers
+    # as the composition does
+    chain = chain_of(shape)
+    if shape == "series":
+        points = [(0.0, 3.0), (1.0, 2.0), (2.5, -0.0), (math.inf, 0.0)]
+    else:
         assert isinstance(chain, ParDP) and len(chain.funsp.factors) == modellang.MAX_NESTING + 1
         # rotations of one pattern: no point lies below another
         points = [tuple(float((i + j) % 3) for j in range(modellang.MAX_NESTING + 1))
@@ -365,10 +383,105 @@ def test_long_chains_and_deep_pars_fuse(shape):
     fronts = []
     for fuse in (True, False):
         node = fan_out(chain, points)
-        node._tried = not fuse
+        if not fuse:
+            node._front = mapped(node._push)
         fronts.append(repr(sorted(node._eval(1.0), key=repr)))
-        assert (node._push is not chain.point) == fuse
+        assert node._push is chain.point and is_fused(node._front) == fuse
     assert fronts[0] == fronts[1]
+
+
+def example_fan_outs(name):
+    """The fan-out nodes of both sides of a shipped model."""
+    model = load_example(name)
+    pair = evaluate_uncertain(model.term, model.uvaluation)
+    found, todo = [], [pair.lower, pair.upper]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, SeriesDP):
+            if node._push is not None:
+                found.append(node)
+            todo += [node.first, node.second]
+        elif isinstance(node, ParDP):
+            todo += [node.left, node.right]
+        elif isinstance(node, LoopDP):
+            todo.append(node.body)
+    return found
+
+
+CHAIN_FAN_OUTS = [fan_out(chain_of(shape), []) for shape in ("series", "par")]
+EXAMPLE_FAN_OUTS = {name: example_fan_outs(name) for name in EXAMPLE_NAMES}
+FAN_OUTS = CHAIN_FAN_OUTS + [node for nodes in EXAMPLE_FAN_OUTS.values() for node in nodes]
+# 0 and -0.0, ints, subnormals and inf, where a front may hold them
+FRONT_VALUES = st.one_of(
+    st.sampled_from([0, 0.0, -0.0, 1, 1.0, 5e-324, 2.2250738585072014e-308, math.inf]),
+    st.integers(min_value=0, max_value=10**6),
+    st.floats(min_value=0, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_front_function_pushes_as_the_composed_push(data):
+    # each fan-out's front function, in one call, against its per-point
+    # push at each point in turn: the same images, written alike, in order
+    node = data.draw(st.sampled_from(FAN_OUTS))
+    point = st.tuples(*[
+        FRONT_VALUES if isinstance(p, RealPlus) else st.sampled_from(p.elements())
+        for p in node.second.funsp.factors
+    ])
+    xs = data.draw(st.lists(point, max_size=6))
+    if not isinstance(node.second.funsp, ProductPoset):
+        xs = [x for (x,) in xs]
+    front = node._front or node._fuse()
+    assert repr(front(xs)) == repr([node._push(x) for x in xs])
+
+
+def test_fan_outs_fuse_unless_a_stage_has_no_source():
+    # energy_meter's fan-outs push through uid's snaps, which carry none
+    assert all(is_fused(node._front or node._fuse()) for node in CHAIN_FAN_OUTS)
+    for name, nodes in EXAMPLE_FAN_OUTS.items():
+        fused = [is_fused(node._front or node._fuse()) for node in nodes]
+        assert fused == [name != "energy_meter"] * len(nodes) and fused, name
+
+
+def test_power_split_pushes_each_front_in_one_call(monkeypatch):
+    # at 256 samples each side's fan-outs push their whole middle front in
+    # one call, and no point function runs once per point
+    model = load_example("power_split")
+    uvaluation = model.override_relaxation("split", 256)
+    per_point, calls = [0], []
+
+    def counted_point(point):
+        def wrapper(f):
+            per_point[0] += 1
+            return point(f)
+        wrapper.source = point.source  # still fuses
+        return wrapper
+
+    for name in ("solar", "mains", "total"):
+        m = uvaluation[name].lower  # a plain atom is both sides
+        monkeypatch.setattr(m, "point", counted_point(m.point))
+    fuse = SeriesDP._fuse
+
+    def counted_fuse(self):
+        front, sizes = fuse(self), []
+        calls.append(sizes)
+
+        def counted(xs):
+            sizes.append(len(xs))
+            return front(xs)
+
+        self._front = counted
+        return counted
+
+    monkeypatch.setattr(SeriesDP, "_fuse", counted_fuse)
+    sol = solve_uncertain(model.term, uvaluation, model.build_query({"demand": 10.0}))
+    assert sol.verdict == "feasible"
+    # per side: the split's 256 samples, or the 256 meets of its 257
+    # distinct lower samples, through par and total; the fan-out below,
+    # series(par(solar, mains), total), is fused into that call
+    assert calls == [[256], [256]]
+    assert per_point[0] == 0
 
 
 # --- membership is not checked per map evaluation ---------------------------
@@ -415,12 +528,20 @@ def test_uav_solve_checks_no_map_output(monkeypatch):
     fuse, fused = SeriesDP._fuse, []
 
     def counted_fuse(self):
-        push = self._push
-        out = fuse(self)
-        if out is not push:
-            fused.append(out)
-            out = self._push = counted(out)
-        return out
+        front = fuse(self)
+        fused.append(front)
+
+        def outputs(xs):
+            inside[0] = True
+            try:
+                out = front(xs)
+            finally:
+                inside[0] = False
+            evals[0] += len(out)  # one output of the fused maps per pushed point
+            return out
+
+        self._front = outputs
+        return outputs
 
     monkeypatch.setattr(SeriesDP, "_fuse", counted_fuse)
     evals[0] = 0
@@ -428,6 +549,6 @@ def test_uav_solve_checks_no_map_output(monkeypatch):
     fused_sol = solve_uncertain(model.term, model.uvaluation, query)
     assert repr(fused_sol) == repr(sol)
     # three fan-outs on each side, and both sides push through the same maps
-    assert len(fused) == 6 and len(set(fused)) == 3
+    assert len(fused) == 6 and len(set(fused)) == 3 and all(map(is_fused, fused))
     assert evals[0] > 100  # 192 pushed middle points
     assert checks[0] == 0

@@ -77,6 +77,36 @@ def test_minimize_matches_pairwise_on_real_fronts(dims):
 
 
 @PROPERTY
+@given(st.lists(st.sampled_from([0, 0.0, -0.0, 1, 1.0, 2.5]), max_size=12))
+def test_minimize_on_one_real_chain_keeps_the_first_of_equal_values(points):
+    assert same_list(_minimize(points, R), pairwise_reference(points, R))
+
+
+DISTINCT = st.lists(
+    st.floats(min_value=0.0, allow_nan=False), min_size=1, max_size=20, unique=True
+)
+
+
+@PROPERTY
+@given(DISTINCT, DISTINCT, st.randoms(use_true_random=False))
+def test_minimize_hands_back_a_minimal_staircase_as_it_is(xs, ys, rng):
+    # x ascending and y descending: no point dominates another, in any order
+    steps = list(zip(sorted(xs), sorted(ys, reverse=True)))
+    rng.shuffle(steps)
+    assert same_list(_minimize(steps, real_space(2)), steps)
+
+
+@PROPERTY
+@given(st.tuples(SCALARS, SCALARS), st.lists(st.tuples(SCALARS, SCALARS), max_size=20),
+       st.integers(min_value=0, max_value=20))
+def test_minimize_drops_all_but_one_point_below_the_rest(least, others, at):
+    above = [(max(x, least[0]), max(y, least[1])) for x, y in others]
+    points = above[:at] + [least] + above[at:]
+    first = next(p for p in points if p == least)  # as written first: 0, 0.0 or -0.0
+    assert same_list(_minimize(points, real_space(2)), [first])
+
+
+@PROPERTY
 @given(st.lists(st.tuples(st.sampled_from(DIAMOND.elements()), SCALARS), max_size=20))
 def test_minimize_matches_pairwise_on_mixed_product(points):
     poset = ProductPoset([DIAMOND, R])
