@@ -58,8 +58,11 @@ point has a point function, f -> that point: a one-point map built by
 MonotoneMap._of (a compiled model map, uid's snaps), an identity, and a
 series or par node whose parts both have one.  A point function made by
 compile_point (every map the model language compiles) carries its
-source, a body text and its constants, and so does the identity's;
-uid's snaps, and any function wrapped after it was made, carry none.
+source, its body and its constants, and so does the identity's; uid's
+snaps, and any function wrapped after it was made, carry none.  A body
+is in statement form: ops, each an operator (+, *, max, min) over two
+operands, then the operands it gives; an operand is the input, one of
+its coordinates, a constant c[i] or an earlier op's result.
 A series node whose middle front has several points pushes them through
 point functions (below), and where they make its second part's front,
 no node below runs its _eval.  An Antichain object is made only where a
@@ -91,14 +94,15 @@ middle point, in repr order, so solve's iterations do not move.
 The first time a node pushes a front of several points, it makes its
 front function, which pushes the whole front in one call and lists the
 images in the front's order.  Where every stage carries a source, it is
-fused from their bodies: one loop over the front whose body runs each
-stage once per point, with the same float operations in the same order,
-so its images are the composition's, bit for bit; the body holds only
-locals, x, c[i] and calls of _times, max and min.  Otherwise it maps
+fused from their bodies: one loop over the front that runs each stage's
+ops once per point, with the same float operations in the same order,
+so its images are the composition's, bit for bit.  Otherwise it maps
 push, which stays composed per point for a parent to compose with its
-own heads.  Fusing walks the stages once per tree, never at a build;
-fused functions are kept by the sources of their stages, and each
-distinct text is compiled once (up to MEMO_SIZE of each).
+own heads.  Fusing walks the stages once per tree, never at a build.
+One emitter (_text) writes point and front functions alike, one line
+per op over fresh locals, x and c[i], calling only max and min.  What
+it makes is kept by the stages' ops (posets._compile), so text is
+written only for a new body; constants are bound as a function is made.
 
 Terms, and the nodes of modellang's parse tree, are records: subclasses
 of Node.  A node's fields are the __slots__ of its class, and its
@@ -112,7 +116,6 @@ once built.
 import bisect
 import contextvars
 import marshal
-import re
 
 from .antichains import Antichain, _cross, _minimize
 from .errors import CompositionError, DomainError
@@ -121,6 +124,7 @@ from .posets import (
     Poset,
     ProductPoset,
     RealPlus,
+    _compile,
     concat_elements,
     element_parts,
     product,
@@ -314,7 +318,7 @@ class IdentityDP(DesignProblem):
         return frozenset((f,))
 
 
-IdentityDP.point.source = ("x", ())
+IdentityDP.point.source = ((), (("x", None),), ())
 
 
 def _memo_key(f):
@@ -332,97 +336,99 @@ def _then(g, h):
     return g if h is None else h if g is None else lambda f: h(g(f))
 
 
-def _times(u, v):
-    # 0 * inf is 0 here: a zero gain switches a contribution off
-    return 0.0 if u == 0 or v == 0 else u * v
+# each operator's line over its operands' texts; 0 * inf is 0 here: a
+# zero gain switches a contribution off
+_LINES = {"+": "{0} + {1}", "*": "0.0 if {0} == 0 or {1} == 0 else {0} * {1}",
+          "max": "max({0}, {1})", "min": "min({0}, {1})"}
 
 
-_makers: dict = {}  # text -> the make(c) it defines, up to MEMO_SIZE texts
-_fused: dict = {}  # a push's parts (_parts) -> its fused front function, up to MEMO_SIZE
+def _operand(o, var: str, off: int, base: int) -> str:
+    """Text of a map's operand: ("x", None) its input, named var, ("x", i)
+    the input's coordinate i, ("c", i) its constant c[off + i], ("v", i)
+    the result of its op i, the local v(base + i)."""
+    kind, i = o
+    if kind == "x":
+        return var if i is None else "%s[%d]" % (var, i)
+    return "c[%d]" % (off + i) if kind == "c" else "v%d" % (base + i)
 
 
-def _make(text: str):
-    """The function make(c) that text defines, compiled once per distinct
-    text; text calls only _times, max and min."""
-    make = _makers.get(text)
-    if make is None:
-        scope = {"__builtins__": {}, "_times": _times, "max": max, "min": min}
-        exec(text, scope)
-        make = scope["make"]
-        if len(_makers) < MEMO_SIZE:
-            _makers[text] = make
-    return make
+def _text(form: str, stages: tuple) -> str:
+    """Text defining make(c), whose function runs stages straight through:
+    point(x) at one value, or push(xs) at each x of xs, listing the
+    images.  A stage is a map's (ops, outs, number of constants) or a par
+    node's (cut, split, flat, left stages, right stages); c holds the
+    maps' constants in stage order."""
+    lines, off = [], 0
+
+    def local(expr):
+        lines.append("v%d = %s" % (len(lines), expr))
+        return "v%d" % (len(lines) - 1)
+
+    def run(stages, var):
+        nonlocal off
+        for stage in stages:
+            if len(stage) == 5:  # a par node: ParDP's split, _cross's tuples
+                cut, (left_tuple, right_tuple), (lf, rf), left, right = stage
+                a = run(left, local("%s[:%d]" % (var, cut) if left_tuple else var + "[0]"))
+                b = run(right, local("%s[%d%s]" % (var, cut, ":" if right_tuple else "")))
+                var = local("%s + %s" % (a if lf else "(%s,)" % a, b if rf else "(%s,)" % b)
+                            if lf or rf else "(%s, %s)" % (a, b))
+                continue
+            ops, outs, n = stage
+            base, c = len(lines), off
+            for op, a, b in ops:
+                local(_LINES[op].format(_operand(a, var, c, base), _operand(b, var, c, base)))
+            off += n
+            names = [_operand(o, var, c, base) for o in outs]
+            var = names[0] if len(names) == 1 else local("(%s)" % ", ".join(names))
+        return var
+
+    out = run(stages, "x")
+    if form == "point":
+        return "def make(c):\n    def point(x):\n%s        return %s\n    return point\n" % (
+            "".join("        %s\n" % line for line in lines), out)
+    return ("def make(c):\n    def push(xs):\n        out = []\n        append = out.append\n"
+            "        for x in xs:\n%s            append(%s)\n        return out\n    return push\n"
+            % ("".join("            %s\n" % line for line in lines), out))
 
 
-def compile_point(body: str, consts: tuple):
-    """The point function x -> body, for a body text that reads x and
-    the constants c[i] and calls _times, max and min.  It carries
-    (body, consts) as its source, which a fan-out's push fuses."""
-    fn = _make("def make(c):\n    return lambda x: %s\n" % body)(consts)
-    fn.source = (body, consts)
+def compile_point(ops, outs, consts):
+    """The point function of a map body: ops, each (operator, operand,
+    operand) (see _operand), then outs, the operands it gives, one as
+    itself and several as a tuple; consts are its constants.  It carries
+    (ops, outs, consts) as its source, which a fan-out's push fuses."""
+    ops, outs, consts = tuple(ops), tuple(outs), tuple(consts)
+    stages = ((ops, outs, len(consts)),)
+    fn = _compile(("point", stages), lambda: _text("point", stages))(consts)
+    fn.source = (ops, outs, consts)
     return fn
 
 
-def _parts(node, stop=None):
+def _stages(node, stop, consts: list):
     """The stages node's point function runs, up to the node stop of its
-    series chain, as a tuple: each atom's source, its constants marshalled
-    (which tells 0.0 from -0.0 and 1 from 1.0), and for a par node its
-    layout and each side's parts; None where a stage's point function has
-    no source."""
-    parts = ()
+    series chain, as a tuple (see _text), their constants appended to
+    consts; None where a stage's point function has no source."""
+    stages = ()
     while isinstance(node, SeriesDP) and node is not stop:
-        first = _parts(node.first)
+        first = _stages(node.first, None, consts)
         if first is None:
             return None
-        parts += first
+        stages += first
         node = node.second
     if node is stop:
-        return parts
+        return stages
     if isinstance(node, ParDP):
-        left = _parts(node.left)
-        right = None if left is None else _parts(node.right)
+        left = _stages(node.left, None, consts)
+        right = None if left is None else _stages(node.right, None, consts)
         if right is None:
             return None
-        return parts + ((node._cut, node._split, node._flat, left, right),)
+        return stages + ((node._cut, node._split, node._flat, left, right),)
     source = getattr(node.point, "source", None)
     if source is None:
         return None
-    return parts + ((source[0], marshal.dumps(source[1], 2)),)
-
-
-_RENAME = re.compile(r"\bx\b|c\[(\d+)\]")
-
-
-def _fused_text(parts, consts: list) -> str:
-    """Text defining make(c), whose push(xs) runs parts straight through
-    at each point x of xs and gives the list of the images: each body
-    renamed and assigned to a fresh local, its constants appended to
-    consts."""
-    lines = []
-
-    def local(expr):
-        lines.append("            v%d = %s\n" % (len(lines), expr))
-        return "v%d" % (len(lines) - 1)
-
-    def emit(parts, var):
-        for part in parts:
-            if len(part) == 5:  # a par node: ParDP's split, _cross's tuples
-                cut, (left_tuple, right_tuple), (lf, rf), left, right = part
-                a = emit(left, local("%s[:%d]" % (var, cut) if left_tuple else var + "[0]"))
-                b = emit(right, local("%s[%d%s]" % (var, cut, ":" if right_tuple else "")))
-                var = local("%s + %s" % (a if lf else "(%s,)" % a, b if rf else "(%s,)" % b)
-                            if lf or rf else "(%s, %s)" % (a, b))
-            elif part[0] != "x":  # an atom; an identity adds no line
-                off = len(consts)
-                consts.extend(marshal.loads(part[1]))
-                var = local(_RENAME.sub(lambda m: var if m.group(1) is None
-                                        else "c[%d]" % (off + int(m.group(1))), part[0]))
-        return var
-
-    out = emit(parts, "x")
-    return ("def make(c):\n    def push(xs):\n        out = []\n        append = out.append\n"
-            "        for x in xs:\n%s            append(%s)\n        return out\n    return push\n"
-            % ("".join(lines), out))
+    ops, outs, c = source
+    consts.extend(c)
+    return stages + ((ops, outs, len(c)),)
 
 
 class SeriesDP(DesignProblem):
@@ -486,17 +492,13 @@ class SeriesDP(DesignProblem):
         """The front function: push fused into one loop over the front
         where every stage has a source (see the module docstring), else
         the composed push mapped over it."""
-        parts = _parts(self.second, self._rest)
-        if parts is None:
+        consts = []
+        stages = _stages(self.second, self._rest, consts)
+        if stages is None:
             push = self._push
             fn = lambda xs: list(map(push, xs))
         else:
-            fn = _fused.get(parts)
-            if fn is None:
-                consts = []
-                fn = _make(_fused_text(parts, consts))(tuple(consts))
-                if len(_fused) < MEMO_SIZE:
-                    _fused[parts] = fn
+            fn = _compile(("push", stages), lambda: _text("push", stages))(tuple(consts))
         self._front = fn
         return fn
 
@@ -738,13 +740,12 @@ class Node:
         # each class gets its constructor written out, which costs what a
         # hand-written one does (one taking *values parses a fifth slower)
         cls._fields = fields = cls.__slots__
-        code = "def __init__(self, %sspan=None):\n%s    self.span = span\n" % (
+        text = ("def make():\n    def __init__(self, %sspan=None):\n%s        self.span = span\n"
+                "    return __init__\n") % (
             "".join(f + ", " for f in fields),
-            "".join("    self.%s = %s\n" % (f, f) for f in fields),
+            "".join("        self.%s = %s\n" % (f, f) for f in fields),
         )
-        scope = {}
-        exec(code, scope)
-        cls.__init__ = scope["__init__"]
+        cls.__init__ = _compile(text, lambda: text)()
 
     def _values(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])

@@ -42,9 +42,9 @@ Omitting F(...) gives a constant a trivial one-point functionality.
 `map` bodies are monotone by construction: nonnegative constants,
 functionality names, +, *, max, min.  Elaboration turns each body into
 one Python function of the functionality value, generated from the
-expression tree and holding no model text (dp.compile_point, which
-compiles each distinct text once per process), and types each output on
-the way (compile_expr): a real output reads numbers, real axes and
+expression tree in statement form, one operation a line, and holding no
+model text (dp.compile_point), and types each output on the way
+(compile_expr): a real output reads numbers, real axes and
 chains of increasing numbers, a chain output is a bare axis on an equal
 chain, and anything else, like an unknown name, is a diagnostic.  The
 outputs are then members by construction and are not checked when the
@@ -144,8 +144,7 @@ _PREC = {"+": 1, "*": 2}  # how tightly map operators bind, for parsing and prin
 
 # Levels of brackets a map expression or a term may nest: a rule of the
 # language.  The parser keeps its own stack; the elaborator recurses one
-# or two frames a level, and Python compiles a map only to 200 nested
-# parentheses anyway.
+# or two frames a level.
 MAX_NESTING = 200
 
 
@@ -1080,10 +1079,12 @@ class _Elaborator:
             offset = self.scalars_of_width(k.offset, width, "offset")
             if not all(math.isfinite(g) and g >= 0 for g in gain):
                 self.fail("gains must be finite and nonnegative", k.gain.span)
-            # the map r_j = o_j + g_j * f, constants in the order o_0, g_0, o_1, ...
-            consts = [v for pair in zip(offset, gain) for v in pair]
-            parts = ["c[%d] + _times(c[%d], x)" % (2 * j, 2 * j + 1) for j in range(width)]
-            return _compiled_map(f_space, r_space, parts, consts)
+            # the map r_j = o_j + g_j * f, compiled as a map's body is
+            consts, ops, axes = [], [], {"f": (("x", None), f_space)}
+            outs = [self.compile_expr(EBin("+", ENum(o), EBin("*", ENum(g), EVar("f"))), "",
+                                      r, axes, consts, ops)
+                    for o, g, r in zip(offset, gain, r_space.factors)]
+            return MonotoneMap._of(f_space, r_space, compile_point(ops, outs, consts))
         if isinstance(k, KCatalogue):
             fs = _column_elements([f for f, _ in k.entries], f_space)
             rs = _column_elements([r for _, r in k.entries], r_space)
@@ -1093,11 +1094,7 @@ class _Elaborator:
                     self.point_element(rnode, r_space, "resource")
             return Catalogue._of(f_space, r_space, list(zip(fs, rs)))  # checked
         if isinstance(k, KMap):
-            try:
-                return self.build_map_dp(k, f_space, r_space, fnames, rnames)
-            except SyntaxError:
-                # deeper than Python compiles: "too many nested parentheses"
-                self.fail("map expressions nest too deeply to compile", k.span)
+            return self.build_map_dp(k, f_space, r_space, fnames, rnames)
         if isinstance(k, KSig) and k.word == "identity":
             if k.sig.f_axes is not None and f_space != r_space:
                 self.fail(
@@ -1123,14 +1120,14 @@ class _Elaborator:
         if k.sig.f_axes is None:
             self.fail("map needs an explicit F(...) signature", k.sig.span)
         scalar = len(fnames) == 1
-        # name -> (its text in the generated function, its poset); a
-        # repeated name reads its last axis
+        # name -> (its operand, its poset); a repeated name reads its last axis
         axes = {
-            n: ("x" if scalar else "x[%d]" % i, p)
+            n: (("x", None if scalar else i), p)
             for i, (n, p) in enumerate(zip(fnames, f_space.factors))
         }
         parts: list = [None] * len(rnames)
         consts: list = []
+        ops: list = []
         for a in k.assigns:
             targets = [j for j, n in enumerate(rnames) if n == a.name]
             if not targets:
@@ -1138,21 +1135,23 @@ class _Elaborator:
             if parts[targets[0]] is not None:
                 self.fail("output axis %r assigned twice" % a.name, a.span)
             for j in targets:
-                parts[j] = self.compile_expr(a.expr, a.name, r_space.factors[j], axes, consts)
+                parts[j] = self.compile_expr(a.expr, a.name, r_space.factors[j], axes,
+                                             consts, ops)
         missing = [n for n, part in zip(rnames, parts) if part is None]
         if missing:
             self.fail("map leaves output axes unassigned: %s" % ", ".join(missing), k.span)
-        return _compiled_map(f_space, r_space, parts, consts)
+        return MonotoneMap._of(f_space, r_space, compile_point(ops, parts, consts))
 
-    def compile_expr(self, e, out_name: str, out: Poset, axes: dict, consts: list) -> str:
-        """Python text computing e for the output axis out_name on poset
-        out; the first fault, left to right, raises.
+    def compile_expr(self, e, out_name: str, out: Poset, axes: dict, consts: list,
+                     ops: list) -> tuple:
+        """The operand (see dp._operand) giving e for the output axis
+        out_name on poset out, each operation of e appended to ops as an
+        operator (+, *, max, min) over two operands, each number to
+        consts; the first fault, left to right, raises.
 
-        The text reads x, the functionality value, and c, the constants
-        (appended to consts), and calls _times, max and min; no model
-        text reaches it.  Each output is typed here, so that every value
-        it gives is a member of out: a chain output must be a bare
-        functionality axis on an equal chain, and a real output may read
+        No model text reaches ops.  Each output is typed here, so that
+        every value it gives is a member of out: a chain output must be a
+        bare functionality axis on an equal chain, and a real output may read
         numbers, real axes and chains whose labels are numbers
         increasing upward.  Under +, * (0 * inf is 0), max and min those
         give a number >= 0 that is not NaN, monotone in every axis.
@@ -1161,7 +1160,7 @@ class _Elaborator:
             axis = axes.get(e.name)
             if axis is None:
                 self.fail("unknown functionality %r in map expression" % e.name, e.span)
-            text, p = axis
+            operand, p = axis
             if isinstance(out, FinitePoset):
                 if p != out:
                     self.fail("map output %r on %s cannot read %r on %s: a chain output takes "
@@ -1170,21 +1169,17 @@ class _Elaborator:
             elif not _reads_as_number(p):
                 self.fail("map output %r is real, but %r is on chain %s, whose labels are not "
                           "numbers increasing upward" % (out_name, e.name, p.describe()), e.span)
-            return text
+            return operand
         if isinstance(out, FinitePoset):
             self.fail("map output %r on %s must be a functionality on the same chain, not a "
                       "computed value" % (out_name, out.describe()), e.span)
         if isinstance(e, ENum):
             consts.append(e.value)
-            return "c[%d]" % (len(consts) - 1)
-        left = self.compile_expr(e.left, out_name, out, axes, consts)
-        right = self.compile_expr(e.right, out_name, out, axes, consts)
-        if e.op == "+":
-            # + groups to the left in Python as in the model language
-            if isinstance(e.right, EBin) and e.right.op == "+":
-                right = "(%s)" % right
-            return "%s + %s" % (left, right)
-        return "%s(%s, %s)" % ("_times" if e.op == "*" else e.op, left, right)
+            return ("c", len(consts) - 1)
+        left = self.compile_expr(e.left, out_name, out, axes, consts, ops)
+        right = self.compile_expr(e.right, out_name, out, axes, consts, ops)
+        ops.append((e.op, left, right))
+        return ("v", len(ops) - 1)
 
     def do_uncertain(self, st: StDecl):
         k = st.body
@@ -1285,13 +1280,6 @@ def _reads_as_number(p: Poset) -> bool:
     return all(isinstance(v, (int, float)) for v in labels) and all(
         a < b for a, b in zip(labels, labels[1:])
     )
-
-
-def _compiled_map(f_space, r_space, parts: list, consts: list):
-    """MonotoneMap computing every output from its typed text (see
-    compile_expr) in one function of the functionality value."""
-    body = parts[0] if len(parts) == 1 else "(%s)" % ", ".join(parts)
-    return MonotoneMap._of(f_space, r_space, compile_point(body, tuple(consts)))
 
 
 def elaborate(doc: Document) -> tuple[ElaboratedModel | None, list[Diagnostic]]:

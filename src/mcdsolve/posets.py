@@ -33,8 +33,9 @@ a[i] <= b[i] and max(a[i], b[i]), a FinitePoset factor as a look-up in
 its up-sets and one call of its joins, any other factor as calls of its
 own leq and joins; the joins nest in itertools.product's order.  The
 text depends only on the kinds of the factors and is compiled once per
-tuple of kinds (up to MEMO_SIZE of them).  Each product binds its own
-factors' data and keeps the two functions, so later reads of p.leq find
+tuple of kinds by _compile, which makes all of the package's generated
+code under one memo of up to MEMO_SIZE entries.  Each product binds its
+own factors' data and keeps the two functions, so later reads of p.leq find
 a plain function; read on the class, ProductPoset.leq and joins stay
 callable as (product, a, b).  The compiled functions trust their
 arguments as every leq and joins does.
@@ -270,7 +271,25 @@ class FinitePoset(Poset):
         return hash(self._key)
 
 
-MEMO_SIZE = 1024  # factor kinds whose order text is kept; once full it adds no more
+MEMO_SIZE = 1024  # makes _compile keeps; once full it adds no more
+_made: dict = {}  # key -> the make its text defines
+
+
+def _compile(key, write):
+    """The function make defined by the text write() returns, which sees
+    only max and min; write runs only for a key not kept yet.  Keys: a
+    product's tuple of one-letter factor kinds, a map body's form and
+    stages (dp), a record constructor's text."""
+    make = _made.get(key)
+    if make is None:
+        scope = {"__builtins__": {}, "max": max, "min": min}
+        exec(write(), scope)
+        make = scope["make"]
+        if len(_made) < MEMO_SIZE:
+            _made[key] = make
+    return make
+
+
 _KINDS = {RealPlus: "r", FinitePoset: "f"}  # a factor of any other type is "p"
 # each kind's test in leq, and its line, slot and loop in joins; the
 # first factor's joins vary slowest, as in itertools.product
@@ -280,31 +299,21 @@ _TEXTS = {
     "f": ("b[{0}] in o{0}[a[{0}]]",) + _OWN_JOINS,
     "p": ("o{0}(a[{0}], b[{0}])",) + _OWN_JOINS,
 }
-_makers: dict = {}  # factor kinds -> the make(...) their text defines, up to MEMO_SIZE
 
 
-def _make(kinds: tuple):
-    """The function make(o_i, j_i, ...) for these factor kinds, compiled
-    once per distinct kinds: it takes, for each factor i that is not a
-    RealPlus, its up-sets (a FinitePoset's) or leq, and its joins, and
-    returns straight-line leq and joins."""
-    make = _makers.get(kinds)
-    if make is None:
-        tests, lines, slots, loops = zip(*(
-            [t.format(i) for t in _TEXTS[k]] for i, k in enumerate(kinds)))
-        text = (
-            "def make(%s):\n"
-            "    def leq(a, b):\n        return %s\n"
-            "    def joins(a, b):\n        %s\n        return [(%s)%s]\n"
-            "    return leq, joins\n"
-        ) % ("".join("o%d, j%d, " % (i, i) for i, k in enumerate(kinds) if k != "r"),
-             " and ".join(tests), "; ".join(lines), ", ".join(slots), "".join(loops))
-        scope = {"__builtins__": {}, "max": max}
-        exec(text, scope)
-        make = scope["make"]
-        if len(_makers) < MEMO_SIZE:
-            _makers[kinds] = make
-    return make
+def _order_text(kinds: tuple) -> str:
+    """Text defining make(o_i, j_i, ...): it takes, for each factor i that
+    is not a RealPlus, its up-sets (a FinitePoset's) or leq, and its
+    joins, and returns straight-line leq and joins."""
+    tests, lines, slots, loops = zip(*(
+        [t.format(i) for t in _TEXTS[k]] for i, k in enumerate(kinds)))
+    return (
+        "def make(%s):\n"
+        "    def leq(a, b):\n        return %s\n"
+        "    def joins(a, b):\n        %s\n        return [(%s)%s]\n"
+        "    return leq, joins\n"
+    ) % ("".join("o%d, j%d, " % (i, i) for i, k in enumerate(kinds) if k != "r"),
+         " and ".join(tests), "; ".join(lines), ", ".join(slots), "".join(loops))
 
 
 class _Compiled:
@@ -323,7 +332,7 @@ class _Compiled:
         for f, k in zip(p._factors, kinds):
             if k != "r":
                 data += (f._up if k == "f" else f.leq, f.joins)
-        p.leq, p.joins = _make(kinds)(*data)
+        p.leq, p.joins = _compile(kinds, lambda: _order_text(kinds))(*data)
         return getattr(p, self.name)
 
     def __call__(self, p, a, b):

@@ -5,13 +5,18 @@ A fan-out pushes its whole middle front, in one call, through one function
 compiled from the bodies of its maps, which answers as their composition
 does at each point."""
 
+import ast
 import math
 import re
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from map_reference import expressions, reference, text_of
 
-from mcdsolve import cli, dp, modellang
+import mcdsolve
+from mcdsolve import cli, dp, modellang, posets
 from mcdsolve.dp import LoopDP, MonotoneMap, ParDP, SeriesDP, evaluate_term, par, series
 from mcdsolve.examples import EXAMPLE_NAMES, load_example
 from mcdsolve.modellang import load_model
@@ -70,15 +75,6 @@ class TestTyping:
         text = LEVELS + "dp a = affine F(f[W]) R(c:lvl) gain 1 offset 0\nterm a\n"
         assert diagnostics(text) == ["t.mcd:2:15: error: affine needs real resource axes"]
 
-    def test_too_deep_to_compile_is_a_diagnostic(self):
-        # the longest product the parser takes nests one _times( call per
-        # operator, one past the parentheses Python compiles
-        body = " * ".join(["a"] * (modellang.MAX_NESTING + 2))
-        text = "dp m = map F(a[W]) R(y[W]) {\n    y = %s }\nterm m\n" % body
-        assert diagnostics(text) == [
-            "t.mcd:1:8: error: map expressions nest too deeply to compile"
-        ]
-
     @pytest.mark.parametrize("text, command", [
         (LEVELS + "dp m = map F(x:lvl) R(y[W]) { y = x + 1.0 }\nterm m\n",
          ["solve", "--f", "x=low"]),
@@ -101,48 +97,6 @@ INPUTS = st.one_of(
     st.integers(min_value=0, max_value=10**6),
     st.floats(min_value=0, allow_nan=False, allow_infinity=False),
 )
-CONSTANTS = st.one_of(
-    st.sampled_from(["0", "0.0", "1", "2.5", "1e999"]),
-    st.floats(min_value=0, allow_nan=False, allow_infinity=False).map(repr),
-)
-
-
-def expressions(n_axes):
-    """Trees ("num", text) | ("var", i) | (op, left, right) over axes a0.."""
-    leaves = st.one_of(
-        CONSTANTS.map(lambda text: ("num", text)),
-        st.integers(0, n_axes - 1).map(lambda i: ("var", i)),
-    )
-    return st.recursive(
-        leaves,
-        lambda sub: st.tuples(st.sampled_from(["+", "*", "max", "min"]), sub, sub),
-        max_leaves=12,
-    )
-
-
-def text_of(e):
-    if e[0] == "num":
-        return e[1]
-    if e[0] == "var":
-        return "a%d" % e[1]
-    if e[0] in ("max", "min"):
-        return "%s(%s, %s)" % (e[0], text_of(e[1]), text_of(e[2]))
-    return "(%s %s %s)" % (text_of(e[1]), e[0], text_of(e[2]))
-
-
-def reference(e, x):
-    if e[0] == "num":
-        return float(e[1])
-    if e[0] == "var":
-        return x[e[1]]
-    u, v = reference(e[1], x), reference(e[2], x)
-    if e[0] == "+":
-        return u + v
-    if e[0] == "*":
-        return 0.0 if u == 0 or v == 0 else u * v
-    return max(u, v) if e[0] == "max" else min(u, v)
-
-
 @st.composite
 def cases(draw):
     n_real = draw(st.integers(1, 3))
@@ -183,12 +137,28 @@ def test_compiled_map_matches_the_reference(case):
         m.ressp.check_member(got)
 
 
+@pytest.mark.parametrize("op", ["*", "+"])
+def test_longest_product_and_sum_load_and_answer_as_the_reference(op):
+    # the parser takes MAX_NESTING + 2 operands, grouped to the left; the
+    # map's function is one line per operation, so no text nests
+    operands = modellang.MAX_NESTING + 2
+    model, diags = load_model("dp m = map F(a[W]) R(y[W]) {\n    y = %s }\nterm m\n"
+                              % (" %s " % op).join(["a"] * operands))
+    assert diags == [] and model is not None
+    tree = ("var", 0)
+    for _ in range(operands - 1):
+        tree = (op, tree, ("var", 0))
+    m = model.uvaluation["m"].lower
+    for a in (0, 2.0, math.inf):
+        assert repr(m.evaluate(a).points) == repr(frozenset((reference(tree, (a,)),)))
+
+
 # --- no model text in the generated function --------------------------------
 
 CLASH = """\
-dp m = map F(x[W], c[W], _times[W], lambda[W], __import__[W])
+dp m = map F(x[W], c[W], v0[W], lambda[W], __import__[W])
            R(c[W], x[W], lambda[W], __builtins__[W]) {
-    c = x + c * 2.0; x = max(_times, lambda); lambda = min(__import__, x);
+    c = x + c * 2.0; x = max(v0, lambda); lambda = min(__import__, x);
     __builtins__ = 0 * __import__ }
 term m
 """
@@ -196,19 +166,33 @@ term m
 CLASH_FAN = """\
 dp s = invplus_vdc(4, W)
 dp m = map F(x[W], c[W]) R(c[W], lambda[W]) { c = x + c * 2.0; lambda = max(x, c) }
-dp n = map F(c[W]) R(_times[W]) { _times = 3.0 * c }
+dp n = map F(c[W]) R(v0[W]) { v0 = 3.0 * c }
 dp i = identity R(lambda[W])
-dp k = map F(_times[W], __import__[W]) R(__builtins__[W]) {
-    __builtins__ = min(_times, __import__) + 1.0 }
+dp k = map F(v0[W], __import__[W]) R(__builtins__[W]) {
+    __builtins__ = min(v0, __import__) + 1.0 }
 term series(s, series(m, series(par(n, i), k)))
 """
-ALLOWED = re.compile(r"x\[\d+\]|c\[\d+\]|_times\(|max\(|min\(|[(), +]")
-MAP_HEAD = "def make(c):\n    return lambda x: "
+# each line's expression: locals, the input and its parts, constants, the
+# guard of *, max and min
+ALLOWED = re.compile(r"0\.0 if | == 0 (?:or|else) |(?:x|v\d+)(?:\[:?\d+:?\])?|c\[\d+\]|max\(|min\("
+                     r"|[(), +*]")
+MAP_HEAD = "def make(c):\n    def point(x):\n"
+MAP_TAIL = "    return point\n"
+MAP_LINE = re.compile(r"        (v\d+ = .*|return (?:x|v\d+))\n")
 FUSED_HEAD = ("def make(c):\n    def push(xs):\n        out = []\n        append = out.append\n"
               "        for x in xs:\n")
 FUSED_TAIL = "        return out\n    return push\n"
 FUSED_LINE = re.compile(r"            (v\d+ = .*|append\((?:x|v\d+)\))\n")
-FUSED_ALLOWED = re.compile(r"(?:x|v\d+)(?:\[:?\d+:?\])?|c\[\d+\]|_times\(|max\(|min\(|[(), +]")
+
+
+def assert_lines(body, line):
+    """Every line of body matches line, and its expression holds only
+    what ALLOWED names."""
+    assert line.sub("", body) == ""
+    for text in body.splitlines():
+        expr = text.split(" = ", 1)[-1].replace("append(", "(").replace("return ", "")
+        assert ALLOWED.sub("", expr) == "", text
+    assert "__" not in body and "lambda" not in body
 
 
 def test_generated_source_holds_no_model_names(monkeypatch):
@@ -218,18 +202,15 @@ def test_generated_source_holds_no_model_names(monkeypatch):
         sources.append(source)
         exec(source, scope)
 
-    monkeypatch.setattr(dp, "exec", spy, raising=False)
-    monkeypatch.setattr(dp, "_makers", {})
-    monkeypatch.setattr(dp, "_fused", {})
+    monkeypatch.setattr(posets, "exec", spy, raising=False)
+    monkeypatch.setattr(posets, "_made", {})
     model, diags = load_model(CLASH)
     assert model is not None, diags
-    (source,) = sources
-    assert source.startswith(MAP_HEAD) and source.endswith("\n")
-    body = source[len(MAP_HEAD):-1]
-    assert ALLOWED.sub("", body) == ""
-    assert "__" not in body and "lambda" not in body
+    (source,) = [t for t in sources if t.startswith("def make(c):")]  # not a product's order
+    assert source.startswith(MAP_HEAD) and source.endswith(MAP_TAIL)
+    assert_lines(source[len(MAP_HEAD):-len(MAP_TAIL)], MAP_LINE)
     sol = solve_uncertain(model.term, model.uvaluation, (1.0, 2.0, 3.0, 4.0, math.inf))
-    # c = x + 2c, x = max(_times, lambda), lambda = min(__import__, x), 0 * inf = 0
+    # c = x + 2c, x = max(v0, lambda), lambda = min(__import__, x), 0 * inf = 0
     assert sol.upper.front.points == {(5.0, 4.0, 1.0, 0.0)}
     assert sol.lower.front.points == sol.upper.front.points
 
@@ -240,15 +221,33 @@ def test_generated_source_holds_no_model_names(monkeypatch):
     # both sides fuse the same parts: one text for them
     (fused,) = [t for t in sources if t.startswith(FUSED_HEAD)]
     assert fused.endswith(FUSED_TAIL)
-    body = fused[len(FUSED_HEAD):-len(FUSED_TAIL)]
-    assert FUSED_LINE.sub("", body) == ""
-    for line in body.splitlines():
-        expr = line.split(" = ", 1)[-1].replace("append(", "(")
-        assert FUSED_ALLOWED.sub("", expr) == "", line
-    assert "__" not in fused and "lambda" not in fused
+    assert_lines(fused[len(FUSED_HEAD):-len(FUSED_TAIL)], FUSED_LINE)
     # at the samples (0, 2), (1, 1), (0.5, 1.5), (1.5, 0.5) of 2: the cost
     # min(3 (x + 2c), max(x, c)) + 1 is least, 2, at (1, 1)
     assert sol.upper.front.points == {2.0}
+
+
+def nodes_in(node, fn=None):
+    """(name of the innermost function around it, node) for each node
+    below node."""
+    for child in ast.iter_child_nodes(node):
+        yield fn, child
+        yield from nodes_in(child, child.name if isinstance(child, ast.FunctionDef) else fn)
+
+
+def test_the_package_compiles_code_in_one_place():
+    # one exec, in posets._compile, and no call-per-* helper left
+    execs, times = [], []
+    for path in sorted(Path(mcdsolve.__file__).parent.rglob("*.py")):
+        for fn, node in nodes_in(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "exec":
+                execs.append((path.name, fn))
+            names = [getattr(node, a, None) for a in ("id", "attr", "name", "arg", "asname")]
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names += re.findall(r"\b_times\b", node.value)
+            times += [(path.name, node.lineno) for name in names if name == "_times"]
+    assert execs == [("posets.py", "_compile")]
+    assert times == []
 
 
 # --- a fused push against the composition of its stages ---------------------
@@ -257,7 +256,9 @@ def test_generated_source_holds_no_model_names(monkeypatch):
 @st.composite
 def chains(draw):
     """Model text of a chain of maps, identities and pars over one to three
-    W axes and a numeric chain, with inputs to push through it."""
+    W axes and a numeric chain, inputs to push through it, and the
+    reference for each stage, from the tuple of its axes' values to the
+    tuple of its outputs'."""
     kinds = start = ["W"] * draw(st.integers(1, 3)) + ["n"] * draw(st.booleans())
     decls = ["poset n = chain {0, 3, 7.5, 1e999}"]
 
@@ -270,26 +271,29 @@ def chains(draw):
         if draw(st.booleans()):
             outs = draw(st.lists(expressions(len(ks)), min_size=1, max_size=3))
             out_kinds = ["W"] * len(outs)
-            texts = ["y%d = %s" % (j, text_of(e)) for j, e in enumerate(outs)]
             if "n" in ks and draw(st.booleans()):  # a chain output reads its axis as it is
-                texts.append("y%d = a%d" % (len(outs), ks.index("n")))
+                outs.append(("var", ks.index("n")))
                 out_kinds.append("n")
+            texts = ["y%d = %s" % (j, text_of(e)) for j, e in enumerate(outs)]
             decls.append("dp %s = map F(%s) R(%s) { %s }"
                          % (name, axes(ks, "a"), axes(out_kinds, "y"), "; ".join(texts)))
-            return name, out_kinds
+            return name, out_kinds, lambda x: tuple(reference(e, x) for e in outs)
         decls.append("dp %s = identity R(%s)" % (name, axes(ks, "a")))
-        return name, list(ks)
+        return name, list(ks), lambda x: x
 
-    stages = []
+    stages, steps = [], []
     for _ in range(draw(st.integers(1, 4))):
-        if len(kinds) > 1 and draw(st.booleans()):
+        if len(kinds) > 1 and draw(st.booleans()):  # split the tuple, concatenate the parts
             cut = draw(st.integers(1, len(kinds) - 1))
-            (left, lk), (right, rk) = atom(kinds[:cut]), atom(kinds[cut:])
+            (left, lk, lstep), (right, rk, rstep) = atom(kinds[:cut]), atom(kinds[cut:])
             stages.append("par(%s, %s)" % (left, right))
+            steps.append(lambda x, cut=cut, lstep=lstep, rstep=rstep:
+                         lstep(x[:cut]) + rstep(x[cut:]))
             kinds = lk + rk
         else:
-            name, kinds = atom(kinds)
+            name, kinds, step = atom(kinds)
             stages.append(name)
+            steps.append(step)
     term = stages[-1]
     for stage in reversed(stages[:-1]):
         term = "series(%s, %s)" % (stage, term)
@@ -297,7 +301,7 @@ def chains(draw):
         st.tuples(*[INPUTS if k == "W" else st.sampled_from(CHAIN) for k in start]),
         min_size=1, max_size=4,
     ))
-    return "\n".join(decls + ["term " + term, ""]), points
+    return "\n".join(decls + ["term " + term, ""]), points, steps
 
 
 def fan_out(chain, points):
@@ -318,7 +322,7 @@ def is_fused(front):
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(chains())
 def test_fused_push_answers_as_the_composition(case):
-    text, points = case
+    text, points, steps = case
     model, diags = load_model(text)
     assert model is not None, (text, diags)
     chain = evaluate_term(model.term, {k: u.lower for k, u in model.uvaluation.items()})
@@ -328,6 +332,13 @@ def test_fused_push_answers_as_the_composition(case):
     fused = node._fuse()
     assert is_fused(fused) and fused is node._front and node._push is composed
     assert repr(fused(inputs)) == repr([composed(x) for x in inputs]), text
+    # and the reference, stage by stage
+    want = []
+    for x in points:
+        for step in steps:
+            x = step(x)
+        want.append(x if len(x) > 1 else x[0])
+    assert repr(fused(inputs)) == repr(want), text
     # and a whole fan-out: minimal images written alike
     fronts = []
     for fuse in (True, False):
@@ -343,7 +354,7 @@ def test_fused_pushes_tell_equal_constants_apart_by_type_and_sign():
     # 0.0 + 1 is 1.0: a fused push found by its parts keeps its constants' bits
     space = product(RealPlus(), RealPlus())
     for consts in ((0.0,), (-0.0,), (0,)):
-        fn = dp.compile_point("(c[0] + x[0], x[1])", consts)
+        fn = dp.compile_point((("+", ("c", 0), ("x", 0)),), (("v", 0), ("x", 1)), consts)
         node = fan_out(MonotoneMap._of(space, space, fn), [])
         xs = [(-0.0, 1.0), (1, -0.0)]
         assert repr(node._fuse()(xs)) == repr([fn(x) for x in xs]), consts
@@ -484,6 +495,30 @@ def test_power_split_pushes_each_front_in_one_call(monkeypatch):
     assert per_point[0] == 0
 
 
+def test_power_split_solve_makes_as_many_calls_at_any_sample_count():
+    # the front functions run each * of the maps inline, so a solve over
+    # 256 samples makes no more Python calls than one over 20
+    model = load_example("power_split")
+    query = model.build_query({"demand": 10.0})
+
+    def calls(n):
+        uvaluation = model.override_relaxation("split", n)
+        solve_uncertain(model.term, uvaluation, query)  # compiles what the solve needs
+        count = [0]
+
+        def profile(frame, event, arg):
+            count[0] += event == "call"
+
+        sys.setprofile(profile)
+        try:
+            solve_uncertain(model.term, uvaluation, query)
+        finally:
+            sys.setprofile(None)
+        return count[0]
+
+    assert calls(20) == calls(256)
+
+
 # --- membership is not checked per map evaluation ---------------------------
 
 MAPS = ("requirements", "perception", "loading", "actuation", "power_budget",
@@ -548,7 +583,9 @@ def test_uav_solve_checks_no_map_output(monkeypatch):
     model = load_example("uav")
     fused_sol = solve_uncertain(model.term, model.uvaluation, query)
     assert repr(fused_sol) == repr(sol)
-    # three fan-outs on each side, and both sides push through the same maps
-    assert len(fused) == 6 and len(set(fused)) == 3 and all(map(is_fused, fused))
+    # three fan-outs on each side, and both sides push through the same maps:
+    # one compiled function for each pair
+    assert len(fused) == 6 and len({f.__code__ for f in fused}) == 3
+    assert all(map(is_fused, fused))
     assert evals[0] > 100  # 192 pushed middle points
     assert checks[0] == 0
