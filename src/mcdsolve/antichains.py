@@ -60,9 +60,11 @@ def _minimize_real(unique):
 
 
 def _minimize(points, poset):
+    if len(points) < 2:  # most fronts a loop meets: nothing to compare
+        return list(points)
     if poset.real_factors and len(poset.factors) == 1:
         # one real chain: min keeps the first of equal values (0, 0.0, -0.0)
-        return [min(points)] if points else []
+        return [min(points)]
     # drop duplicates first so only strict domination remains; the first
     # of equal values is the one kept
     unique = list(dict.fromkeys(points))

@@ -15,7 +15,13 @@ monotone and every iterate lies below the answer.  On infinite posets
 convergence additionally relies on the ascent reaching a fixed point
 within the iteration cap, and a capped run is reported as a (valid)
 lower bound with converged=False.  The cap is an argument of solve and
-kleene_solve, not part of the tree.
+kleene_solve, not part of the tree.  Every loop solves through the one
+ascent, kleene_solve, called through this module (bench/tracing.py
+counts loop solves there).  Beyond its iterations a solve costs a few
+constant steps per loop: choosing the start, one call of kleene_solve,
+which reads the order, the joins and the body once, and one report; a
+step evaluates the body once at each point of the front it has not met
+in this solve.
 
 The step is monotone in f1 too, so the least fixed point at f1' <= f1
 lies below the one at f1 and is a post-fixed point of the step there:
@@ -125,7 +131,6 @@ from .posets import (
     ProductPoset,
     RealPlus,
     _compile,
-    concat_elements,
     element_parts,
     product,
 )
@@ -579,9 +584,7 @@ class LoopDP(DesignProblem):
                 last_f1 != f1 or _memo_key(last_f1) == _memo_key(f1)
             ):
                 start = front
-        report = kleene_solve(
-            self.body, f1, max_iter, signature=self.signature, start=start
-        )
+        report = kleene_solve(self.body, f1, max_iter, False, self.signature, start)
         if report.converged:
             self._last = (f1, report.front.points)
         if reports is not None:
@@ -605,6 +608,8 @@ class SolveReport:
     """Outcome of a solve: the front plus loop-iteration bookkeeping;
     history, the front of each iterate, is kept on request and left out
     of repr."""
+
+    __slots__ = ("front", "iterations", "converged", "history")
 
     def __init__(self, front: Antichain, iterations: int, converged: bool, history=None):
         self.front = front
@@ -664,14 +669,12 @@ def kleene_solve(
         f1sp, rsp = signature
     if max_iter is None:
         max_iter = DEFAULT_MAX_ITER
-    cache: dict = {}
-
-    def eval_at(r):
-        hit = cache.get(r)
-        if hit is None:
-            hit = cache[r] = dp._eval(concat_elements(f1sp, f1, rsp, r))
-        return hit
-
+    leq, joins, body = rsp.leq, rsp.joins, dp._eval
+    # the body's input is (f1, r): f1's part is fixed, r's is r itself
+    # on a product and (r,) on a scalar poset (concat_elements)
+    head = element_parts(f1sp, f1)
+    flat = isinstance(rsp, ProductPoset)
+    cache = {}  # r -> the body's front at (f1, r), evaluated once per solve
     front = frozenset((rsp.bottom(),)) if start is None else start
     ordered = dp.holds_loop  # a fixed order for the inner loops' starts
     history = [Antichain._of(rsp, front)] if keep_history else None
@@ -680,11 +683,14 @@ def kleene_solve(
     while iterations < max_iter:
         pts = []
         for r in sorted(front, key=repr) if ordered else front:
-            for p in eval_at(r):
-                if rsp.leq(r, p):
+            out = cache.get(r)
+            if out is None:
+                out = cache[r] = body(head + r if flat else head + (r,))
+            for p in out:
+                if leq(r, p):
                     pts.append(p)
                 else:
-                    pts.extend(rsp.joins(r, p))
+                    pts.extend(joins(r, p))
         nxt = frozenset(_minimize(pts, rsp))
         iterations += 1
         if keep_history:
@@ -696,8 +702,7 @@ def kleene_solve(
             converged = True
             break
         front = nxt
-    front = Antichain._of(rsp, front)
-    return SolveReport(front=front, iterations=iterations, converged=converged, history=history)
+    return SolveReport(Antichain._of(rsp, front), iterations, converged, history)
 
 
 # (cap, reports) of the solve in progress: each loop it solves takes the
@@ -721,9 +726,7 @@ def solve(dp: DesignProblem, f, max_iter: int | None = None) -> SolveReport:
     finally:
         _solve_run.reset(token)
     return SolveReport(
-        front=front,
-        iterations=sum(r.iterations for r in reports),
-        converged=all(r.converged for r in reports),
+        front, sum([r.iterations for r in reports]), all([r.converged for r in reports])
     )
 
 

@@ -114,14 +114,12 @@ _REAL_AXIS_GRID = [0.0, 0.1, 0.5, 1.0, 3.0, 10.0, 100.0]
 def default_query_grid(funsp: Poset, cap: int = 512) -> list:
     """Deterministic query sample: exhaustive on finite axes, a fixed
     log-ish grid on real axes, truncated to at most cap points."""
-    axes = []
-    for p in funsp.factors:
-        axes.append(p.elements() if p.is_finite else list(_REAL_AXIS_GRID))
+    axes = [p.elements() if p.is_finite else _REAL_AXIS_GRID for p in funsp.factors]
     if len(axes) == 1:
-        pts = list(axes[0])
-    else:
-        pts = [tuple(t) for t in itertools.product(*axes)]
-    return pts[:cap]
+        return axes[0][:cap]
+    # the first cap points as they come: the whole product has 7 ** n
+    # points on n real axes
+    return list(itertools.islice(itertools.product(*axes), cap))
 
 
 def evaluate_uncertain(term: Term, uvaluation) -> UncertainDP:

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mcdsolve import dp
 from mcdsolve.antichains import Antichain
 from mcdsolve.dp import (
     Atom,
@@ -13,6 +14,7 @@ from mcdsolve.dp import (
     ConstantResource,
     IdentityDP,
     Loop,
+    LoopDP,
     MonotoneMap,
     Par,
     Series,
@@ -136,6 +138,15 @@ def ladder_body():
     )
 
 
+def nested_loops():
+    # an outer loop whose body solves an inner loop (3 iterations at f1=0)
+    inner = loop(ladder_body())
+    joiner = MonotoneMap(
+        product(FIVE, FIVE), FIVE, lambda f: min(max(f[0], f[1]) + 1, 3)
+    )
+    return loop(series(par(inner, IdentityDP(FIVE)), joiner))
+
+
 class TestKleene:
     def test_three_step_chain(self):
         report = kleene_solve(ladder_body(), 0, keep_history=True)
@@ -218,18 +229,39 @@ class TestSolveAggregation:
         assert report.converged
 
     def test_nested_loops_sum_iterations(self):
-        inner = loop(ladder_body())  # 3 iterations at f1=0
-        joiner = MonotoneMap(
-            product(FIVE, FIVE), FIVE, lambda f: min(max(f[0], f[1]) + 1, 3)
-        )
-        outer_body = series(par(inner, IdentityDP(FIVE)), joiner)
-        report = solve(loop(outer_body), 0)
+        report = solve(nested_loops(), 0)
         assert report.converged
         assert report.front.points == {3}
         # inner loop re-solved on every outer evaluation: the outer loop's
         # 2 steps, 3 inner iterations under the first and 1 under the
         # second, which starts from the front the first found
         assert report.iterations == 6
+
+    def test_every_loop_solve_is_one_kleene_ascent(self, monkeypatch):
+        # each loop, inner and outer, solves through dp.kleene_solve, and
+        # the reports it returns are the ones solve sums: a loop with an
+        # ascent of its own would pass this wrapper by, as it would a
+        # tracer's, which would then count no solve
+        ascents, loop_solves = [], [0]
+        ascend, loop_eval = dp.kleene_solve, LoopDP._eval
+
+        def counted_ascent(*args, **kwargs):
+            report = ascend(*args, **kwargs)
+            ascents.append(report)
+            return report
+
+        def counted_loop_eval(self, f1):
+            loop_solves[0] += 1
+            return loop_eval(self, f1)
+
+        monkeypatch.setattr(dp, "kleene_solve", counted_ascent)
+        monkeypatch.setattr(LoopDP, "_eval", counted_loop_eval)
+        report = solve(nested_loops(), 0)
+        assert len(ascents) == loop_solves[0] == 3
+        # the inner loop at each of the outer loop's 2 steps, then the outer
+        assert [r.iterations for r in ascents] == [3, 1, 2]
+        assert sum(r.iterations for r in ascents) == report.iterations == 6
+        assert all(r.converged for r in ascents) and report.converged
 
     def test_warm_start_keeps_the_representative_of_a_cold_one(self):
         # from the front found at 0 the ascent at 1 meets the body's 1 at

@@ -7,7 +7,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mcdsolve.antichains import Antichain, _minimize
 from mcdsolve.dp import (
@@ -55,6 +55,13 @@ def same_list(a, b):
     return repr(a) == repr(b)
 
 
+def minimized(points, poset):
+    # _minimize hands back a list of its own, even for 0 or 1 points
+    out = _minimize(points, poset)
+    assert type(out) is list and out is not points
+    return out
+
+
 def real_points(dims):
     point = SCALARS if dims == 1 else st.tuples(*[SCALARS] * dims)
     return st.lists(point, max_size=30)
@@ -71,15 +78,23 @@ def test_minimize_matches_pairwise_on_real_fronts(dims):
     @PROPERTY
     @given(real_points(dims))
     def check(points):
-        assert same_list(_minimize(points, poset), pairwise_reference(points, poset))
+        assert same_list(minimized(points, poset), pairwise_reference(points, poset))
 
+    # 0 and 1 points, the fronts most loops meet: one point is written
+    # as -0.0, as 1 and as 1.0
+    for points in [[]] + [[v if dims == 1 else (v,) * dims] for v in (-0.0, 1, 1.0)]:
+        check = example(points)(check)
     check()
 
 
 @PROPERTY
 @given(st.lists(st.sampled_from([0, 0.0, -0.0, 1, 1.0, 2.5]), max_size=12))
+@example([])
+@example([-0.0])
+@example([1])
+@example([1.0])
 def test_minimize_on_one_real_chain_keeps_the_first_of_equal_values(points):
-    assert same_list(_minimize(points, R), pairwise_reference(points, R))
+    assert same_list(minimized(points, R), pairwise_reference(points, R))
 
 
 DISTINCT = st.lists(
@@ -93,7 +108,7 @@ def test_minimize_hands_back_a_minimal_staircase_as_it_is(xs, ys, rng):
     # x ascending and y descending: no point dominates another, in any order
     steps = list(zip(sorted(xs), sorted(ys, reverse=True)))
     rng.shuffle(steps)
-    assert same_list(_minimize(steps, real_space(2)), steps)
+    assert same_list(minimized(steps, real_space(2)), steps)
 
 
 @PROPERTY
@@ -103,14 +118,21 @@ def test_minimize_drops_all_but_one_point_below_the_rest(least, others, at):
     above = [(max(x, least[0]), max(y, least[1])) for x, y in others]
     points = above[:at] + [least] + above[at:]
     first = next(p for p in points if p == least)  # as written first: 0, 0.0 or -0.0
-    assert same_list(_minimize(points, real_space(2)), [first])
+    assert same_list(minimized(points, real_space(2)), [first])
 
 
 @PROPERTY
 @given(st.lists(st.tuples(st.sampled_from(DIAMOND.elements()), SCALARS), max_size=20))
+@example([])
+@example([("a", -0.0)])
+@example([("top", 1)])
+@example([("b", 1.0)])
 def test_minimize_matches_pairwise_on_mixed_product(points):
     poset = ProductPoset([DIAMOND, R])
-    assert same_list(_minimize(points, poset), pairwise_reference(points, poset))
+    assert same_list(minimized(points, poset), pairwise_reference(points, poset))
+    # and on DIAMOND alone, whose points are labels
+    labels = [label for label, _ in points]
+    assert same_list(minimized(labels, DIAMOND), pairwise_reference(labels, DIAMOND))
 
 
 @PROPERTY

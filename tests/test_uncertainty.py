@@ -1,8 +1,12 @@
+import itertools
 import random
+import time
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mcdsolve import uncertainty
 from mcdsolve.antichains import Antichain
 from mcdsolve.dp import (
     Atom,
@@ -15,7 +19,7 @@ from mcdsolve.dp import (
 )
 from mcdsolve.errors import DomainError
 from mcdsolve.oracle import random_instance, random_ordered_uvaluation
-from mcdsolve.posets import FinitePoset, RealPlus, product
+from mcdsolve.posets import FinitePoset, ProductPoset, RealPlus, product
 from mcdsolve.uncertainty import (
     UncertainDP,
     VERDICT_FEASIBLE,
@@ -93,6 +97,37 @@ class TestOrder:
         assert len(grid) == 4
         grid_real = default_query_grid(RW)
         assert 0.0 in grid_real and 100.0 in grid_real
+
+    @pytest.mark.parametrize("axes", [3, 4, 5])
+    @pytest.mark.parametrize("cap", [1, 64, 512, 100_000])
+    def test_default_query_grid_keeps_the_first_cap_points(self, axes, cap):
+        # the list the grid took before it stopped at cap: the whole
+        # product, then its first cap points
+        two = FinitePoset.chain(["a", "b"])
+        space = ProductPoset([RW] * (axes - 1) + [two])
+        grid = [[0.0, 0.1, 0.5, 1.0, 3.0, 10.0, 100.0]] * (axes - 1) + [["a", "b"]]
+        whole = [tuple(t) for t in itertools.product(*grid)]
+        assert default_query_grid(space, cap) == whole[:cap]
+
+    def test_default_query_grid_draws_only_cap_points(self, monkeypatch):
+        # 12 real axes have 7 ** 12 grid points: draw no more than cap of
+        # them, and fail at once rather than build them all
+        drawn = [0]
+
+        def counted_product(*axes):
+            for t in itertools.product(*axes):
+                drawn[0] += 1
+                assert drawn[0] <= 512, "the grid builds the whole product"
+                yield t
+
+        monkeypatch.setattr(
+            uncertainty, "itertools",
+            types.SimpleNamespace(product=counted_product, islice=itertools.islice))
+        started = time.perf_counter()
+        grid = default_query_grid(ProductPoset([RW] * 12), cap=64)
+        assert time.perf_counter() - started < 5.0
+        assert len(grid) == 64 and drawn[0] == 64
+        assert grid[0] == (0.0,) * 12 and grid[-1] == (0.0,) * 9 + (0.1, 0.5, 0.0)
 
 
 class TestEvaluateUncertain:
