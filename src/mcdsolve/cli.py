@@ -48,7 +48,7 @@ def _load(path: str):
     """The elaborated model, or None after its diagnostics or the read
     error have gone to stderr."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as e:
         _fail(str(e))

@@ -110,6 +110,18 @@ per op over fresh locals, x and c[i], calling only max and min.  What
 it makes is kept by the stages' ops (posets._compile), so text is
 written only for a new body; constants are bound as a function is made.
 
+The two trees of a lower/upper pair are built in one walk of its term
+(evaluate_sides).  At each sub-term the lower node is built by its
+constructor, which checks the composition and derives the interfaces;
+the upper node is its twin, built by its class's _of, which takes from
+the lower node what depends only on interfaces: funsp and ressp (a par
+node's products), a par node's split (_cut, _split, _flat) and a loop's
+signature.  A pair's atoms have equal interfaces (UncertainDP), so a
+composition the lower side passes, the upper passes too.  What depends
+on a side's atoms stays the node's own: its parts, holds_loop (an atom
+may be a loop on one side only), its point function, push and rest,
+memo, front function, and a loop's last front.
+
 Terms, and the nodes of modellang's parse tree, are records: subclasses
 of Node.  A node's fields are the __slots__ of its class, and its
 constructor takes them in that order, then span.  ==, hash and repr go
@@ -447,6 +459,21 @@ class SeriesDP(DesignProblem):
                 % (first.ressp.describe(), second.funsp.describe())
             )
         super().__init__(first.funsp, second.ressp)
+        self._join(first, second)
+
+    @classmethod
+    def _of(cls, twin: "SeriesDP", first: DesignProblem, second: DesignProblem) -> "SeriesDP":
+        """Series of first and second with twin's interfaces, where twin
+        is a series node over parts with the same interfaces as these (the
+        lower side of a pair, see evaluate_sides), so the composition is
+        not checked again."""
+        node = object.__new__(cls)
+        DesignProblem.__init__(node, twin.funsp, twin.ressp)
+        node._join(first, second)
+        return node
+
+    def _join(self, first: DesignProblem, second: DesignProblem):
+        """What the node takes from its own parts."""
         self.first = first
         self.second = second
         self.holds_loop = first.holds_loop or second.holds_loop
@@ -513,13 +540,28 @@ class ParDP(DesignProblem):
         super().__init__(
             product(left.funsp, right.funsp), product(left.ressp, right.ressp)
         )
-        self.left = left
-        self.right = right
-        self.holds_loop = left.holds_loop or right.holds_loop
         self._flat = (isinstance(left.ressp, ProductPoset), isinstance(right.ressp, ProductPoset))
         # where a query splits, and whether each side's part is a tuple
         self._cut = len(left.funsp.factors)
         self._split = (isinstance(left.funsp, ProductPoset), isinstance(right.funsp, ProductPoset))
+        self._join(left, right)
+
+    @classmethod
+    def _of(cls, twin: "ParDP", left: DesignProblem, right: DesignProblem) -> "ParDP":
+        """Par node of left and right with twin's interfaces, and twin's
+        split of them, where twin is a par node over parts with the same
+        interfaces as these (see SeriesDP._of)."""
+        node = object.__new__(cls)
+        DesignProblem.__init__(node, twin.funsp, twin.ressp)
+        node._flat, node._cut, node._split = twin._flat, twin._cut, twin._split
+        node._join(left, right)
+        return node
+
+    def _join(self, left: DesignProblem, right: DesignProblem):
+        """What the node takes from its own parts."""
+        self.left = left
+        self.right = right
+        self.holds_loop = left.holds_loop or right.holds_loop
         g, h = left.point, right.point
         if g is not None and h is not None:
             cut = self._cut
@@ -574,6 +616,17 @@ class LoopDP(DesignProblem):
         self.signature = loop_signature(body.funsp, body.ressp)
         super().__init__(*self.signature)
         self.body = body
+
+    @classmethod
+    def _of(cls, twin: "LoopDP", body: DesignProblem) -> "LoopDP":
+        """Loop over body with twin's signature, where twin is a loop over
+        a body with the same interfaces as this one (see SeriesDP._of).
+        It starts its ascents from its own fronts, never twin's."""
+        node = object.__new__(cls)
+        DesignProblem.__init__(node, twin.funsp, twin.ressp)
+        node.signature = twin.signature
+        node.body = body
+        return node
 
     def _eval(self, f1) -> frozenset:
         max_iter, reports = _solve_run.get()
@@ -805,29 +858,49 @@ def evaluate_term(term: Term, valuation, path: str = "term") -> DesignProblem:
 
     Composition type errors carry the path of the offending sub-term.
     """
+    return evaluate_sides(term, {name: (dp,) for name, dp in valuation.items()}, path)[0]
+
+
+def evaluate_sides(term: Term, sides, path: str = "term") -> tuple:
+    """Interpret a term over each side of its atoms, in one walk.
+
+    sides maps each atom's name to a tuple of one DP, or of two with
+    equal interfaces (a lower and an upper side); the result is the tree
+    of each side, in that order.  At each sub-term the first side's node
+    is built by its constructor, which checks the composition and derives
+    the interfaces; the second side's is its twin, built by _of, which
+    takes them from the first's (the products of a par node, its split, a
+    loop's signature).  So the composition errors raised are the first
+    side's, each with the path of its sub-term, as evaluate_term raises
+    them.  Each node has its own parts, point function, memo, push and
+    loop start.
+    """
     if isinstance(term, Atom):
         try:
-            return valuation[term.name]
+            return sides[term.name]
         except KeyError:
             raise DomainError("%s: no design problem named %r" % (path, term.name)) from None
-    if isinstance(term, Series):
-        left = evaluate_term(term.left, valuation, path + ".series.left")
-        right = evaluate_term(term.right, valuation, path + ".series.right")
-        try:
-            return series(left, right)
-        except CompositionError as e:
-            raise CompositionError("%s: %s" % (path, e)) from None
-    if isinstance(term, Par):
-        left = evaluate_term(term.left, valuation, path + ".par.left")
-        right = evaluate_term(term.right, valuation, path + ".par.right")
-        return par(left, right)
     if isinstance(term, Loop):
-        body = evaluate_term(term.body, valuation, path + ".loop")
+        body = evaluate_sides(term.body, sides, path + ".loop")
         try:
-            return loop(body)
+            node = LoopDP(body[0])
         except CompositionError as e:
             raise CompositionError("%s: %s" % (path, e)) from None
-    raise TypeError("not a term: %r" % (term,))
+        return (node,) if len(body) == 1 else (node, LoopDP._of(node, body[1]))
+    if isinstance(term, Series):
+        left = evaluate_sides(term.left, sides, path + ".series.left")
+        right = evaluate_sides(term.right, sides, path + ".series.right")
+        try:
+            node = SeriesDP(left[0], right[0])
+        except CompositionError as e:
+            raise CompositionError("%s: %s" % (path, e)) from None
+    elif isinstance(term, Par):
+        left = evaluate_sides(term.left, sides, path + ".par.left")
+        right = evaluate_sides(term.right, sides, path + ".par.right")
+        node = ParDP(left[0], right[0])
+    else:
+        raise TypeError("not a term: %r" % (term,))
+    return (node,) if len(left) == 1 else (node, type(node)._of(node, left[1], right[1]))
 
 
 # --- order and monotonicity checks ----------------------------------------

@@ -4,7 +4,10 @@ An uncertain DP is an ordered pair of DPs (lower, upper) over the same
 interfaces: the lower side is optimistic (demands at most what the true
 problem demands), the upper side pessimistic.  Uncertain DPs are ordered
 by interval containment, and a term is evaluated under uncertainty by
-interpreting it once with all lower sides and once with all upper sides.
+interpreting it with all lower sides and with all upper sides.  The two
+trees are built in one walk of the term: each upper node takes its
+interfaces from its lower twin, which checked the composition (see
+dp.evaluate_sides), and keeps its own parts, memos and loop starts.
 Anything the upper run achieves is certainly feasible; anything the
 lower run rules out is certainly infeasible; in between the answer is
 indeterminate.  A loop stopped by the iteration cap returns its last
@@ -26,7 +29,7 @@ from .dp import (
     SolveReport,
     Term,
     dp_leq,
-    evaluate_term,
+    evaluate_sides,
     solve,
 )
 from .errors import DomainError
@@ -123,9 +126,10 @@ def default_query_grid(funsp: Poset, cap: int = 512) -> list:
 
 
 def evaluate_uncertain(term: Term, uvaluation) -> UncertainDP:
-    """Interpret a term twice, over all lower and all upper bounds."""
-    lower = evaluate_term(term, {k: u.lower for k, u in uvaluation.items()})
-    upper = evaluate_term(term, {k: u.upper for k, u in uvaluation.items()})
+    """Interpret a term over all lower and all upper bounds, in one walk
+    (evaluate_sides): each upper node takes its interfaces from its lower
+    twin."""
+    lower, upper = evaluate_sides(term, {k: (u.lower, u.upper) for k, u in uvaluation.items()})
     return UncertainDP(lower, upper)
 
 

@@ -185,6 +185,38 @@ class TestCheck:
             "invalid continuation byte\n" % path
         )
 
+    @pytest.mark.parametrize("command", [
+        ["check"],
+        ["solve", "--f", "demand=10"],
+        ["sweep", "--axis", "demand", "--from", "1", "--to", "10", "--steps", "4"],
+    ])
+    def test_byte_order_mark_is_read_past(self, command, tmp_path, capsys):
+        # an editor may save UTF-8 with a byte-order mark: the model reads
+        # and prints as without it
+        text = example_path("power_split").read_bytes()
+        outputs = []
+        for folder, head in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            path = tmp_path / folder / "power_split.mcd"
+            path.parent.mkdir()
+            path.write_bytes(head + text)
+            code = main([command[0], str(path)] + command[1:])
+            outputs.append((code, capsys.readouterr()))
+        assert outputs[0][0] == EXIT_OK and outputs[0][1].err == ""
+        assert outputs[1] == outputs[0]
+
+    @pytest.mark.parametrize("text, at", [
+        ("dp a = wigget\nterm a\n", "1:8"),
+        ("model m\ndp a = wigget\nterm a\n", "2:8"),
+    ])
+    def test_byte_order_mark_moves_no_diagnostic(self, text, at, tmp_path, capsys):
+        errs = []
+        for name, head in (("plain.mcd", ""), ("bom.mcd", "\ufeff")):
+            path = tmp_path / name
+            path.write_text(head + text, encoding="utf-8")
+            assert main(["check", str(path)]) == EXIT_ERROR
+            errs.append(capsys.readouterr().err.replace(str(path), "t.mcd"))
+        assert errs == ["t.mcd:%s: error: unknown design problem kind 'wigget'\n" % at] * 2
+
     def test_word_inf_in_a_point_on_a_chain_axis_is_the_label(self, inf_label_model, capsys):
         assert main(["check", inf_label_model]) == EXIT_OK
         captured = capsys.readouterr()

@@ -2,9 +2,10 @@
 again: a series node whose middle front is one point returns its second
 part's front itself, one whose middle front has several points pushes
 them through the point functions heading its second part and runs the
-rest only at the minimal images, and catalogue rows that the model
-language or scale_catalogue made enter unchecked, while a model's points
-are still checked as they are read."""
+rest only at the minimal images, catalogue rows that the model language
+or scale_catalogue made enter unchecked, while a model's points are
+still checked as they are read, and each upper node of a pair takes its
+interfaces from its lower twin, built in the same walk of the term."""
 
 import collections
 import contextlib
@@ -18,22 +19,30 @@ from hypothesis import example, given, settings, strategies as st
 
 from mcdsolve import cli, dp, modellang
 from mcdsolve.dp import (
+    Atom,
     Catalogue,
     IdentityDP,
+    Loop,
     LoopDP,
     MonotoneMap,
+    Par,
     ParDP,
+    Series,
     SeriesDP,
     evaluate_term,
     series,
+    solve,
+    term_to_text,
 )
-from mcdsolve.errors import DomainError
+from mcdsolve.errors import CodesignError, DomainError
 from mcdsolve.examples import EXAMPLE_NAMES, example_path, load_example
 from mcdsolve.modellang import load_model
-from mcdsolve.oracle import random_instance
+from mcdsolve.oracle import random_instance, random_ordered_uvaluation
 from mcdsolve.posets import Poset, RealPlus, product
 from mcdsolve.uncertainty import (
+    UncertainDP,
     default_query_grid,
+    degenerate,
     evaluate_uncertain,
     scale_catalogue,
     solve_uncertain,
@@ -160,14 +169,21 @@ def grid_answers(term, uvaluation, monkeypatch, points=True, push=True) -> list:
                 monkeypatch.setattr(node, "point", None)
             if not (points and push) and isinstance(node, SeriesDP):
                 push_off(monkeypatch, node)
+    return answers(pair.lower, pair.upper)
+
+
+def answers(lower, upper) -> list:
+    """(repr of the front, iterations, converged) of each side at each
+    default_query_grid query, solved lower first, as a pair solves, or
+    the message of the error the query raised."""
     out = []
-    for f in default_query_grid(pair.funsp):
+    for f in default_query_grid(lower.funsp):
         try:
-            sol = pair.solve(f)
+            sols = [solve(lower, f), solve(upper, f)]
         except DomainError as e:
             out.append(str(e))
             continue
-        out.append([(repr(s.front), s.iterations, s.converged) for s in (sol.lower, sol.upper)])
+        out.append([(repr(s.front), s.iterations, s.converged) for s in sols])
     return out
 
 
@@ -481,3 +497,98 @@ class TestCataloguesCheckedOnce:
             assert repr(side.entries) == repr(checked.entries)
             for f in (0, 0.5, 1.0, 2.5, 3.0, math.inf):
                 assert repr(side.evaluate(f).points) == repr(checked.evaluate(f).points)
+
+
+def two_walks(term, uvaluation) -> tuple:
+    """The lower and the upper tree, each built by its own evaluate_term
+    walk, every node by its constructor."""
+    return tuple(
+        evaluate_term(term, {k: getattr(u, side) for k, u in uvaluation.items()})
+        for side in ("lower", "upper")
+    )
+
+
+def assert_one_walk_answers_as_two(term, uvaluation):
+    pair = evaluate_uncertain(term, uvaluation)
+    assert answers(pair.lower, pair.upper) == answers(*two_walks(term, uvaluation))
+
+
+MALFORMED = [  # (term, the message its lower walk raises)
+    (Par(Series(Atom("dbl"), Atom("idg")), Atom("nope")),
+     "term.par.right: no design problem named 'nope'"),
+    (Par(Atom("idw"), Series(Atom("dbl"), Atom("idw"))),
+     "term.par.right: series mismatch: first produces R+[g] but second consumes R+[W]"),
+    (Series(Atom("idw"), Loop(Atom("dbl"))),
+     "term.series.right: loop mismatch: functionality R+[W] does not end with resources R+[g]"),
+]
+
+
+class TestOneWalk:
+    @pytest.mark.parametrize("name", EXAMPLE_NAMES)
+    def test_examples_answer_as_two_walks(self, name):
+        model = load_example(name)
+        assert_one_walk_answers_as_two(model.term, model.uvaluation)
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(point_models())
+    def test_compositions_answer_as_two_walks(self, text):
+        model, diags = load_model(text)
+        assert model is not None, (text, diags)
+        assert_one_walk_answers_as_two(model.term, model.uvaluation)
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_random_finite_loops_answer_as_two_walks(self, seed):
+        rng = random.Random(seed)
+        instance = random_instance(rng)
+        while "loop(" not in term_to_text(instance.term):
+            instance = random_instance(rng)
+        uvaluation, _ = random_ordered_uvaluation(rng, instance.valuation)
+        assert_one_walk_answers_as_two(instance.term, uvaluation)
+
+    @pytest.mark.parametrize("term, message", MALFORMED)
+    def test_malformed_terms_raise_as_the_lower_walk(self, term, message):
+        uvaluation = {
+            "dbl": UncertainDP(MonotoneMap(RW, RG, lambda f: f),
+                               MonotoneMap(RW, RG, lambda f: 2.0 * f)),
+            "idg": degenerate(IdentityDP(RG)),
+            "idw": degenerate(IdentityDP(RW)),
+        }
+        with pytest.raises(CodesignError) as one:
+            evaluate_uncertain(term, uvaluation)
+        with pytest.raises(CodesignError) as lower:
+            evaluate_term(term, {k: u.lower for k, u in uvaluation.items()})
+        assert type(one.value) is type(lower.value)
+        assert str(one.value) == str(lower.value) == message
+
+    def test_upper_nodes_take_their_interfaces_from_their_lower_twins(self, monkeypatch):
+        model = load_example("uav")
+        calls = [0]
+        loop_signature = dp.loop_signature
+
+        def counted(funsp, ressp):
+            calls[0] += 1
+            return loop_signature(funsp, ressp)
+
+        monkeypatch.setattr(dp, "loop_signature", counted)
+        pair = evaluate_uncertain(model.term, model.uvaluation)
+        loops = [node for node in all_nodes(pair.lower) if isinstance(node, LoopDP)]
+        assert calls[0] == len(loops) == 1  # each loop's signature is derived once
+        twins = [(lo, hi) for lo, hi in zip(all_nodes(pair.lower), all_nodes(pair.upper))
+                 if isinstance(lo, (SeriesDP, ParDP, LoopDP))]
+        assert len(twins) == 12
+        for lo, hi in twins:
+            assert type(hi) is type(lo) and hi is not lo  # no node is shared
+            assert hi.funsp is lo.funsp and hi.ressp is lo.ressp
+
+    def test_a_loop_on_the_upper_side_only_is_solved_at_every_query(self):
+        # the upper atom is a loop and the lower is not: the upper series
+        # node above it keeps no memo, so each solve counts its iterations
+        # (the second ascent starts from the first's front and confirms it
+        # in one step; a remembered front would count none)
+        body = MonotoneMap(product(RW, RW), RW, lambda f: f[0])
+        uvaluation = {"id": degenerate(IdentityDP(RW)),
+                      "u": UncertainDP(IdentityDP(RW), LoopDP(body))}
+        pair = evaluate_uncertain(Series(Atom("id"), Atom("u")), uvaluation)
+        assert not pair.lower.holds_loop and pair.upper.holds_loop
+        assert [pair.solve(1.0).upper.iterations for _ in range(2)] == [2, 1]
