@@ -18,6 +18,13 @@ leaves it (DesignProblem.evaluate, a SolveReport and its history), by
 Antichain._of, which trusts a frozenset that is already minimal.  The
 product of two antichains is one already, so cross (and a par node)
 builds it with _cross and minimises nothing.
+
+_minimize keeps the first written of equal points (0, 0.0, -0.0) and
+lists the kept in input order.  On one real chain it takes min.  On two
+it sorts once and scans, and the sort puts equal points side by side,
+so no point is hashed on the way: the frozenset a front becomes is its
+one hashing pass.  On any other poset it drops duplicates through a
+dict and compares the rest pairwise.
 """
 
 from .errors import DomainError
@@ -40,38 +47,45 @@ def _minimize_pairwise(unique, poset):
     return kept
 
 
-def _minimize_real(unique):
+def _minimize_real(points):
     # On two real chains the lexicographic order extends the componentwise
     # one, so one pass over the sorted points keeps each whose second
     # coordinate is below all kept before it (Kung, Luccio & Preparata
-    # 1975).  The points are distinct, so their sort has one order; the
-    # kept are listed in input order, as the pairwise path lists them.
-    ordered = sorted(unique)
-    lowest = ordered[0][1]
-    kept = [ordered[0]]
+    # 1975).  The sort puts equal points side by side and, being stable,
+    # the first written of them (0, 0.0, -0.0) first; the strict test
+    # keeps that one and drops the rest, so nothing is hashed to dedupe.
+    # The kept are listed in input order, as the pairwise path lists them:
+    # when none is dropped that is the input; else it is the input's
+    # survivors, each equal value at its first place.
+    ordered = sorted(points)
+    first = ordered[0]
+    lowest = first[1]
+    kept = [first]
     for p in ordered:
-        if p[1] < lowest:
+        y = p[1]
+        if y < lowest:
             kept.append(p)
-            lowest = p[1]
-    if len(kept) == len(unique):
-        return unique
+            lowest = y
+    if len(kept) == len(points):
+        return list(points)
     kept = set(kept)
-    return [p for p in unique if p in kept]
+    return list(dict.fromkeys([p for p in points if p in kept]))
 
 
 def _minimize(points, poset):
     if len(points) < 2:  # most fronts a loop meets: nothing to compare
         return list(points)
-    if poset.real_factors and len(poset.factors) == 1:
-        # one real chain: min keeps the first of equal values (0, 0.0, -0.0)
-        return [min(points)]
-    # drop duplicates first so only strict domination remains; the first
-    # of equal values is the one kept
+    if poset.real_factors:
+        if len(poset.factors) == 1:
+            # one real chain: min keeps the first of equal values (0, 0.0, -0.0)
+            return [min(points)]
+        if len(poset.factors) == 2:  # the sort drops repeats: no dedupe pass
+            return _minimize_real(points)
+    # elsewhere drop duplicates first so only strict domination remains;
+    # the first of equal values is the one kept
     unique = list(dict.fromkeys(points))
     if len(unique) < 2:
         return unique
-    if poset.real_factors and len(poset.factors) == 2:
-        return _minimize_real(unique)
     return _minimize_pairwise(unique, poset)
 
 

@@ -3,12 +3,15 @@
 Exit codes for solve: 0 feasible, 2 infeasible, 3 indeterminate, 4 when
 an iteration cap stopped a loop before convergence (the printed fronts
 are then lower bounds).  Usage and model errors exit 1 everywhere.
-Results go to stdout only; diagnostics and errors go to stderr.
+Results go to stdout only; diagnostics and errors go to stderr.  A
+reader that closes stdout before a command has written all of it (as
+`| head` does) ends the command with exit 1 and nothing on stderr.
 """
 
 import argparse
 import json
 import math
+import os
 import re
 import sys
 
@@ -147,7 +150,10 @@ def cmd_check(args) -> int:
     checked = 0
     for name in sorted(model.uvaluation):
         udp = model.uvaluation[name]
-        for side_name, side in (("lower", udp.lower), ("upper", udp.upper)):
+        sides = [("lower", udp.lower)]
+        if udp.upper is not udp.lower:  # a degenerate atom is checked once
+            sides.append(("upper", udp.upper))
+        for side_name, side in sides:
             fronts = {}
             for f in uncertainty.default_query_grid(side.funsp, cap=64):
                 try:
@@ -356,9 +362,24 @@ def main(argv=None) -> int:
     except SystemExit as e:  # argparse help (0) or usage error (1)
         return int(e.code or 0)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # so a closed pipe shows here, not at exit
+        return code
     except CodesignError as e:
         return _fail(str(e))
+    except BrokenPipeError:
+        # the reader has gone: send what stdout still holds to devnull,
+        # so the flush at exit stays quiet (the recipe in the signal
+        # module's docs); a stdout without a descriptor is left alone
+        try:
+            fd = sys.stdout.fileno()
+        except (OSError, ValueError):
+            pass
+        else:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

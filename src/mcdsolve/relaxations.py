@@ -19,8 +19,10 @@ family only says where its samples lie.  The Van der Corput families
 sort their parameters once, when built, so their samples come in
 ascending order of the parameter (the lower side of the inverse of *
 adds its two bracket ends after them), and the sorts of the fronts they
-make run on sorted input.  A meet of two samples takes each coordinate
-from one of them and computes no new value.  Samples of a member demand
+make run on sorted input.  On two real axes equal samples fall out of
+that one sort by adjacency: the meets are taken between the first points
+of successive runs of equal points, with no dedupe pass.  A meet of two
+samples takes each coordinate from one of them and computes no new value.  Samples of a member demand
 are members, and so are their meets, so no output is checked: each
 front is minimised once, by MonotoneMap.  uid's snaps give members too,
 one point each, so they are point functions (see dp).
@@ -81,15 +83,28 @@ def inject_tolerance(uvaluation, atom: str, alpha: float) -> dict:
 
 def _meets(points, poset) -> list:
     # meets of successive distinct points in sort order; fewer than two pass as they are
+    if poset.real_factors and len(poset.factors) == 2:
+        # pairs of reals: the tuples' own order is sort_key's, and its
+        # stable sort puts equal points side by side, the first written
+        # first; the meets are taken between the first points of
+        # successive runs.  After the sort a0 <= b0, so the meet
+        # (min(a0, b0), min(a1, b1)) is written without calls, each
+        # coordinate as min gives it (0.0, -0.0)
+        ordered = sorted(points)
+        if not ordered:
+            return ordered
+        out = []
+        a0, a1 = ordered[0]
+        for b0, b1 in ordered:
+            if b0 == a0 and b1 == a1:
+                continue
+            out.append((a0, b1 if b1 < a1 else a1))
+            a0 = b0
+            a1 = b1
+        return out or ordered[:1]
     unique = list(dict.fromkeys(points))
     if len(unique) < 2:
         return unique
-    if poset.real_factors and len(poset.factors) == 2:
-        # pairs of reals: the tuples' own order is sort_key's; after it
-        # a0 <= b0, so the meet (min(a0, b0), min(a1, b1)) is written
-        # without calls, each coordinate as min gives it (0.0, -0.0)
-        unique.sort()
-        return [(a0, b1 if b1 < a1 else a1) for (a0, a1), (b0, b1) in zip(unique, unique[1:])]
     unique.sort(key=poset.sort_key)
     return [poset.meet(a, b) for a, b in zip(unique, unique[1:])]
 

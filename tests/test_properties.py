@@ -1,7 +1,7 @@
-"""Property tests: the sort-based front minimisation and the catalogue
-index against plain pairwise and full-scan references, the Kleene loop
-solver against the definition of a loop, and loops that start from the
-front they last found against loops solved afresh."""
+"""Property tests: the sort-based front minimisation and meets, and the
+catalogue index against plain pairwise and full-scan references, the
+Kleene loop solver against the definition of a loop, and loops that
+start from the front they last found against loops solved afresh."""
 
 import math
 import random
@@ -27,6 +27,7 @@ from mcdsolve.oracle import (
     random_ordered_uvaluation,
 )
 from mcdsolve.posets import FinitePoset, ProductPoset, RealPlus
+from mcdsolve.relaxations import _meets, vdc
 from mcdsolve.uncertainty import UncertainDP, evaluate_uncertain
 
 PROPERTY = settings(max_examples=150, derandomize=True, database=None, deadline=None)
@@ -102,13 +103,31 @@ DISTINCT = st.lists(
 )
 
 
+def hash_counted():
+    # a point type that counts the hashes taken of its points
+    calls = [0]
+
+    class Point(tuple):
+        __slots__ = ()
+
+        def __hash__(self):
+            calls[0] += 1
+            return tuple.__hash__(self)
+
+    return Point, calls
+
+
 @PROPERTY
 @given(DISTINCT, DISTINCT, st.randoms(use_true_random=False))
 def test_minimize_hands_back_a_minimal_staircase_as_it_is(xs, ys, rng):
-    # x ascending and y descending: no point dominates another, in any order
-    steps = list(zip(sorted(xs), sorted(ys, reverse=True)))
+    # x ascending and y descending: no point dominates another, in any
+    # order; the sort meets equal points side by side, so no dedupe pass
+    # hashes a point (a dict took one hash a point)
+    Point, calls = hash_counted()
+    steps = [Point(p) for p in zip(sorted(xs), sorted(ys, reverse=True))]
     rng.shuffle(steps)
     assert same_list(minimized(steps, real_space(2)), steps)
+    assert calls[0] == 0
 
 
 @PROPERTY
@@ -153,6 +172,22 @@ def test_pairwise_minimize_tests_each_point_once_when_the_first_dominates(points
     unique = list(dict.fromkeys([(0, 0, 0)] + points))
     assert same_list(_minimize(unique, poset), [(0, 0, 0)])
     assert calls[0] == max(len(unique) - 1, 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 20, 256])
+@pytest.mark.parametrize("f1", [0.0, 1.5, math.inf])
+def test_meets_hash_no_sample_on_two_real_axes(n, f1):
+    # the lower samples of relax_plus_vdc, in order of the parameter; at
+    # f1 = 0 they are all one point, at f1 = inf most are (inf, inf)
+    Point, calls = hash_counted()
+    samples = [
+        Point((f1 * t if t > 0 else 0.0, f1 * (1 - t) if t < 1 else 0.0))
+        for t in sorted(vdc(n) + [0.0, 1.0])
+    ]
+    meets = _meets(samples, real_space(2))
+    assert calls[0] == 0
+    distinct = len(set(map(tuple, samples)))
+    assert len(meets) == max(distinct - 1, 1)
 
 
 ROWS = st.lists(

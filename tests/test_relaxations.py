@@ -2,7 +2,7 @@ import math
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mcdsolve import dp
 from mcdsolve.antichains import Antichain
@@ -449,6 +449,12 @@ REAL_COORDS = st.one_of(
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(st.lists(st.tuples(REAL_COORDS, REAL_COORDS), max_size=12))
+# runs of equal points written as 0, 0.0, -0.0 or as 1, 1.0, next to
+# distinct points: each meet is taken from the first written of a run
+@example([(0, 1), (0.0, 1.0), (-0.0, 1), (2, 0)])
+@example([(3, -0.0), (1.0, 2), (1, 2.0), (0, 5), (3.0, 0)])
+@example([(2, 2), (1, 1.0), (1.0, 1), (0.0, 3), (0, 3.0), (-0.0, 3), (4, 0)])
+@example([(1.0, 0), (1, 0.0), (1, -0.0)])
 def test_meets_of_real_pairs_match_the_generic_path(points):
     plane = product(RealPlus(), RealPlus())
     unique = sorted(dict.fromkeys(points), key=plane.sort_key)
