@@ -68,7 +68,7 @@ source, its body and its constants, and so does the identity's; uid's
 snaps, and any function wrapped after it was made, carry none.  A body
 is in statement form: ops, each an operator (+, *, max, min) over two
 operands, then the operands it gives; an operand is the input, one of
-its coordinates, a constant c[i] or an earlier op's result.
+its coordinates, one of its constants or an earlier op's result.
 A series node whose middle front has several points pushes them through
 point functions (below), and where they make its second part's front,
 no node below runs its _eval.  An Antichain object is made only where a
@@ -106,9 +106,13 @@ so its images are the composition's, bit for bit.  Otherwise it maps
 push, which stays composed per point for a parent to compose with its
 own heads.  Fusing walks the stages once per tree, never at a build.
 One emitter (_text) writes point and front functions alike, one line
-per op over fresh locals, x and c[i], calling only max and min.  What
-it makes is kept by the stages' ops (posets._compile), so text is
-written only for a new body; constants are bound as a function is made.
+per op over x, fresh locals and the constants, calling only max and
+min.  The constants are unpacked into locals c0, c1, ... once, as a
+function is made; a stage's several results, and a par node's two
+parts, stay one local per coordinate, which the next stage reads by
+name, so a tuple is built only where a stage reads its whole input and
+for the image.  What it makes is kept by the stages' ops
+(posets._compile), so text is written only for a new body.
 
 The two trees of a lower/upper pair are built in one walk of its term
 (evaluate_sides).  At each sub-term the lower node is built by its
@@ -359,14 +363,26 @@ _LINES = {"+": "{0} + {1}", "*": "0.0 if {0} == 0 or {1} == 0 else {0} * {1}",
           "max": "max({0}, {1})", "min": "min({0}, {1})"}
 
 
-def _operand(o, var: str, off: int, base: int) -> str:
-    """Text of a map's operand: ("x", None) its input, named var, ("x", i)
-    the input's coordinate i, ("c", i) its constant c[off + i], ("v", i)
-    the result of its op i, the local v(base + i)."""
+def _whole(value) -> str:
+    """Text of a value read whole: the name that holds it, or the tuple of
+    its coordinates' texts."""
+    if isinstance(value, str):
+        return value
+    return "(%s%s)" % (", ".join(value), "," * (len(value) == 1))
+
+
+def _operand(o, value, off: int, names: list) -> str:
+    """Text of a map's operand: ("x", None) its input, value read whole,
+    ("x", i) the input's coordinate i, ("c", i) its constant, the local
+    c(off + i), ("v", i) the result of its op i, the local names[i].
+    value is the name of the whole input or the list of its coordinates'
+    texts."""
     kind, i = o
     if kind == "x":
-        return var if i is None else "%s[%d]" % (var, i)
-    return "c[%d]" % (off + i) if kind == "c" else "v%d" % (base + i)
+        if i is None:
+            return _whole(value)
+        return "%s[%d]" % (value, i) if isinstance(value, str) else value[i]
+    return "c%d" % (off + i) if kind == "c" else names[i]
 
 
 def _text(form: str, stages: tuple) -> str:
@@ -374,39 +390,61 @@ def _text(form: str, stages: tuple) -> str:
     point(x) at one value, or push(xs) at each x of xs, listing the
     images.  A stage is a map's (ops, outs, number of constants) or a par
     node's (cut, split, flat, left stages, right stages); c holds the
-    maps' constants in stage order."""
+    maps' constants in stage order, and make unpacks it once, as
+    (c0, c1, ...) = c, into the locals that the lines read.  Each op is one line over
+    fresh locals v0, v1, ...  A stage's result is held as the list of its
+    coordinates' texts where it has several, so the next stage reads each
+    by name and a par node's parts are concatenated as lists: a tuple is
+    built only where a stage reads its whole input, and for the image.
+    Only a tuple whose width the stages do not tell (a par node's right
+    part of the whole input x) is held whole, in one local, and sliced."""
     lines, off = [], 0
 
     def local(expr):
         lines.append("v%d = %s" % (len(lines), expr))
         return "v%d" % (len(lines) - 1)
 
-    def run(stages, var):
+    def run(stages, value):
         nonlocal off
         for stage in stages:
             if len(stage) == 5:  # a par node: ParDP's split, _cross's tuples
                 cut, (left_tuple, right_tuple), (lf, rf), left, right = stage
-                a = run(left, local("%s[:%d]" % (var, cut) if left_tuple else var + "[0]"))
-                b = run(right, local("%s[%d%s]" % (var, cut, ":" if right_tuple else "")))
-                var = local("%s + %s" % (a if lf else "(%s,)" % a, b if rf else "(%s,)" % b)
-                            if lf or rf else "(%s, %s)" % (a, b))
+                if isinstance(value, list):
+                    a = value[:cut] if left_tuple else value[0]
+                    b = value[cut:] if right_tuple else value[cut]
+                else:
+                    a = ([local("%s[%d]" % (value, i)) for i in range(cut)] if left_tuple
+                         else local(value + "[0]"))
+                    b = local("%s[%d%s]" % (value, cut, ":" if right_tuple else ""))
+                a, b = run(left, a), run(right, b)
+                # each part's coordinates, or the name of a tuple held whole
+                a, b = a if lf else [a], b if rf else [b]
+                if isinstance(a, list) and isinstance(b, list):
+                    value = a + b
+                else:
+                    value = local("%s + %s" % (_whole(a), _whole(b)))
                 continue
             ops, outs, n = stage
-            base, c = len(lines), off
+            names = []
             for op, a, b in ops:
-                local(_LINES[op].format(_operand(a, var, c, base), _operand(b, var, c, base)))
+                names.append(local(_LINES[op].format(_operand(a, value, off, names),
+                                                     _operand(b, value, off, names))))
+            if outs != (("x", None),):  # else the input is handed on as it is
+                texts = [_operand(o, value, off, names) for o in outs]
+                value = texts[0] if len(texts) == 1 else texts
             off += n
-            names = [_operand(o, var, c, base) for o in outs]
-            var = names[0] if len(names) == 1 else local("(%s)" % ", ".join(names))
-        return var
+        return value
 
-    out = run(stages, "x")
+    out = _whole(run(stages, "x"))
+    head = "def make(c):\n"
+    if off:
+        head += "    %s = c\n" % _whole(["c%d" % i for i in range(off)])
     if form == "point":
-        return "def make(c):\n    def point(x):\n%s        return %s\n    return point\n" % (
-            "".join("        %s\n" % line for line in lines), out)
-    return ("def make(c):\n    def push(xs):\n        out = []\n        append = out.append\n"
+        return "%s    def point(x):\n%s        return %s\n    return point\n" % (
+            head, "".join("        %s\n" % line for line in lines), out)
+    return ("%s    def push(xs):\n        out = []\n        append = out.append\n"
             "        for x in xs:\n%s            append(%s)\n        return out\n    return push\n"
-            % ("".join("            %s\n" % line for line in lines), out))
+            % (head, "".join("            %s\n" % line for line in lines), out))
 
 
 def compile_point(ops, outs, consts):

@@ -26,6 +26,14 @@ samples takes each coordinate from one of them and computes no new value.  Sampl
 are members, and so are their meets, so no output is checked: each
 front is minimised once, by MonotoneMap.  uid's snaps give members too,
 one point each, so they are point functions (see dp).
+
+The sampler of + has two branches.  At a demand 0 < f1 < inf a sample is
+(f1 * t, f1 * (1 - t)) as it stands: at t = 0 and t = 1 the product is
+f1 * 0.0, which is already 0.0.  At 0, -0.0 and inf each coordinate is
+guarded, 0.0 where t is 0 or 1, so that inf * 0.0 gives no nan and a
+demand of -0.0 gives 0.0, not -0.0, at the ends.  So both branches give
+the bits of the guarded formula at every demand.  The sampler of *
+takes the span of its logs once per demand.
 """
 
 import math
@@ -177,11 +185,12 @@ def _relax_plus(family: str, n: int, unit: str) -> UncertainDP:
         lower_params = sorted(upper_params + [0.0, 1.0])
 
     def samples(f1, lower):
-        # (f1*t, f1*(1-t)) on the trade-off segment; guard 0*inf when f1 is the top
-        return [
-            (f1 * t if t > 0 else 0.0, f1 * (1 - t) if t < 1 else 0.0)
-            for t in (lower_params if lower else upper_params)
-        ]
+        # (f1*t, f1*(1-t)) on the trade-off segment
+        params = lower_params if lower else upper_params
+        if 0 < f1 < math.inf:  # f1 * 0.0 is the guard's 0.0
+            return [(f1 * t, f1 * (1 - t)) for t in params]
+        # guard 0*inf when f1 is the top, and keep 0.0 where f1 is 0 or -0.0
+        return [(f1 * t if t > 0 else 0.0, f1 * (1 - t) if t < 1 else 0.0) for t in params]
 
     rsp = ProductPoset((RealPlus(unit), RealPlus(unit)))
     return _sampled_inverse(RealPlus(unit), rsp, samples)
@@ -239,10 +248,11 @@ def relax_times_vdc(
         r1_lo = max(rmin, f1 / rmax)
         r1_hi = min(rmax, f1 / rmin)
         a = math.log(r1_lo)
-        b = math.log(r1_hi)
+        span = math.log(r1_hi) - a
+        exp = math.exp
         pts = []
         for t in params:
-            r1 = math.exp(a + t * (b - a))
+            r1 = exp(a + t * span)
             pts.append((r1, f1 / r1))
         if lower:
             pts.append((r1_lo, f1 / r1_lo))

@@ -174,15 +174,19 @@ term series(s, series(m, series(par(n, i), k)))
 """
 # each line's expression: locals, the input and its parts, constants, the
 # guard of *, max and min
-ALLOWED = re.compile(r"0\.0 if | == 0 (?:or|else) |(?:x|v\d+)(?:\[:?\d+:?\])?|c\[\d+\]|max\(|min\("
+ALLOWED = re.compile(r"0\.0 if | == 0 (?:or|else) |(?:x|v\d+)(?:\[:?\d+:?\])?|c\d+|max\(|min\("
                      r"|[(), +*]")
-MAP_HEAD = "def make(c):\n    def point(x):\n"
+# make unpacks the constants, if any, into the locals c0, c1, ... once
+UNPACK = r"(?:    \(c0(?:, c\d+)*,?\) = c\n)?"
+# an image is the input, a local, or a tuple of locals
+IMAGE = r"(?:x|v\d+|\((?:v\d+, )+v\d+\))"
+MAP_HEAD = re.compile(r"def make\(c\):\n" + UNPACK + r"    def point\(x\):\n")
 MAP_TAIL = "    return point\n"
-MAP_LINE = re.compile(r"        (v\d+ = .*|return (?:x|v\d+))\n")
-FUSED_HEAD = ("def make(c):\n    def push(xs):\n        out = []\n        append = out.append\n"
-              "        for x in xs:\n")
+MAP_LINE = re.compile(r"        (v\d+ = .*|return %s)\n" % IMAGE)
+FUSED_HEAD = re.compile(r"def make\(c\):\n" + UNPACK + r"    def push\(xs\):\n        out = \[\]\n"
+                        r"        append = out\.append\n        for x in xs:\n")
 FUSED_TAIL = "        return out\n    return push\n"
-FUSED_LINE = re.compile(r"            (v\d+ = .*|append\((?:x|v\d+)\))\n")
+FUSED_LINE = re.compile(r"            (v\d+ = .*|append\(%s\))\n" % IMAGE)
 
 
 def assert_lines(body, line):
@@ -207,8 +211,9 @@ def test_generated_source_holds_no_model_names(monkeypatch):
     model, diags = load_model(CLASH)
     assert model is not None, diags
     (source,) = [t for t in sources if t.startswith("def make(c):")]  # not a product's order
-    assert source.startswith(MAP_HEAD) and source.endswith(MAP_TAIL)
-    assert_lines(source[len(MAP_HEAD):-len(MAP_TAIL)], MAP_LINE)
+    head = MAP_HEAD.match(source)
+    assert head and source.endswith(MAP_TAIL)
+    assert_lines(source[head.end():-len(MAP_TAIL)], MAP_LINE)
     sol = solve_uncertain(model.term, model.uvaluation, (1.0, 2.0, 3.0, 4.0, math.inf))
     # c = x + 2c, x = max(v0, lambda), lambda = min(__import__, x), 0 * inf = 0
     assert sol.upper.front.points == {(5.0, 4.0, 1.0, 0.0)}
@@ -219,9 +224,11 @@ def test_generated_source_holds_no_model_names(monkeypatch):
     assert model is not None, diags
     sol = solve_uncertain(model.term, model.uvaluation, 2.0)
     # both sides fuse the same parts: one text for them
-    (fused,) = [t for t in sources if t.startswith(FUSED_HEAD)]
+    (fused,) = [t for t in sources if FUSED_HEAD.match(t)]
     assert fused.endswith(FUSED_TAIL)
-    assert_lines(fused[len(FUSED_HEAD):-len(FUSED_TAIL)], FUSED_LINE)
+    assert_lines(fused[FUSED_HEAD.match(fused).end():-len(FUSED_TAIL)], FUSED_LINE)
+    # each stage reads the coordinates of the one before by name
+    assert not re.search(r"v\d+\[", fused)
     # at the samples (0, 2), (1, 1), (0.5, 1.5), (1.5, 0.5) of 2: the cost
     # min(3 (x + 2c), max(x, c)) + 1 is least, 2, at (1, 1)
     assert sol.upper.front.points == {2.0}
@@ -347,6 +354,33 @@ def test_fused_push_answers_as_the_composition(case):
             node._front = mapped(node._push)
         fronts.append(repr(sorted(node._eval(1.0), key=repr)))
     assert fronts[0] == fronts[1], text
+
+
+WHOLE_INPUT_PARS = """\
+dp a = map F(p[W]) R(y[W]) { y = 2.0 * p }
+dp b = map F(p[W], q[W]) R(y[W], u[W]) { y = p + 1.0; u = max(p, q) }
+dp i = identity R(q[W], w[W])
+dp j = identity R(w[W], s[W])
+dp t = map F(y[W], q[W], w[W]) R(z[W]) { z = y + q * w }
+dp k = map F(y[W], u[W], w[W], s[W]) R(z[W], v[W]) { z = min(y, w); v = u * s }
+"""
+
+
+@pytest.mark.parametrize("term", [
+    "par(a, i)", "series(par(a, i), t)", "par(b, j)", "series(par(b, j), k)",
+])
+def test_fused_push_over_a_par_of_the_whole_input(term):
+    # a par node at the head splits the input tuple, whose width the stages
+    # do not tell: its right part is held whole and joined to the left's
+    model, diags = load_model(WHOLE_INPUT_PARS + "term %s\n" % term)
+    assert model is not None, diags
+    chain = evaluate_term(model.term, {k: u.lower for k, u in model.uvaluation.items()})
+    width = len(chain.funsp.factors)
+    xs = [(0, -0.0, 1.5, 7)[:width], (2.0, math.inf, 0.0, -0.0)[:width], (5e-324, 3, 1, 2.5)[:width]]
+    node = fan_out(chain, [])
+    fused = node._fuse()
+    assert is_fused(fused)
+    assert repr(fused(xs)) == repr([node._push(x) for x in xs])
 
 
 def test_fused_pushes_tell_equal_constants_apart_by_type_and_sign():

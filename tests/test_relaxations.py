@@ -1,13 +1,25 @@
+"""Relaxations: uid, the sampled inverses of + and *, and the ladder of
+power_split relaxed at growing sample counts, pinned in
+tests/expected/power_split_relax_ladder.json.  Regenerate that pin with
+`PYTHONPATH=src python tests/test_relaxations.py`, and only for a change
+to that output that is meant.
+"""
+
+import contextlib
+import io
+import json
 import math
+import pathlib
 import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mcdsolve import dp
+from mcdsolve import cli, dp, relaxations
 from mcdsolve.antichains import Antichain
 from mcdsolve.dp import Atom, MonotoneMap, SeriesDP, dp_leq
 from mcdsolve.errors import DomainError
+from mcdsolve.examples import example_path
 from mcdsolve.posets import Poset, RealPlus, product
 from mcdsolve.relaxations import (
     _meets,
@@ -323,16 +335,30 @@ def _vdc_samples(n, f1):
 RMIN, RMAX = 0.2, 150.0
 
 
-def _times_samples(n, f1):
+def times_formula(f1, params, rmin, rmax, lower):
+    # the sampler of * as it was written, with b - a and math.exp per sample
     f1 = float(f1)
-    if f1 > RMAX * RMAX:
-        return [], []
-    if f1 <= RMIN * RMIN:
-        return [(RMIN, RMIN)], [(RMIN, RMIN)]
-    lo, hi = max(RMIN, f1 / RMAX), min(RMAX, f1 / RMIN)
-    a, b = math.log(lo), math.log(hi)
-    upper = [(r1, f1 / r1) for r1 in (math.exp(a + t * (b - a)) for t in vdc(n))]
-    return upper, upper + [(lo, f1 / lo), (hi, f1 / hi)]
+    if f1 > rmax * rmax:
+        return []
+    if f1 <= rmin * rmin:
+        return [(rmin, rmin)]
+    r1_lo = max(rmin, f1 / rmax)
+    r1_hi = min(rmax, f1 / rmin)
+    a = math.log(r1_lo)
+    b = math.log(r1_hi)
+    pts = []
+    for t in params:
+        r1 = math.exp(a + t * (b - a))
+        pts.append((r1, f1 / r1))
+    if lower:
+        pts.append((r1_lo, f1 / r1_lo))
+        pts.append((r1_hi, f1 / r1_hi))
+    return pts
+
+
+def _times_samples(n, f1):
+    return (times_formula(f1, vdc(n), RMIN, RMAX, False),
+            times_formula(f1, vdc(n), RMIN, RMAX, True))
 
 
 FAMILIES = {
@@ -472,3 +498,88 @@ def test_meets_of_real_pairs_match_the_generic_path(points):
 def test_int_beyond_the_float_range_is_refused_where_it_enters(enter):
     with pytest.raises(DomainError, match="not an element of R"):
         enter(10**400)
+
+
+# --- the samples, against the formulas they replaced ---------------------
+
+
+def raw_samples(u, f):
+    """(upper samples, lower samples) of a sampled inverse at f, the
+    lower ones before their meets are taken."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(relaxations, "_meets", lambda points, poset: points)
+        return u.upper.fn(f), u.lower.fn(f)
+
+
+PLUS_PARAMS = {
+    relax_plus_vdc: lambda n: (sorted(vdc(n)), sorted(vdc(n) + [0.0, 1.0])),
+    relax_plus_uniform: lambda n: ([0.5] if n == 1 else [i / (n - 1) for i in range(n)],
+                                   [i / n for i in range(n + 1)]),
+}
+# positive finite demands, where no sample is guarded, among 0, -0.0 and inf
+PLUS_DEMANDS = st.one_of(
+    st.sampled_from([5e-324, 1e-300, 1e308, 1.7976931348623157e308, 0, 0.0, -0.0, math.inf,
+                     1, 6, 2**53 + 1]),
+    st.integers(min_value=0, max_value=2**1000),
+    st.floats(min_value=0, allow_nan=False),
+)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(sorted(PLUS_PARAMS, key=lambda b: b.__name__)),
+       st.integers(min_value=1, max_value=512), PLUS_DEMANDS)
+@example(relax_plus_vdc, 512, 5e-324)
+@example(relax_plus_uniform, 512, 1e-300)
+@example(relax_plus_vdc, 1, -0.0)
+@example(relax_plus_uniform, 3, math.inf)
+def test_plus_samples_are_the_guarded_formulas(build, n, f):
+    upper_params, lower_params = PLUS_PARAMS[build](n)
+    upper, lower = raw_samples(build(n), f)
+    # _segment guards every sample, as the sampler of + did at any demand
+    assert repr(upper) == repr(_segment(f, upper_params))
+    assert repr(lower) == repr(_segment(f, lower_params))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 257])
+def test_times_samples_are_the_formula(n):
+    for rmin, rmax in ((0.2, 150.0), (1.0, 16.0), (1e-3, 1e3)):
+        u = relax_times_vdc(n, rmin, rmax)
+        for f in (0, rmin * rmin, 0.05, 1, 2.5, 30.0, 1234.5, rmax * rmax, 1e300, math.inf):
+            upper, lower = raw_samples(u, f)
+            assert repr(upper) == repr(times_formula(f, sorted(vdc(n)), rmin, rmax, False))
+            assert repr(lower) == repr(times_formula(f, sorted(vdc(n)), rmin, rmax, True))
+
+
+# --- the power_split ladder, pinned -------------------------------------
+
+LADDER_PIN = pathlib.Path(__file__).resolve().parent / "expected" / "power_split_relax_ladder.json"
+# positive finite demands (6, a subnormal) and 0, -0.0 and inf, where each
+# sample is guarded, through fused pushes at every sample count
+LADDER_DEMANDS = ["6", "0", "-0.0", "inf", "5e-324"]
+
+
+def ladder_args(demand: str) -> list:
+    return ["sweep", str(example_path("power_split")), "--relax-n",
+            "split=1,2,3,4,8,64,256,512", "--f", "demand=" + demand]
+
+
+def ladder_outputs() -> dict:
+    """Demand -> the JSON stdout of the ladder sweep at it."""
+    outputs = {}
+    for demand in LADDER_DEMANDS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(ladder_args(demand)) == cli.EXIT_OK
+        outputs[demand] = out.getvalue()
+    return outputs
+
+
+def test_power_split_ladder_matches_the_pin():
+    pinned = json.loads(LADDER_PIN.read_text(encoding="utf-8"))
+    assert list(pinned) == LADDER_DEMANDS
+    for demand, text in ladder_outputs().items():
+        assert text == pinned[demand], demand
+
+
+if __name__ == "__main__":
+    LADDER_PIN.write_text(json.dumps(ladder_outputs(), indent=1) + "\n", encoding="utf-8")
