@@ -59,59 +59,55 @@ the frozenset of its points: every _eval returns one, already minimal.
 A series node minimises the union of its second part's fronts once, and
 when its middle front is one point it hands that point's front on as
 it is, the same frozenset; a par node takes the product of its parts'
-fronts, which needs no minimising.  A node whose every front is one
-point has a point function, f -> that point: a one-point map built by
-MonotoneMap._of (a compiled model map, uid's snaps), an identity, and a
-series or par node whose parts both have one.  A point function made by
-compile_point (every map the model language compiles) carries its
-source, its body and its constants, and so does the identity's; uid's
-snaps, and any function wrapped after it was made, carry none.  A body
-is in statement form: ops, each an operator (+, *, max, min) over two
-operands, then the operands it gives; an operand is the input, one of
-its coordinates, one of its constants or an earlier op's result.
+fronts, which needs no minimising.  A node is pointwise where its every
+front is one point made from bodies: a one-point map made by
+compile_point (every map the model language compiles, uid's snaps), an
+identity, and a series or par node whose parts both are.  A body is in
+statement form: ops, each an operator (+, *, max, min, or a snap of the
+input down or up to a constant's grid) over two operands, then the
+operands it gives; an operand is the input, one of its coordinates, one
+of its constants or an earlier op's result.
 A series node whose middle front has several points pushes them through
-point functions (below), and where they make its second part's front,
-no node below runs its _eval.  An Antichain object is made only where a
-front leaves the kernel: by evaluate, and by kleene_solve for its report
-and history.  Atom outputs are checked where they enter: of a MonotoneMap
-built by its constructor, a single point by the resource space's
-check_member, a list of them by the Antichain constructor; catalogue
-rows in the Catalogue constructor.  Outputs that are members by
-construction enter unchecked through MonotoneMap._of: every output of
-a map the model language compiles (it types them), and the sampled
-inverses' fronts, which are minimised once.  The model language checks
-each catalogue point as it reads it and builds the catalogue with
-Catalogue._of, which does not check the rows again, and so does
-scale_catalogue for its two sides.
+the pointwise nodes heading its second part (below), and where they make
+its second part's front, no node below runs its _eval.  An Antichain
+object is made only where a front leaves the kernel: by evaluate, and by
+kleene_solve for its report and history.  Atom outputs are checked where
+they enter: of a MonotoneMap built by its constructor, a single point by
+the resource space's check_member, a list of them by the Antichain
+constructor; catalogue rows in the Catalogue constructor.  Outputs that
+are members by construction enter unchecked: every output of a map the
+model language compiles (it types them) and of uid's snaps, through
+compile_point, and the sampled inverses' fronts, which are minimised
+once, through MonotoneMap._of.  The model language checks each catalogue
+point as it reads it and builds the catalogue with Catalogue._of, which
+does not check the rows again, and so does scale_catalogue for its two
+sides.
 
 A series node whose middle front has several points runs its second part
 only where it must.  A DP is monotone, so the front at m' >= m adds no
 minimal point to the front at m: the series front is that of the minimal
-middle points alone.  When built, the node composes push, the point
-functions heading its second part's chain of series nodes, and keeps
-rest, the chain after them; it minimises the images of its middle points
-under push once, then runs rest at each image left; with no rest, they
-are the front.  The front is the one a visit of every middle point
-gives, each point written alike, but for a point equal as a value to one
-of a lower image's and written differently (0.0, -0.0): it keeps the
-lower image's writing.  A second part that holds a loop runs at every
-middle point, in repr order, so solve's iterations do not move.
+middle points alone.  When built, the node keeps rest, its second part's
+chain of series nodes after the pointwise nodes heading it; it minimises
+the images of its middle points under those heads once, then runs rest
+at each image left; with no rest, they are the front.  The front is the
+one a visit of every middle point gives, each point written alike, but
+for a point equal as a value to one of a lower image's and written
+differently (0.0, -0.0): it keeps the lower image's writing.  A second
+part that holds a loop runs at every middle point, in repr order, so
+solve's iterations do not move.
 
 The first time a node pushes a front of several points, it makes its
 front function, which pushes the whole front in one call and lists the
-images in the front's order.  Where every stage carries a source, it is
-fused from their bodies: one loop over the front that runs each stage's
-ops once per point, with the same float operations in the same order,
-so its images are the composition's, bit for bit.  Otherwise it maps
-push, which stays composed per point for a parent to compose with its
-own heads.  Fusing walks the stages once per tree, never at a build.
-One emitter (_text) writes point and front functions alike, one line
-per op over x, fresh locals and the constants, calling only max and
-min.  The constants are unpacked into locals c0, c1, ... once, as a
-function is made; a stage's several results, and a par node's two
-parts, stay one local per coordinate, which the next stage reads by
-name, so a tuple is built only where a stage reads its whole input and
-for the image.  What it makes is kept by the stages' ops
+images in the front's order.  It is fused from the heads' bodies: one
+loop over the front that runs each stage's ops once per point, with the
+same float operations in the same order as each head's own function, so
+its images are theirs, bit for bit.  Fusing walks the stages once per
+tree, never at a build.  One emitter (_text) writes point and front
+functions alike, one line per op over x, fresh locals and the constants.
+The constants are unpacked into locals c0, c1, ... once, as a function
+is made; each coordinate of a value is one local, which the next stage
+reads by name, so a tuple is built only where a stage reads its whole
+input and for the image.  What it makes is kept by the stages' ops
 (posets._compile), so text is written only for a new body.
 
 The two trees of a lower/upper pair are built in one walk of its term
@@ -123,7 +119,7 @@ node's products), a par node's split (_cut, _split, _flat) and a loop's
 signature.  A pair's atoms have equal interfaces (UncertainDP), so a
 composition the lower side passes, the upper passes too.  What depends
 on a side's atoms stays the node's own: its parts, holds_loop (an atom
-may be a loop on one side only), its point function, push and rest,
+may be a loop on one side only), whether it is pointwise, its rest,
 memo, front function, and a loop's last front.
 
 Terms, and the nodes of modellang's parse tree, are records: subclasses
@@ -164,7 +160,7 @@ class DesignProblem:
     funsp: Poset
     ressp: Poset
     holds_loop = False  # whether a LoopDP is this node or below it
-    point = None  # f -> the one point of the front at f, where every front has one
+    pointwise = False  # every front is one point, made from bodies (see the module docstring)
 
     def __init__(self, funsp: Poset, ressp: Poset):
         self.funsp = funsp
@@ -199,29 +195,25 @@ class MonotoneMap(DesignProblem):
     caller's obligation; find_monotonicity_violation can spot-check it.
     """
 
-    _trusted = False  # set by _of(front=True): fn gives a list of members of ressp, unchecked
+    _trusted = False  # set by _of: fn gives a list of members of ressp, unchecked
 
     def __init__(self, funsp, ressp, fn):
         super().__init__(funsp, ressp)
         self.fn = fn
 
     @classmethod
-    def _of(cls, funsp, ressp, fn, front=False) -> "MonotoneMap":
-        """Map whose fn returns one member of ressp for every member of
-        funsp (with front=True, a list of members, minimised here),
-        proved by its maker (the model language types each map it
-        compiles; a sample of a member demand is a member), so its
-        outputs are not checked.  A one-point fn is its point function."""
+    def _of(cls, funsp, ressp, fn) -> "MonotoneMap":
+        """Map whose fn returns a list of members of ressp for every
+        member of funsp, proved by its maker (a sample of a member demand
+        is a member), so its outputs are not checked, only minimised."""
         m = cls(funsp, ressp, fn)
-        m._trusted = front
-        m.point = None if front else fn
+        m._trusted = True
         return m
 
     def _eval(self, f) -> frozenset:
-        point = self.point
-        if point is not None:
-            return frozenset((point(f),))
         out = self.fn(f)
+        if self.pointwise:
+            return frozenset((out,))
         if self._trusted:
             return frozenset(_minimize(out, self.ressp))
         if isinstance(out, (list, set, frozenset)):
@@ -330,16 +322,14 @@ class TopDP(DesignProblem):
 class IdentityDP(DesignProblem):
     """Passes the required functionality through as the needed resource."""
 
-    point = staticmethod(lambda f: f)
+    pointwise = True
+    body = ((), (("x", None),), ())  # hands its input on as it is
 
     def __init__(self, space: Poset):
         super().__init__(space, space)
 
     def _eval(self, f) -> frozenset:
         return frozenset((f,))
-
-
-IdentityDP.point.source = ((), (("x", None),), ())
 
 
 def _memo_key(f):
@@ -352,15 +342,14 @@ def _memo_key(f):
         return (f, repr(f))
 
 
-def _then(g, h):
-    """The point function g, then h; None as either is the identity."""
-    return g if h is None else h if g is None else lambda f: h(g(f))
-
-
 # each operator's line over its operands' texts; 0 * inf is 0 here: a
-# zero gain switches a contribution off
+# zero gain switches a contribution off; a snap (uid) passes x through
+# where x / alpha overflows: at inf, and at finite x whose float
+# neighbours lie further apart than alpha
 _LINES = {"+": "{0} + {1}", "*": "0.0 if {0} == 0 or {1} == 0 else {0} * {1}",
-          "max": "max({0}, {1})", "min": "min({0}, {1})"}
+          "max": "max({0}, {1})", "min": "min({0}, {1})",
+          "snap_down": "{0} if isinf({0} / {1}) else {1} * floor({0} / {1})",
+          "snap_up": "{0} if isinf({0} / {1}) else {1} * ceil({0} / {1})"}
 
 
 def _whole(value) -> str:
@@ -389,15 +378,14 @@ def _text(form: str, stages: tuple) -> str:
     """Text defining make(c), whose function runs stages straight through:
     point(x) at one value, or push(xs) at each x of xs, listing the
     images.  A stage is a map's (ops, outs, number of constants) or a par
-    node's (cut, split, flat, left stages, right stages); c holds the
-    maps' constants in stage order, and make unpacks it once, as
-    (c0, c1, ...) = c, into the locals that the lines read.  Each op is one line over
-    fresh locals v0, v1, ...  A stage's result is held as the list of its
-    coordinates' texts where it has several, so the next stage reads each
-    by name and a par node's parts are concatenated as lists: a tuple is
-    built only where a stage reads its whole input, and for the image.
-    Only a tuple whose width the stages do not tell (a par node's right
-    part of the whole input x) is held whole, in one local, and sliced."""
+    node's (cut, width of its input, split, flat, left stages, right
+    stages); c holds the maps' constants in stage order, and make unpacks
+    it once, as (c0, c1, ...) = c, into the locals that the lines read.
+    Each op is one line over fresh locals v0, v1, ...  A stage's result
+    is held as the list of its coordinates' texts where it has several,
+    so the next stage reads each by name and a par node's parts are
+    concatenated as lists: a tuple is built only where a stage reads its
+    whole input, and for the image."""
     lines, off = [], 0
 
     def local(expr):
@@ -407,22 +395,13 @@ def _text(form: str, stages: tuple) -> str:
     def run(stages, value):
         nonlocal off
         for stage in stages:
-            if len(stage) == 5:  # a par node: ParDP's split, _cross's tuples
-                cut, (left_tuple, right_tuple), (lf, rf), left, right = stage
-                if isinstance(value, list):
-                    a = value[:cut] if left_tuple else value[0]
-                    b = value[cut:] if right_tuple else value[cut]
-                else:
-                    a = ([local("%s[%d]" % (value, i)) for i in range(cut)] if left_tuple
-                         else local(value + "[0]"))
-                    b = local("%s[%d%s]" % (value, cut, ":" if right_tuple else ""))
-                a, b = run(left, a), run(right, b)
-                # each part's coordinates, or the name of a tuple held whole
-                a, b = a if lf else [a], b if rf else [b]
-                if isinstance(a, list) and isinstance(b, list):
-                    value = a + b
-                else:
-                    value = local("%s + %s" % (_whole(a), _whole(b)))
+            if len(stage) == 6:  # a par node: ParDP's split, _cross's tuples
+                cut, width, (left_tuple, right_tuple), (lf, rf), left, right = stage
+                if not isinstance(value, list):  # the whole input: name its coordinates
+                    value = [local("%s[%d]" % (value, i)) for i in range(width)]
+                a = run(left, value[:cut] if left_tuple else value[0])
+                b = run(right, value[cut:] if right_tuple else value[cut])
+                value = (a if lf else [a]) + (b if rf else [b])
                 continue
             ops, outs, n = stage
             names = []
@@ -447,48 +426,42 @@ def _text(form: str, stages: tuple) -> str:
             % (head, "".join("            %s\n" % line for line in lines), out))
 
 
-def compile_point(ops, outs, consts):
-    """The point function of a map body: ops, each (operator, operand,
-    operand) (see _operand), then outs, the operands it gives, one as
-    itself and several as a tuple; consts are its constants.  It carries
-    (ops, outs, consts) as its source, which a fan-out's push fuses."""
-    ops, outs, consts = tuple(ops), tuple(outs), tuple(consts)
+def compile_point(funsp, ressp, ops, outs, consts) -> MonotoneMap:
+    """The pointwise map of a body: ops, each (operator, operand, operand)
+    (see _operand), then outs, the operands it gives, one as itself and
+    several as a tuple; consts are its constants.  Its maker proves every
+    output a member of ressp (the model language types each map it
+    compiles; a snap of a member is a member), so none is checked."""
+    ops, outs, consts = body = tuple(ops), tuple(outs), tuple(consts)
     stages = ((ops, outs, len(consts)),)
-    fn = _compile(("point", stages), lambda: _text("point", stages))(consts)
-    fn.source = (ops, outs, consts)
-    return fn
+    make = _compile(("point", stages), lambda: _text("point", stages))
+    m = MonotoneMap(funsp, ressp, make(consts))
+    m.pointwise, m.body = True, body
+    return m
 
 
-def _stages(node, stop, consts: list):
-    """The stages node's point function runs, up to the node stop of its
-    series chain, as a tuple (see _text), their constants appended to
-    consts; None where a stage's point function has no source."""
+def _stages(node, stop, consts: list) -> tuple:
+    """The stages of the pointwise nodes from node up to the node stop of
+    its series chain, as a tuple (see _text), their constants appended
+    to consts."""
     stages = ()
     while isinstance(node, SeriesDP) and node is not stop:
-        first = _stages(node.first, None, consts)
-        if first is None:
-            return None
-        stages += first
+        stages += _stages(node.first, None, consts)
         node = node.second
     if node is stop:
         return stages
     if isinstance(node, ParDP):
         left = _stages(node.left, None, consts)
-        right = None if left is None else _stages(node.right, None, consts)
-        if right is None:
-            return None
-        return stages + ((node._cut, node._split, node._flat, left, right),)
-    source = getattr(node.point, "source", None)
-    if source is None:
-        return None
-    ops, outs, c = source
+        right = _stages(node.right, None, consts)
+        return stages + ((node._cut, len(node.funsp.factors), node._split, node._flat,
+                          left, right),)
+    ops, outs, c = node.body
     consts.extend(c)
     return stages + ((ops, outs, len(c)),)
 
 
 class SeriesDP(DesignProblem):
-    _push = None  # the point functions heading second's series chain, composed
-    _front = None  # push over a whole front, made by _fuse on first use
+    _front = None  # the fused push over a whole front, made by _fuse on first use
 
     def __init__(self, first: DesignProblem, second: DesignProblem):
         if first.ressp != second.funsp:
@@ -515,19 +488,18 @@ class SeriesDP(DesignProblem):
         self.first = first
         self.second = second
         self.holds_loop = first.holds_loop or second.holds_loop
+        self.pointwise = first.pointwise and second.pointwise
         self._memo = None if self.holds_loop else {}  # key -> front
-        g, h = first.point, second.point
-        if g is not None and h is not None:
-            self.point = _then(g, h)
-        # a fan-out runs rest only at the minimal images push gives (see
-        # the module docstring); second decided its own when it was built
-        self._rest = second
-        if h is not None:
-            self._push, self._rest = h, None
-        elif isinstance(second, SeriesDP) and not second.holds_loop:
-            head = second.first.point
-            if head is not None:
-                self._push, self._rest = _then(head, second._push), second._rest
+        # a fan-out pushes through the pointwise heads of second's chain and
+        # runs rest only at the minimal images (see the module docstring);
+        # it pushes where rest is not second, and no rest is left where
+        # second is pointwise; second decided its own when it was built
+        if second.pointwise:
+            self._rest = None
+        elif isinstance(second, SeriesDP) and not second.holds_loop and second.first.pointwise:
+            self._rest = second._rest
+        else:
+            self._rest = second
 
     def _eval(self, f) -> frozenset:
         memo = self._memo
@@ -542,7 +514,7 @@ class SeriesDP(DesignProblem):
             front = self.second._eval(r1)
         else:
             rest = self._rest
-            if self._push is not None:  # rest runs only at the minimal images
+            if rest is not self.second:  # rest runs only at the minimal images
                 push = self._front or self._fuse()
                 mid = _minimize(push(mid), self.ressp if rest is None else rest.funsp)
             if rest is None:
@@ -559,17 +531,11 @@ class SeriesDP(DesignProblem):
         return front
 
     def _fuse(self):
-        """The front function: push fused into one loop over the front
-        where every stage has a source (see the module docstring), else
-        the composed push mapped over it."""
+        """The front function: the heads' stages fused into one loop over
+        a front (see the module docstring)."""
         consts = []
         stages = _stages(self.second, self._rest, consts)
-        if stages is None:
-            push = self._push
-            fn = lambda xs: list(map(push, xs))
-        else:
-            fn = _compile(("push", stages), lambda: _text("push", stages))(tuple(consts))
-        self._front = fn
+        self._front = fn = _compile(("push", stages), lambda: _text("push", stages))(tuple(consts))
         return fn
 
 
@@ -600,17 +566,7 @@ class ParDP(DesignProblem):
         self.left = left
         self.right = right
         self.holds_loop = left.holds_loop or right.holds_loop
-        g, h = left.point, right.point
-        if g is not None and h is not None:
-            cut = self._cut
-            (left_tuple, right_tuple), (left_flat, right_flat) = self._split, self._flat
-
-            def point(f):  # the split of _eval and the concatenation of _cross
-                a = g(f[:cut] if left_tuple else f[0])
-                b = h(f[cut:] if right_tuple else f[cut])
-                return (a if left_flat else (a,)) + (b if right_flat else (b,))
-
-            self.point = point
+        self.pointwise = left.pointwise and right.pointwise
 
     def _eval(self, f) -> frozenset:
         cut = self._cut
@@ -910,8 +866,7 @@ def evaluate_sides(term: Term, sides, path: str = "term") -> tuple:
     takes them from the first's (the products of a par node, its split, a
     loop's signature).  So the composition errors raised are the first
     side's, each with the path of its sub-term, as evaluate_term raises
-    them.  Each node has its own parts, point function, memo, push and
-    loop start.
+    them.  Each node has its own parts, rest, memo and loop start.
     """
     if isinstance(term, Atom):
         try:

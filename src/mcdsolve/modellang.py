@@ -91,7 +91,6 @@ from .dp import (
     DesignProblem,
     IdentityDP,
     Loop,
-    MonotoneMap,
     Node,
     Par,
     Series,
@@ -1084,7 +1083,7 @@ class _Elaborator:
             outs = [self.compile_expr(EBin("+", ENum(o), EBin("*", ENum(g), EVar("f"))), "",
                                       r, axes, consts, ops)
                     for o, g, r in zip(offset, gain, r_space.factors)]
-            return MonotoneMap._of(f_space, r_space, compile_point(ops, outs, consts))
+            return compile_point(f_space, r_space, ops, outs, consts)
         if isinstance(k, KCatalogue):
             fs = _column_elements([f for f, _ in k.entries], f_space)
             rs = _column_elements([r for _, r in k.entries], r_space)
@@ -1140,7 +1139,7 @@ class _Elaborator:
         missing = [n for n, part in zip(rnames, parts) if part is None]
         if missing:
             self.fail("map leaves output axes unassigned: %s" % ", ".join(missing), k.span)
-        return MonotoneMap._of(f_space, r_space, compile_point(ops, parts, consts))
+        return compile_point(f_space, r_space, ops, parts, consts)
 
     def compile_expr(self, e, out_name: str, out: Poset, axes: dict, consts: list,
                      ops: list) -> tuple:

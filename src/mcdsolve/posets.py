@@ -277,12 +277,14 @@ _made: dict = {}  # key -> the make its text defines
 
 def _compile(key, write):
     """The function make defined by the text write() returns, which sees
-    only max and min; write runs only for a key not kept yet.  Keys: a
-    product's tuple of one-letter factor kinds, a map body's form and
-    stages (dp), a record constructor's text."""
+    only max, min, and isinf, floor and ceil of math (dp's snaps); write
+    runs only for a key not kept yet.  Keys: a product's tuple of
+    one-letter factor kinds, a map body's form and stages (dp), a record
+    constructor's text."""
     make = _made.get(key)
     if make is None:
-        scope = {"__builtins__": {}, "max": max, "min": min}
+        scope = {"__builtins__": {}, "max": max, "min": min,
+                 "isinf": math.isinf, "floor": math.floor, "ceil": math.ceil}
         exec(write(), scope)
         make = scope["make"]
         if len(_made) < MEMO_SIZE:

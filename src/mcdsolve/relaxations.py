@@ -25,7 +25,8 @@ of successive runs of equal points, with no dedupe pass.  A meet of two
 samples takes each coordinate from one of them and computes no new value.  Samples of a member demand
 are members, and so are their meets, so no output is checked: each
 front is minimised once, by MonotoneMap.  uid's snaps give members too,
-one point each, so they are point functions (see dp).
+one point each: each is a body of one snap op, compiled as a model's map
+is (dp.compile_point), so a fan-out fuses it with the maps around it.
 
 The sampler of + has two branches.  At a demand 0 < f1 < inf a sample is
 (f1 * t, f1 * (1 - t)) as it stands: at t = 0 and t = 1 the product is
@@ -39,7 +40,7 @@ takes the span of its logs once per demand.
 import math
 
 from .antichains import Antichain
-from .dp import MonotoneMap, series
+from .dp import MonotoneMap, compile_point, series
 from .errors import DomainError
 from .posets import Poset, ProductPoset, RealPlus
 from .uncertainty import UncertainDP
@@ -50,18 +51,10 @@ def uid(alpha: float, unit: str = "") -> UncertainDP:
     if not (alpha > 0 and math.isfinite(alpha)):
         raise DomainError("tolerance must be a positive finite number")
     space = RealPlus(unit)
-
-    # x passes through where x / alpha overflows: at inf, and at finite x
-    # whose float neighbours lie further apart than alpha
-    def snap_down(x):
-        return x if math.isinf(x / alpha) else alpha * math.floor(x / alpha)
-
-    def snap_up(x):
-        return x if math.isinf(x / alpha) else alpha * math.ceil(x / alpha)
-
-    return UncertainDP(
-        MonotoneMap._of(space, space, snap_down), MonotoneMap._of(space, space, snap_up)
-    )
+    return UncertainDP(*[  # the snaps' lines are dp._LINES'
+        compile_point(space, space, ((snap, ("x", None), ("c", 0)),), (("v", 0),), (alpha,))
+        for snap in ("snap_down", "snap_up")
+    ])
 
 
 def inject_tolerance(uvaluation, atom: str, alpha: float) -> dict:
@@ -169,8 +162,7 @@ def _sampled_inverse(fsp, rsp, samples) -> UncertainDP:
         return _meets(samples(f1, True), rsp)
 
     return UncertainDP(
-        MonotoneMap._of(fsp, rsp, lower_fn, front=True),
-        MonotoneMap._of(fsp, rsp, upper_fn, front=True),
+        MonotoneMap._of(fsp, rsp, lower_fn), MonotoneMap._of(fsp, rsp, upper_fn)
     )
 
 

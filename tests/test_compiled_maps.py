@@ -2,8 +2,8 @@
 model is elaborated: a map that could give a non-member is a load
 diagnostic, and a map that loads gives members without being checked.
 A fan-out pushes its whole middle front, in one call, through one function
-compiled from the bodies of its maps, which answers as their composition
-does at each point."""
+compiled from the bodies of its maps, identities and uid's snaps, which
+answers as their composition does at each point."""
 
 import ast
 import math
@@ -162,7 +162,8 @@ dp m = map F(x[W], c[W], v0[W], lambda[W], __import__[W])
     __builtins__ = 0 * __import__ }
 term m
 """
-# a fan-out whose push fuses a map, a par of a map and an identity, and a map
+# a fan-out whose push fuses a map, a par of a map and an identity, a map
+# and a uid
 CLASH_FAN = """\
 dp s = invplus_vdc(4, W)
 dp m = map F(x[W], c[W]) R(c[W], lambda[W]) { c = x + c * 2.0; lambda = max(x, c) }
@@ -170,11 +171,14 @@ dp n = map F(c[W]) R(v0[W]) { v0 = 3.0 * c }
 dp i = identity R(lambda[W])
 dp k = map F(v0[W], __import__[W]) R(__builtins__[W]) {
     __builtins__ = min(v0, __import__) + 1.0 }
-term series(s, series(m, series(par(n, i), k)))
+dp u = uid(0.5 W)
+term series(s, series(m, series(par(n, i), series(k, u))))
 """
-# each line's expression: locals, the input and its parts, constants, the
-# guard of *, max and min
-ALLOWED = re.compile(r"0\.0 if | == 0 (?:or|else) |(?:x|v\d+)(?:\[:?\d+:?\])?|c\d+|max\(|min\("
+# each line's expression: a snap of a local or the input to a constant's
+# grid, or else locals, the input's coordinates, constants, the guard of
+# *, max and min
+ALLOWED = re.compile(r"^(x|v\d+) if isinf\(\1 / (c\d+)\) else \2 \* (?:floor|ceil)\(\1 / \2\)$"
+                     r"|0\.0 if | == 0 (?:or|else) |(?:x|v\d+)(?:\[\d+\])?|c\d+|max\(|min\("
                      r"|[(), +*]")
 # make unpacks the constants, if any, into the locals c0, c1, ... once
 UNPACK = r"(?:    \(c0(?:, c\d+)*,?\) = c\n)?"
@@ -223,15 +227,17 @@ def test_generated_source_holds_no_model_names(monkeypatch):
     model, diags = load_model(CLASH_FAN)
     assert model is not None, diags
     sol = solve_uncertain(model.term, model.uvaluation, 2.0)
-    # both sides fuse the same parts: one text for them
-    (fused,) = [t for t in sources if FUSED_HEAD.match(t)]
-    assert fused.endswith(FUSED_TAIL)
-    assert_lines(fused[FUSED_HEAD.match(fused).end():-len(FUSED_TAIL)], FUSED_LINE)
-    # each stage reads the coordinates of the one before by name
-    assert not re.search(r"v\d+\[", fused)
+    # the sides fuse the same maps, and uid's snap down or up: one text each
+    fused = [t for t in sources if FUSED_HEAD.match(t)]
+    assert [("floor(" in t, "ceil(" in t) for t in fused] == [(True, False), (False, True)]
+    for text in fused:
+        assert text.endswith(FUSED_TAIL)
+        assert_lines(text[FUSED_HEAD.match(text).end():-len(FUSED_TAIL)], FUSED_LINE)
+        # each stage reads the coordinates of the one before by name
+        assert not re.search(r"v\d+\[", text)
     # at the samples (0, 2), (1, 1), (0.5, 1.5), (1.5, 0.5) of 2: the cost
-    # min(3 (x + 2c), max(x, c)) + 1 is least, 2, at (1, 1)
-    assert sol.upper.front.points == {2.0}
+    # min(3 (x + 2c), max(x, c)) + 1 is least, 2, at (1, 1), on the grid
+    assert sol.upper.front.points == sol.lower.front.points == {2.0}
 
 
 def nodes_in(node, fn=None):
@@ -259,13 +265,24 @@ def test_the_package_compiles_code_in_one_place():
 
 # --- a fused push against the composition of its stages ---------------------
 
+UID_ALPHAS = ["0.25", "1", "3", "0.1", "5e-324", "1e300"]
+
+
+def snap(x, alpha, up):
+    """x down (up) to a multiple of alpha; x itself where x / alpha
+    overflows."""
+    q = x / alpha
+    if math.isinf(q):
+        return x
+    return alpha * (math.ceil(q) if up else math.floor(q))
+
 
 @st.composite
 def chains(draw):
-    """Model text of a chain of maps, identities and pars over one to three
-    W axes and a numeric chain, inputs to push through it, and the
-    reference for each stage, from the tuple of its axes' values to the
-    tuple of its outputs'."""
+    """Model text of a chain of maps, identities, uids and pars over one to
+    three W axes and a numeric chain, inputs to push through it, and the
+    reference for each stage, from the tuple of its axes' values and the
+    side (True for upper) to the tuple of its outputs'."""
     kinds = start = ["W"] * draw(st.integers(1, 3)) + ["n"] * draw(st.booleans())
     decls = ["poset n = chain {0, 3, 7.5, 1e999}"]
 
@@ -275,7 +292,8 @@ def chains(draw):
 
     def atom(ks):
         name = "d%d" % len(decls)
-        if draw(st.booleans()):
+        kind = draw(st.sampled_from(["map", "identity"] + ["uid"] * (ks == ["W"])))
+        if kind == "map":
             outs = draw(st.lists(expressions(len(ks)), min_size=1, max_size=3))
             out_kinds = ["W"] * len(outs)
             if "n" in ks and draw(st.booleans()):  # a chain output reads its axis as it is
@@ -284,9 +302,13 @@ def chains(draw):
             texts = ["y%d = %s" % (j, text_of(e)) for j, e in enumerate(outs)]
             decls.append("dp %s = map F(%s) R(%s) { %s }"
                          % (name, axes(ks, "a"), axes(out_kinds, "y"), "; ".join(texts)))
-            return name, out_kinds, lambda x: tuple(reference(e, x) for e in outs)
+            return name, out_kinds, lambda x, up: tuple(reference(e, x) for e in outs)
+        if kind == "uid":
+            alpha = draw(st.sampled_from(UID_ALPHAS))
+            decls.append("dp %s = uid(%s W)" % (name, alpha))
+            return name, ["W"], lambda x, up: (snap(x[0], float(alpha), up),)
         decls.append("dp %s = identity R(%s)" % (name, axes(ks, "a")))
-        return name, list(ks), lambda x: x
+        return name, list(ks), lambda x, up: x
 
     stages, steps = [], []
     for _ in range(draw(st.integers(1, 4))):
@@ -294,8 +316,8 @@ def chains(draw):
             cut = draw(st.integers(1, len(kinds) - 1))
             (left, lk, lstep), (right, rk, rstep) = atom(kinds[:cut]), atom(kinds[cut:])
             stages.append("par(%s, %s)" % (left, right))
-            steps.append(lambda x, cut=cut, lstep=lstep, rstep=rstep:
-                         lstep(x[:cut]) + rstep(x[cut:]))
+            steps.append(lambda x, up, cut=cut, lstep=lstep, rstep=rstep:
+                         lstep(x[:cut], up) + rstep(x[cut:], up))
             kinds = lk + rk
         else:
             name, kinds, step = atom(kinds)
@@ -316,44 +338,59 @@ def fan_out(chain, points):
     return series(MonotoneMap(RealPlus(), chain.funsp, lambda f: list(points)), chain)
 
 
-def mapped(push):
-    """The front function of a push left unfused."""
-    return lambda xs: list(map(push, xs))
+def composed(node, x):
+    """x through the pointwise heads of node's second part, each
+    evaluated on its own."""
+    part = node.second
+    while part is not node._rest:
+        head = part if part.pointwise else part.first
+        (x,) = head._eval(x)
+        part = node._rest if part.pointwise else part.second
+    return x
 
 
 def is_fused(front):
-    """Whether a front function was compiled from its stages' sources."""
+    """Whether a front function was compiled from its stages' bodies."""
     return front.__name__ == "push"
+
+
+def sides(model):
+    """The lower and the upper tree of a model's term."""
+    return [evaluate_term(model.term, {k: getattr(u, side) for k, u in model.uvaluation.items()})
+            for side in ("lower", "upper")]
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(chains())
+@example(("dp d1 = uid(0.1 W)\ndp d2 = uid(3 W)\nterm series(d1, d2)\n",
+          [(0,), (-0.0,), (5e-324,), (0.30000000000000004,), (1e308,), (math.inf,)],
+          [lambda x, up: (snap(x[0], 0.1, up),), lambda x, up: (snap(x[0], 3.0, up),)]))
 def test_fused_push_answers_as_the_composition(case):
     text, points, steps = case
     model, diags = load_model(text)
     assert model is not None, (text, diags)
-    chain = evaluate_term(model.term, {k: u.lower for k, u in model.uvaluation.items()})
     inputs = [x if len(x) > 1 else x[0] for x in points]
-    node = fan_out(chain, [])
-    composed = node._push
-    fused = node._fuse()
-    assert is_fused(fused) and fused is node._front and node._push is composed
-    assert repr(fused(inputs)) == repr([composed(x) for x in inputs]), text
-    # and the reference, stage by stage
-    want = []
-    for x in points:
-        for step in steps:
-            x = step(x)
-        want.append(x if len(x) > 1 else x[0])
-    assert repr(fused(inputs)) == repr(want), text
-    # and a whole fan-out: minimal images written alike
-    fronts = []
-    for fuse in (True, False):
-        node = fan_out(chain, inputs)
-        if not fuse:
-            node._front = mapped(node._push)
-        fronts.append(repr(sorted(node._eval(1.0), key=repr)))
-    assert fronts[0] == fronts[1], text
+    for up, chain in enumerate(sides(model)):
+        node = fan_out(chain, [])
+        fused = node._fuse()
+        assert is_fused(fused) and fused is node._front
+        assert repr(fused(inputs)) == repr([composed(node, x) for x in inputs]), text
+        # and the reference, stage by stage
+        want = []
+        for x in points:
+            for step in steps:
+                x = step(x, up)
+            want.append(x if len(x) > 1 else x[0])
+        assert repr(fused(inputs)) == repr(want), text
+        # and a whole fan-out, against one whose second part runs at each
+        # point: minimal images written alike
+        fronts = []
+        for fuse in (True, False):
+            node = fan_out(chain, inputs)
+            if not fuse:
+                node._rest = node.second
+            fronts.append(repr(sorted(node._eval(1.0), key=repr)))
+        assert fronts[0] == fronts[1], text
 
 
 WHOLE_INPUT_PARS = """\
@@ -370,8 +407,8 @@ dp k = map F(y[W], u[W], w[W], s[W]) R(z[W], v[W]) { z = min(y, w); v = u * s }
     "par(a, i)", "series(par(a, i), t)", "par(b, j)", "series(par(b, j), k)",
 ])
 def test_fused_push_over_a_par_of_the_whole_input(term):
-    # a par node at the head splits the input tuple, whose width the stages
-    # do not tell: its right part is held whole and joined to the left's
+    # a par node at the head names each coordinate of the input tuple, as
+    # wide as its stage says: no slice, no subscript of a local, no join
     model, diags = load_model(WHOLE_INPUT_PARS + "term %s\n" % term)
     assert model is not None, diags
     chain = evaluate_term(model.term, {k: u.lower for k, u in model.uvaluation.items()})
@@ -380,7 +417,9 @@ def test_fused_push_over_a_par_of_the_whole_input(term):
     node = fan_out(chain, [])
     fused = node._fuse()
     assert is_fused(fused)
-    assert repr(fused(xs)) == repr([node._push(x) for x in xs])
+    assert repr(fused(xs)) == repr([composed(node, x) for x in xs])
+    text = dp._text("push", dp._stages(node.second, node._rest, []))
+    assert not re.search(r"v\d+\[|:\]|\[\d+:|\) \+ ", text), text
 
 
 def test_fused_pushes_tell_equal_constants_apart_by_type_and_sign():
@@ -388,10 +427,11 @@ def test_fused_pushes_tell_equal_constants_apart_by_type_and_sign():
     # 0.0 + 1 is 1.0: a fused push found by its parts keeps its constants' bits
     space = product(RealPlus(), RealPlus())
     for consts in ((0.0,), (-0.0,), (0,)):
-        fn = dp.compile_point((("+", ("c", 0), ("x", 0)),), (("v", 0), ("x", 1)), consts)
-        node = fan_out(MonotoneMap._of(space, space, fn), [])
+        m = dp.compile_point(space, space, (("+", ("c", 0), ("x", 0)),), (("v", 0), ("x", 1)),
+                             consts)
+        node = fan_out(m, [])
         xs = [(-0.0, 1.0), (1, -0.0)]
-        assert repr(node._fuse()(xs)) == repr([fn(x) for x in xs]), consts
+        assert repr(node._fuse()(xs)) == repr([m.fn(x) for x in xs]), consts
 
 
 LINE = load_model(
@@ -416,7 +456,7 @@ def chain_of(shape):
 @pytest.mark.parametrize("shape", ["series", "par"])
 def test_long_chains_and_deep_pars_fuse(shape):
     # long chains and deep pars still build, and the fused push answers
-    # as the composition does
+    # as the chain does when it runs at each point
     chain = chain_of(shape)
     if shape == "series":
         points = [(0.0, 3.0), (1.0, 2.0), (2.5, -0.0), (math.inf, 0.0)]
@@ -428,29 +468,33 @@ def test_long_chains_and_deep_pars_fuse(shape):
     fronts = []
     for fuse in (True, False):
         node = fan_out(chain, points)
+        assert node._rest is None and chain.pointwise
         if not fuse:
-            node._front = mapped(node._push)
+            node._rest = node.second
         fronts.append(repr(sorted(node._eval(1.0), key=repr)))
-        assert node._push is chain.point and is_fused(node._front) == fuse
+        assert (node._front is not None) == fuse and (not fuse or is_fused(node._front))
     assert fronts[0] == fronts[1]
+
+
+def series_in(node):
+    """The series nodes of a tree."""
+    if isinstance(node, SeriesDP):
+        yield node
+        yield from series_in(node.first)
+        yield from series_in(node.second)
+    elif isinstance(node, ParDP):
+        yield from series_in(node.left)
+        yield from series_in(node.right)
+    elif isinstance(node, LoopDP):
+        yield from series_in(node.body)
 
 
 def example_fan_outs(name):
     """The fan-out nodes of both sides of a shipped model."""
     model = load_example(name)
     pair = evaluate_uncertain(model.term, model.uvaluation)
-    found, todo = [], [pair.lower, pair.upper]
-    while todo:
-        node = todo.pop()
-        if isinstance(node, SeriesDP):
-            if node._push is not None:
-                found.append(node)
-            todo += [node.first, node.second]
-        elif isinstance(node, ParDP):
-            todo += [node.left, node.right]
-        elif isinstance(node, LoopDP):
-            todo.append(node.body)
-    return found
+    return [node for side in (pair.lower, pair.upper) for node in series_in(side)
+            if node._rest is not node.second]
 
 
 CHAIN_FAN_OUTS = [fan_out(chain_of(shape), []) for shape in ("series", "par")]
@@ -467,8 +511,8 @@ FRONT_VALUES = st.one_of(
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(st.data())
 def test_front_function_pushes_as_the_composed_push(data):
-    # each fan-out's front function, in one call, against its per-point
-    # push at each point in turn: the same images, written alike, in order
+    # each fan-out's front function, in one call, against its heads run
+    # at each point in turn: the same images, written alike, in order
     node = data.draw(st.sampled_from(FAN_OUTS))
     point = st.tuples(*[
         FRONT_VALUES if isinstance(p, RealPlus) else st.sampled_from(p.elements())
@@ -478,34 +522,32 @@ def test_front_function_pushes_as_the_composed_push(data):
     if not isinstance(node.second.funsp, ProductPoset):
         xs = [x for (x,) in xs]
     front = node._front or node._fuse()
-    assert repr(front(xs)) == repr([node._push(x) for x in xs])
+    assert repr(front(xs)) == repr([composed(node, x) for x in xs])
 
 
-def test_fan_outs_fuse_unless_a_stage_has_no_source():
-    # energy_meter's fan-outs push through uid's snaps, which carry none
+def test_every_fan_out_of_every_example_fuses():
+    # energy_meter's fan-outs push through uid's snaps
     assert all(is_fused(node._front or node._fuse()) for node in CHAIN_FAN_OUTS)
     for name, nodes in EXAMPLE_FAN_OUTS.items():
-        fused = [is_fused(node._front or node._fuse()) for node in nodes]
-        assert fused == [name != "energy_meter"] * len(nodes) and fused, name
+        assert nodes and all(is_fused(node._front or node._fuse()) for node in nodes), name
 
 
 def test_power_split_pushes_each_front_in_one_call(monkeypatch):
     # at 256 samples each side's fan-outs push their whole middle front in
-    # one call, and no point function runs once per point
+    # one call, and no map's own function runs once per point
     model = load_example("power_split")
     uvaluation = model.override_relaxation("split", 256)
     per_point, calls = [0], []
 
-    def counted_point(point):
+    def counted_fn(fn):
         def wrapper(f):
             per_point[0] += 1
-            return point(f)
-        wrapper.source = point.source  # still fuses
+            return fn(f)
         return wrapper
 
     for name in ("solar", "mains", "total"):
         m = uvaluation[name].lower  # a plain atom is both sides
-        monkeypatch.setattr(m, "point", counted_point(m.point))
+        monkeypatch.setattr(m, "fn", counted_fn(m.fn))
     fuse = SeriesDP._fuse
 
     def counted_fuse(self):
@@ -560,20 +602,20 @@ MAPS = ("requirements", "perception", "loading", "actuation", "power_budget",
 
 
 def test_uav_solve_checks_no_map_output(monkeypatch):
-    # every output of a compiled map is one call of its point function,
-    # whether its own _eval makes it or a fan-out's push; a wrapped point
-    # function has no source, so no push fuses in the first solve, and the
-    # second, unwrapped, counts the calls of each fused push instead
+    # every output of a compiled map is one call of its own function or
+    # one image of a fused push: the first solve runs each fan-out's second
+    # part at every middle point, so only the maps' own functions run, and
+    # the second, with its pushes, counts the images of each fused push
     model = load_example("uav")
     inside, evals, checks = [False], [0], [0]
     check_member = Poset.check_member
 
-    def counted(point):
+    def counted(fn):
         def wrapper(f):
             evals[0] += 1
             inside[0] = True
             try:
-                return point(f)
+                return fn(f)
             finally:
                 inside[0] = False
         return wrapper
@@ -584,15 +626,20 @@ def test_uav_solve_checks_no_map_output(monkeypatch):
 
     for name in MAPS:
         m = model.uvaluation[name].lower  # a plain atom is both sides
-        monkeypatch.setattr(m, "point", counted(m.point))
+        monkeypatch.setattr(m, "fn", counted(m.fn))
     monkeypatch.setattr(Poset, "check_member", counted_check)
     query = model.build_query(
         {"endurance": 1.0, "distance": 20.0, "payload": 300.0, "missions": 200}
     )
-    sol = solve_uncertain(model.term, model.uvaluation, query)
+    pair = evaluate_uncertain(model.term, model.uvaluation)
+    unpushed = [node for side in (pair.lower, pair.upper) for node in series_in(side)]
+    for node in unpushed:
+        node._rest = node.second
+    sol = pair.solve(query)
     assert sol.verdict == "feasible"
-    assert evals[0] > 200  # 375 outputs
+    assert evals[0] > 200  # 525 outputs
     assert checks[0] == 0  # one per evaluation when each output was checked
+    assert all(node._front is None for node in unpushed)
 
     fuse, fused = SeriesDP._fuse, []
 

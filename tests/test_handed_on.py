@@ -29,6 +29,7 @@ from mcdsolve.dp import (
     ParDP,
     Series,
     SeriesDP,
+    compile_point,
     evaluate_term,
     series,
     solve,
@@ -159,14 +160,14 @@ def all_nodes(node):
 
 def grid_answers(term, uvaluation, monkeypatch, points=True, push=True) -> list:
     """Everything a solve reports at each default_query_grid query, on a
-    new pair whose nodes keep or lose their point functions, and whose
-    series nodes keep or lose the push of their fan-outs (made of those
-    functions)."""
+    new pair whose nodes stay pointwise or not (a compiled map that is not
+    checks its output), and whose series nodes keep or lose the push of
+    their fan-outs (through the pointwise nodes)."""
     pair = evaluate_uncertain(term, uvaluation)
     for side in (pair.lower, pair.upper):
         for node in all_nodes(side):
             if not points:
-                monkeypatch.setattr(node, "point", None)
+                monkeypatch.setattr(node, "pointwise", False)
             if not (points and push) and isinstance(node, SeriesDP):
                 push_off(monkeypatch, node)
     return answers(pair.lower, pair.upper)
@@ -190,7 +191,6 @@ def answers(lower, upper) -> list:
 def push_off(monkeypatch, node):
     """The fan-out of a node built without the push: its second part
     runs at every middle point."""
-    monkeypatch.setattr(node, "_push", None)
     monkeypatch.setattr(node, "_rest", node.second)
 
 
@@ -278,11 +278,12 @@ class TestPointFunctions:
         pair = evaluate_uncertain(model.term, model.uvaluation)
         for side in (pair.lower, pair.upper):
             # series(demand, series(split, series(par(solar, mains), total)))
-            rest = side.second.second
-            assert side.point is None and side.second.point is None
-            assert rest.point((2.0, 4.0)) == 2.0 * 2.0 + 3.0 + 4.0
-            assert rest.first.point((2.0, 4.0)) == (4.0, 7.0)
-            assert side.first.point is IdentityDP.point
+            fan, rest = side.second, side.second.second
+            assert not side.pointwise and not fan.pointwise
+            assert rest.pointwise and rest.first.pointwise and fan._rest is None
+            assert rest.first._eval((2.0, 4.0)) == {(4.0, 7.0)}
+            assert fan._fuse()([(2.0, 4.0)]) == [2.0 * 2.0 + 3.0 + 4.0]
+            assert isinstance(side.first, IdentityDP) and side.first.pointwise
 
     def test_power_split_costs_the_same_at_any_sample_count(self, monkeypatch):
         # each sample of split costs one call of the point function of the
@@ -323,11 +324,11 @@ SWEEP = ["sweep", str(example_path("uav")), "--axis", "endurance", "--from", "0.
          "--to", "3", "--steps", "5", "--f", "distance=20", "--f", "payload=300",
          "--f", "missions=200"]
 
-PUSHES = {  # monotone point functions on pairs, as compiled maps make them
-    "min": lambda m: min(m[0], m[1]),
-    "max": lambda m: max(m[0], m[1]),
-    "sum": lambda m: m[0] + m[1],
-    "first": lambda m: m[0],
+PUSHES = {  # bodies of monotone pointwise maps on pairs (see dp.compile_point)
+    "min": ((("min", ("x", 0), ("x", 1)),), (("v", 0),), ()),
+    "max": ((("max", ("x", 0), ("x", 1)),), (("v", 0),), ()),
+    "sum": ((("+", ("x", 0), ("x", 1)),), (("v", 0),), ()),
+    "first": ((), (("x", 0),), ()),
 }
 RESTS = {  # monotone maps of an image to a front
     "pass": lambda x: [(x, 1.0), (x + 1.0, 0.5)],
@@ -357,7 +358,7 @@ class TestFanOut:
         assert model is not None, diags
         assert_answers_unchanged(model.term, model.uvaluation, push=False)
         root = evaluate_term(model.term, {k: u.upper for k, u in model.uvaluation.items()})
-        assert root._push is None and root._rest is root.second
+        assert root._rest is root.second
         loop_eval, seen = LoopDP._eval, []
 
         def counted(self, f1):
@@ -371,8 +372,8 @@ class TestFanOut:
         assert seen == sorted((a + b for a, b in samples), key=repr)
 
     def test_push_composes_the_point_heads_of_a_spine(self):
-        # the UAV body's fan-out: power_budget and capacity have point
-        # functions, par(ubattery, idcost) has none and starts the rest
+        # the UAV body's fan-out: power_budget and capacity are pointwise,
+        # par(ubattery, idcost) is not and starts the rest
         model = load_example("uav")
         pair = evaluate_uncertain(model.term, model.uvaluation)
         for side in (pair.lower, pair.upper):
@@ -380,12 +381,13 @@ class TestFanOut:
             budget, capacity = fan.second.first, fan.second.second.first
             assert fan._rest is fan.second.second.second
             m = (4.0, 0.5, 12.0, 6.0, 1.0, 200)  # ppcpt, flight, pact, cact, endurance, missions
-            assert fan._push(m) == capacity.point(budget.point(m)) == (19.0, 200, 6.0)
-        # a second part that has a point function is all push, and no rest
+            assert fan._fuse()([m]) == [capacity.fn(budget.fn(m))] == [(19.0, 200, 6.0)]
+        # a second part that is pointwise is all push, and no rest
         split = load_example("power_split")
         node = evaluate_uncertain(split.term, split.uvaluation).upper.second
         assert node._rest is None
-        assert node._push((2.0, 4.0)) == node.second.point((2.0, 4.0)) == 2.0 * 2.0 + 3.0 + 4.0
+        assert node._fuse()([(2.0, 4.0)]) == list(node.second._eval((2.0, 4.0)))
+        assert node._fuse()([(2.0, 4.0)]) == [2.0 * 2.0 + 3.0 + 4.0]
 
     def test_sweep_scans_the_catalogue_at_minimal_images_only(self, monkeypatch):
         calls = [0]
@@ -416,10 +418,10 @@ class TestFanOut:
         mid_space, out_space = product(RG, RG), product(RW, RW)
         node = series(
             MonotoneMap(RW, mid_space, lambda f: list(mid)),
-            series(MonotoneMap._of(mid_space, RG, PUSHES[push]),
+            series(compile_point(mid_space, RG, *PUSHES[push]),
                    MonotoneMap(RG, out_space, RESTS[rest])),
         )
-        assert node._push is PUSHES[push]
+        assert node._rest is node.second.second
         got = node._eval(1.0)
         with pytest.MonkeyPatch.context() as monkeypatch:
             push_off(monkeypatch, node)
@@ -428,7 +430,7 @@ class TestFanOut:
         # a rest that writes one value alike from images of different
         # values (cap) keeps the writing of the minimal image's front, see
         # test_an_image_above_another_adds_no_point
-        images = set(map(PUSHES[push], node.first._eval(1.0)))
+        images = set(map(node.second.first.fn, node.first._eval(1.0)))
         if rest != "cap" or len(images) == 1:
             key = out_space.sort_key
             assert repr(sorted(got, key=key)) == repr(sorted(every, key=key))
@@ -440,7 +442,7 @@ class TestFanOut:
         for mid in ([(1.0, 0.0), (0.0, 1.0)], [(0.0, 1.0), (1.0, 0.0)]):
             node = series(
                 MonotoneMap(RW, product(RG, RG), lambda f, mid=mid: list(mid)),
-                series(MonotoneMap._of(product(RG, RG), RG, PUSHES["first"]),
+                series(compile_point(product(RG, RG), RG, *PUSHES["first"]),
                        MonotoneMap(RG, RW, lambda x: [-0.0 if x > 0 else 0.0])),
             )
             assert repr(node._eval(1.0)) == "frozenset({0.0})"
