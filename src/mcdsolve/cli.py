@@ -5,7 +5,11 @@ an iteration cap stopped a loop before convergence (the printed fronts
 are then lower bounds).  Usage and model errors exit 1 everywhere.
 Results go to stdout only; diagnostics and errors go to stderr.  A
 reader that closes stdout before a command has written all of it (as
-`| head` does) ends the command with exit 1 and nothing on stderr.
+`| head` does) ends the command with exit 1 and nothing on stderr.  A
+command line builds the parser of the one subcommand it names; a line
+that names none, or that this parser does not take whole, is read by the
+parser of every subcommand, so usage lines, errors and help read the
+same either way.
 """
 
 import argparse
@@ -323,42 +327,65 @@ _MAX_ITER_HELP = (
 )
 
 
-def build_parser() -> _ArgumentParser:
-    parser = _ArgumentParser(prog="mcdsolve", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+_F = (("--f",), {"action": "append", "metavar": "AXIS=VALUE[UNIT]"})
+_MAX_ITER = (("--max-iter",), {"type": int, "dest": "max_iter", "default": DEFAULT_MAX_ITER,
+                               "metavar": "N", "help": _MAX_ITER_HELP})
+_FORMAT = (("--format",), {"choices": ("json", "csv"), "default": "json"})
 
-    p_check = sub.add_parser("check", help="parse, elaborate, and spot-check a model")
-    p_check.add_argument("file")
-    p_check.set_defaults(fn=cmd_check)
+# subcommand -> (its help, its function, the (flags, keywords) of each argument)
+_COMMANDS = {
+    "check": ("parse, elaborate, and spot-check a model", cmd_check, [(("file",), {})]),
+    "solve": ("solve a model at one query", cmd_solve,
+              [(("file",), {}), _F, _MAX_ITER, _FORMAT]),
+    "sweep": ("solve across a grid of queries or parameters", cmd_sweep, [
+        (("file",), {}),
+        _F,
+        (("--axis",), {"metavar": "AXIS"}),
+        (("--from",), {"type": float, "dest": "frm", "metavar": "START"}),
+        (("--to",), {"type": float, "metavar": "STOP"}),
+        (("--steps",), {"type": int, "default": 11}),
+        (("--tolerance",), {"metavar": "ATOM=A1,A2,..."}),
+        (("--relax-n",), {"dest": "relax_n", "metavar": "ATOM=N1,N2,..."}),
+        _MAX_ITER,
+        _FORMAT,
+    ]),
+}
 
-    p_solve = sub.add_parser("solve", help="solve a model at one query")
-    p_solve.add_argument("file")
-    p_solve.add_argument("--f", action="append", metavar="AXIS=VALUE[UNIT]")
-    p_solve.add_argument("--max-iter", type=int, dest="max_iter", default=DEFAULT_MAX_ITER,
-                         metavar="N", help=_MAX_ITER_HELP)
-    p_solve.add_argument("--format", choices=("json", "csv"), default="json")
-    p_solve.set_defaults(fn=cmd_solve)
 
-    p_sweep = sub.add_parser("sweep", help="solve across a grid of queries or parameters")
-    p_sweep.add_argument("file")
-    p_sweep.add_argument("--f", action="append", metavar="AXIS=VALUE[UNIT]")
-    p_sweep.add_argument("--axis", metavar="AXIS")
-    p_sweep.add_argument("--from", type=float, dest="frm", metavar="START")
-    p_sweep.add_argument("--to", type=float, metavar="STOP")
-    p_sweep.add_argument("--steps", type=int, default=11)
-    p_sweep.add_argument("--tolerance", metavar="ATOM=A1,A2,...")
-    p_sweep.add_argument("--relax-n", dest="relax_n", metavar="ATOM=N1,N2,...")
-    p_sweep.add_argument("--max-iter", type=int, dest="max_iter", default=DEFAULT_MAX_ITER,
-                         metavar="N", help=_MAX_ITER_HELP)
-    p_sweep.add_argument("--format", choices=("json", "csv"), default="json")
-    p_sweep.set_defaults(fn=cmd_sweep)
+def _add_arguments(parser: _ArgumentParser, command: str) -> _ArgumentParser:
+    _, fn, arguments = _COMMANDS[command]
+    for flags, keywords in arguments:
+        parser.add_argument(*flags, **keywords)
+    parser.set_defaults(fn=fn)
     return parser
 
 
+def build_parser() -> _ArgumentParser:
+    parser = _ArgumentParser(prog="mcdsolve", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (help_text, _, _) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(command, help=help_text), command)
+    return parser
+
+
+def parse_args(argv: list) -> argparse.Namespace:
+    """The arguments of a command line, as build_parser().parse_args reads
+    them.  Only the named subcommand's parser is built, just as
+    add_parser makes it, unless the line names none or leaves arguments
+    that parser does not take: the whole parser then reads the line, so
+    its usage lines, errors and help are the ones printed."""
+    if argv and argv[0] in _COMMANDS:
+        parser = _add_arguments(_ArgumentParser(prog="mcdsolve " + argv[0]), argv[0])
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as e:  # argparse help (0) or usage error (1)
         return int(e.code or 0)
     try:

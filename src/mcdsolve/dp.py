@@ -252,26 +252,30 @@ class Catalogue(DesignProblem):
         self._index(entries)
 
     @classmethod
-    def _of(cls, funsp, ressp, entries: list) -> "Catalogue":
+    def _of(cls, funsp, ressp, entries: list, like: "Catalogue | None" = None) -> "Catalogue":
         """Catalogue of (f_i, r_i) rows whose maker has already proved
         each f_i a member of funsp and each r_i of ressp (the model
         language checks every point it reads, scale_catalogue divides
-        checked rows), so they are not checked again."""
+        checked rows), so they are not checked again.  A catalogue like
+        it, with the same functionality column, lends it its cuts."""
         cat = object.__new__(cls)
         DesignProblem.__init__(cat, funsp, ressp)
-        cat._index(entries)
+        cat._index(entries, like)
         return cat
 
-    def _index(self, entries: list):
+    def _index(self, entries: list, like: "Catalogue | None" = None):
         funsp = self.funsp
         self.entries = entries
         self._cells = None  # cell key -> front, when the first axis is real
         if isinstance(funsp.factors[0], RealPlus):
-            rows = [element_parts(funsp, fi) for fi, _ in entries]
-            self._cuts = tuple(
-                sorted({row[j] for row in rows}) if isinstance(p, RealPlus) else None
-                for j, p in enumerate(funsp.factors)
-            )
+            if like is not None:
+                self._cuts = like._cuts
+            else:
+                fs = [fi for fi, _ in entries]
+                width = len(funsp.factors)
+                columns = (list(zip(*fs)) or [()] * width) if width > 1 else [fs]
+                self._cuts = tuple(sorted(set(column)) if isinstance(p, RealPlus) else None
+                                   for column, p in zip(columns, funsp.factors))
             self._cells = {}
 
     def _cell(self, f):

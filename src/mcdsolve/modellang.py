@@ -55,7 +55,13 @@ statement, so elaboration reports the first fault of each declaration;
 the term reports one for each faulty side of a series or par.  A
 duplicate name anywhere (posets, dps, uncertains share one namespace) is
 an error.  A token is a (kind, text, offset) tuple, read by one match
-with the whitespace and comments after it.  Parse-tree nodes are
+with the whitespace and comments after it.  The one exception is a
+catalogue's rows: the "{" and the longest run of well-formed
+"point -> point" rows after it are one rows token, whose rows the parser
+reads in one pass, a regex match per row; a faulty row and all after it
+stay tokens, read one at a time, so every diagnostic is the one the
+token path gives.  Anywhere but after a catalogue's signature a rows
+token is split back into its tokens.  Parse-tree nodes are
 records, as terms are (dp.Node; the rule is in the dp docstring), and a
 node's span is the offset of its first token.  A diagnostic's line and
 column are found from an offset when it is made, by bisecting a table
@@ -200,20 +206,53 @@ class Diagnostic:
 
 _SKIP = r"(?:[ \t\r\n]+|#[^\n]*)*"  # whitespace and comments
 _SKIP_RE = re.compile(_SKIP)
+_WORD = r"[A-Za-z_$][A-Za-z0-9_$/^]*"
+_NUM = r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+"
+
+# A run of catalogue rows, "point -> point" joined by commas, that the
+# token path reads without a fault.  Its skips match what _SKIP does but
+# give back only whole comments, so a row that fails backtracks in linear
+# time.  A scalar is one word or number token, with ASCII digits only,
+# and no word at the start of a line, so a run never spans a statement
+# keyword where recovery would stop.
+_ROW_SKIP = r"[ \t\r\n]*(?:#[^\n]*(?![^\n])[ \t\r\n]*)*"
+_SCALAR = r"(?:(?<!\n)%s|%s)" % (_WORD, _NUM.replace(r"\d", "[0-9]"))
+_POINT = r"(?:\({s}{x}{s}(?:,{s}{x}{s})*\)|{x})".format(s=_ROW_SKIP, x=_SCALAR)
+_ROW = r"%s%s->%s%s%s" % (_POINT, _ROW_SKIP, _ROW_SKIP, _POINT, _ROW_SKIP)
+# what follows the "{" of a rows token (see tokenize): rows, each with a
+# comma after it but the last, which ends the run where no point starts
+_RUN = r"{s}(?:{r}(?:,{s}|(?![(A-Za-z0-9_$.])))+".format(s=_ROW_SKIP, r=_ROW)
+# one row of a run and the comma after it, if any: its points are groups
+# 1 and 2, found by their ends, as a bracket ends at the first ")" outside
+# a comment and a scalar holds no skip, comma, bracket or arrow
+_ROW_RE = re.compile(r"{p}{s}->{s}{p}{s}(,?){s}".format(
+    p=r"(\([^)#]*(?:#[^\n]*[^)#]*)*\)|[A-Za-z0-9_.$/^]+(?:[+-][0-9]+)?)", s=_ROW_SKIP))
 _TOKEN_RE = re.compile(
-    r"(?:(?P<word>[A-Za-z_$][A-Za-z0-9_$/^]*)"
-    r"|(?P<punct>->|<=|[(){}\[\],;=:%+*])"
-    r"|(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+)"
+    r"(?:(?P<word>%s)" % _WORD
+    + r"|(?P<rows>\{)" + _RUN
+    + r"|(?P<punct>->|<=|[(){}\[\],;=:%+*])"
+    r"|(?P<num>" + _NUM + ")"
     r"|(?P<string>\"[^\"\n]*\")"
     r"|(?P<bad>.))" + _SKIP
 )
 
 
+def _scan(text: str, start: int, end: int) -> list[tuple]:
+    """The tokens of text[start:end], which ends where a token starts."""
+    start = _SKIP_RE.match(text, start).end()
+    return [(m.lastgroup, m[m.lastindex], m.start()) for m in _TOKEN_RE.finditer(text, start, end)]
+
+
 def tokenize(text: str, diagnostics: list) -> list[tuple]:
     """(kind, text, offset) of each token, then ("eof", "", len(text)).
-    A character that starts no token is a diagnostic, not a token."""
-    start = _SKIP_RE.match(text).end()
-    toks = [(m.lastgroup, m[m.lastindex], m.start()) for m in _TOKEN_RE.finditer(text, start)]
+    A character that starts no token is a diagnostic, not a token.
+
+    A "{" followed by well-formed catalogue rows is one token, of kind
+    rows and text "{", that stands for the "{" and the tokens of the
+    rows: the run of them ends where the next token starts.  The parser
+    reads the run in one pass after a catalogue's signature, and splits
+    it back into its tokens anywhere else (_Parser.expect_brace)."""
+    toks = _scan(text, 0, len(text))
     bad = [t for t in toks if t[0] == "bad"]
     if bad:
         at = _Lines(text).span
@@ -221,6 +260,15 @@ def tokenize(text: str, diagnostics: list) -> list[tuple]:
         toks = [t for t in toks if t[0] != "bad"]
     toks.append(("eof", "", len(text)))
     return toks
+
+
+def _point_values(text: str) -> list:
+    """The values of a well-formed point's text, read as parse_point reads
+    its tokens: float(text) for a number, the word otherwise."""
+    if "#" in text:
+        text = re.sub("#[^\n]*", "", text)
+    parts = text[1:-1].split(",") if text[0] == "(" else (text,)
+    return [float(s) if s[0] in "0123456789." else s for s in map(str.strip, parts)]
 
 
 # --- syntax tree --------------------------------------------------------------
@@ -360,6 +408,7 @@ class _Chain:
 
 class _Parser:
     def __init__(self, text: str, diagnostics: list):
+        self.text = text
         self.toks = tokenize(text, diagnostics)
         self.i = 0
         self.diags = diagnostics
@@ -392,6 +441,24 @@ class _Parser:
             self.fail("expected %r, found %s" % (text, self._describe(tok)))
         self.i += 1  # not past the end: eof matches no text expected
         return tok
+
+    def expect_brace(self):
+        """Expect "{"; a rows token's run (see tokenize) goes back into the
+        token list as the tokens it stands for."""
+        tok = self.expect("{")
+        if tok[0] == "rows":
+            self.toks[self.i:self.i] = _scan(self.text, tok[2] + 1, self.toks[self.i][2])
+
+    def read_rows(self, brace: tuple, entries: list) -> bool:
+        """Append the entries of the run of rows after brace, a rows token
+        just read, as parse_point would read them; whether a comma ends it,
+        so more rows may follow."""
+        m = None
+        for m in _ROW_RE.finditer(self.text, _SKIP_RE.match(self.text, brace[2] + 1).end(),
+                                  self.toks[self.i][2]):
+            entries.append((PointNode(_point_values(m[1]), m.start(1)),
+                            PointNode(_point_values(m[2]), m.start(2))))
+        return m[3] == ","
 
     def expect_name(self, what: str = "a name") -> tuple:
         tok = self.cur()
@@ -496,7 +563,7 @@ class _Parser:
             return PosetReal(unit, span=tok[2])
         if tok[1] == "chain":
             self.advance()
-            self.expect("{")
+            self.expect_brace()
             labels = self.comma_list(self.parse_elem)
             self.expect("}")
             return PosetChain(labels, span=tok[2])
@@ -522,7 +589,7 @@ class _Parser:
         self.advance()
         sig = self.parse_sig()
         if word == "constant":
-            self.expect("{")
+            self.expect_brace()
             points = self.comma_list(self.parse_point)
             self.expect("}")
             return KConstant(sig, points, span=span)
@@ -532,9 +599,10 @@ class _Parser:
             self.expect("offset")
             return KAffine(sig, gain, self.parse_point(), span=span)
         if word == "catalogue":
-            self.expect("{")
+            brace = self.expect("{")
             entries = []
-            while not self.at("}") and self.cur()[0] != "eof":
+            more = brace[0] != "rows" or self.read_rows(brace, entries)
+            while more and not self.at("}") and self.cur()[0] != "eof":
                 fpoint = self.parse_point()
                 self.expect("->")
                 entries.append((fpoint, self.parse_point()))
@@ -544,7 +612,7 @@ class _Parser:
             self.expect("}")
             return KCatalogue(sig, entries, span=span)
         if word == "map":
-            self.expect("{")
+            self.expect_brace()
             assigns = [self.parse_assign()]
             while self.at(";"):
                 self.advance()
@@ -1255,17 +1323,27 @@ class _Elaborator:
 def _column_elements(nodes: list, space: Poset) -> list | None:
     """The elements of points on space, read a column at a time with each
     axis's reader; None when a point is faulty.  A coordinate is a float or
-    a word, so each distinct value of a column is checked once."""
+    a word, so each distinct value of a column is read and checked once."""
     width = len(space.factors)
-    if any(len(node.values) != width for node in nodes):
+    points = [node.values for node in nodes]
+    if not points:
+        return []
+    if set(map(len, points)) != {width}:
         return None
     columns = []
-    for j, axis in enumerate(space.factors):
+    for column, axis in zip(zip(*points), space.factors):
         read = _reader(axis)
-        columns.append([read(node.values[j]) for node in nodes])
-        if not all(map(axis.contains, set(columns[-1]))):
+        distinct = set(column)
+        if isinstance(axis, FinitePoset):  # equal values read alike
+            readings = {v: read(v) for v in distinct}
+            column, distinct = list(map(readings.__getitem__, column)), readings.values()
+        elif "inf" in distinct:
+            column = list(map(read, column))
+            distinct = set(column)
+        if not all(map(axis.contains, distinct)):
             return None
-    return list(zip(*columns)) if width > 1 else columns[0]
+        columns.append(column)
+    return list(zip(*columns)) if width > 1 else list(columns[0])
 
 
 def _reads_as_number(p: Poset) -> bool:

@@ -192,11 +192,16 @@ def scale_catalogue(cat: Catalogue, p: float) -> UncertainDP:
         if not isinstance(axis, RealPlus):
             raise DomainError("catalogue resources must be real chains to scale")
 
+    fs = [f for f, _ in cat.entries]
+    rs = [r for _, r in cat.entries]
+    wide = len(cat.ressp.factors) > 1
+
     def scaled(divisor):
-        entries = [
-            (f, tuple([v / divisor for v in r]) if isinstance(r, tuple) else r / divisor)
-            for f, r in cat.entries
-        ]
-        return Catalogue._of(cat.funsp, cat.ressp, entries)
+        # a column at a time; both sides share the functionality column and its cuts
+        if wide:
+            out = zip(*[[v / divisor for v in column] for column in zip(*rs)])
+        else:
+            out = [r / divisor for r in rs]
+        return Catalogue._of(cat.funsp, cat.ressp, list(zip(fs, out)), like=cat)
 
     return UncertainDP(scaled(1 + p), scaled(1 - p))

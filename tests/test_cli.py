@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -883,3 +885,58 @@ class TestArgparse:
 
     def test_no_command_exits_one(self, capsys):
         assert main([]) == EXIT_ERROR
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["sweep", "--help"]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: mcdsolve sweep [-h] [--f AXIS=VALUE[UNIT]]")
+
+
+# command lines that parse, fail to parse, ask for help, or name no command
+ARGV_CASES = {
+    "none": [],
+    "help": ["-h"],
+    "unknown command": ["frobnicate", UAV],
+    "leading option": ["-x", "sweep"],
+    **{"%s help" % c: [c, "-h"] for c in ("check", "solve", "sweep")},
+    "bad int": ["sweep", UAV, "--axis", "endurance", "--steps", "abc"],
+    "bad choice": ["solve", UAV, "--format", "xml"],
+    "unrecognised": ["sweep", UAV, "--bogus"],
+    "help and unrecognised": ["sweep", UAV, "-h", "--bogus"],
+    "extra positional": ["check", UAV, UAV],
+    "abbreviated": ["sweep", UAV, "--axis", "endurance", "--fr", "0.5", "--to", "2"],
+    "ambiguous abbreviation": ["sweep", UAV, "--t", "2"],
+    "missing file": ["sweep"],
+    "missing value": ["solve", UAV, "--f"],
+    "double dash": ["sweep", UAV, "--", "x"],
+    "check": ["check", UAV],
+    **{"uav " + name: argv for name, argv in UAV_COMMANDS.items()},
+}
+
+
+def parsed(parse, argv) -> tuple:
+    """Exit code, stdout, stderr and the parsed arguments of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    code = namespace = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            namespace = vars(parse(list(argv)))
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue(), namespace
+
+
+@pytest.mark.parametrize("name", ARGV_CASES)
+def test_one_subcommand_parser_reads_as_the_whole_parser(name):
+    argv = ARGV_CASES[name]
+    lazy = parsed(cli.parse_args, argv)
+    assert lazy == parsed(lambda a: cli.build_parser().parse_args(a), argv)
+    assert lazy[1] or lazy[2] or lazy[3]  # it printed or parsed something
+
+
+def test_a_command_that_parses_builds_one_subcommand_parser(monkeypatch, capsys):
+    def whole_parser():
+        raise AssertionError("the whole parser was built")
+
+    monkeypatch.setattr(cli, "build_parser", whole_parser)
+    assert main(["check", UAV]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("uav: ")

@@ -1,11 +1,13 @@
 import math
+import re
 import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mcdsolve import cli, modellang
+from mcdsolve import cli, examples, modellang
+from mcdsolve.dp import Catalogue
 from mcdsolve.errors import DomainError
 from mcdsolve.modellang import (
     _BUILTINS,
@@ -731,3 +733,134 @@ class TestFlatChains:
         else:
             assert code == cli.EXIT_ERROR
             assert err == "%s:1:840: error: %s\n" % (path, SUM_TOO_DEEP)
+
+
+# --- catalogue rows read in one pass -------------------------------------------
+
+# the token regex with its rows alternative never matching: the token path alone
+TOKEN_PATH_RE = re.compile(modellang._TOKEN_RE.pattern.replace(modellang._RUN, "(?!)"))
+
+_ROW_SCALARS = ["1", "2", ".5", "1.", "1e3", "2E-2", "1e999", "10.0", "low", "high", "inf", "x_1",
+                "Wh/$", "dp", "term", "\u0663"]
+# what may stand between two tokens: nothing, blanks, line ends (so the next
+# token is at column 1) and comments that hold row-like text
+_ROW_GAPS = ["", " ", " ", "\n", "\n    ", "\t", "\r\n", " # c (1, 2) -> 3, }\n", "#\n  ",
+             "# a # b # c\n"]
+_ROW_FAULTS = ["none", "none", "trailing comma", "double comma", "no arrow", "bad character",
+               "dp at column 1", "no comma", "no close"]
+_GRADE = "poset g = chain {low, high, 2, inf, dp, term, x_1, Wh/$, 1, 10, 1000, 0.5}\n"
+# what opens the rows: catalogues of each width, and the other braces
+_ROW_HEADS = [
+    "dp c = catalogue F(f[W]) R(r[g]) {",
+    "dp c = catalogue F(f[W], k:g) R(r[g], s:g) {",
+    "dp c = catalogue F(f[W], k:g, h[W]) R(r[g]) {",
+    "dp c = catalogue F(k:g) R(r[g]) {",
+    "dp c = catalogue F(f[W]) R(r) {",
+    "dp c = constant R(r[g]) {",
+    "dp c = map F(f[W]) R(r[g]) {",
+    "poset q = chain {",
+]
+_BATTERY = examples.uav_model_text(10)
+_BATTERY_START = _BATTERY.index("{", _BATTERY.index("dp battery"))
+_BATTERY_END = _BATTERY.index("}", _BATTERY_START) + 1
+
+
+@st.composite
+def row_texts(draw):
+    """A model whose brace holds rows, some of them faulty, or a prefix
+    of the drone model cut inside its battery catalogue."""
+    if draw(st.integers(0, 5)) == 0:
+        cut = draw(st.integers(_BATTERY_START - 40, _BATTERY_END))
+        return _BATTERY[:cut] + draw(st.sampled_from(["", "\n}\nterm battery\n", "}"]))
+    point = st.lists(st.sampled_from(_ROW_SCALARS), min_size=1, max_size=3)
+    toks = []
+    for f, r in draw(st.lists(st.tuples(point, point), max_size=6)):
+        for values in (f, r):
+            bare = len(values) == 1 and draw(st.booleans())
+            toks += values if bare else ["("] + sum(([v, ","] for v in values), [])[:-1] + [")"]
+            toks.append("->")
+        toks[-1] = ","
+    if toks:
+        toks.pop()  # the comma after the last row
+    fault = draw(st.sampled_from(_ROW_FAULTS))
+    at = draw(st.integers(0, len(toks)))
+    if fault == "trailing comma":
+        toks.append(",")
+    elif fault == "double comma":
+        toks.insert(at, ",")
+        toks.insert(at, ",")
+    elif fault == "no arrow" and "->" in toks:
+        toks.remove("->")
+    elif fault == "bad character":
+        toks.insert(at, "@")
+    elif fault == "dp at column 1":
+        toks[at:at] = ["\ndp"]
+    elif fault == "no comma" and "," in toks:
+        toks.remove(",")
+    gaps = draw(st.lists(st.sampled_from(_ROW_GAPS), min_size=len(toks) + 1,
+                         max_size=len(toks) + 1))
+    body = gaps[0] + "".join(t + g for t, g in zip(toks, gaps[1:]))
+    close = "" if fault == "no close" else "}"
+    tail = draw(st.sampled_from(["term c\n", "dp d = identity R(x[W])\nterm c\n"]))
+    return _GRADE + draw(st.sampled_from(_ROW_HEADS)) + body + close + "\n" + tail
+
+
+def _points(document) -> list:
+    points = []
+    for st_ in document.statements:
+        body = getattr(st_, "body", None)
+        if isinstance(body, modellang.KConstant):
+            points += body.points
+        elif isinstance(body, modellang.KAffine):
+            points += [body.gain, body.offset]
+        elif isinstance(body, modellang.KCatalogue):
+            points += [p for row in body.entries for p in row]
+    return points
+
+
+def _read(text) -> tuple:
+    """Everything the front end makes of text: the rendered document, each
+    diagnostic, each point's values and span, and each catalogue's rows."""
+    result = parse(text)
+    model, diags = load_model(text)
+    catalogues = None
+    if model is not None:
+        catalogues = {name: repr((udp.lower.entries, udp.upper.entries))
+                      for name, udp in model.uvaluation.items()
+                      if isinstance(udp.lower, Catalogue)}
+    return (render(result.document),
+            [(d.span.line, d.span.col, d.message) for d in result.diagnostics],
+            [(repr(p.values), p.span) for p in _points(result.document)],
+            [(d.span.line, d.span.col, d.message) for d in diags],
+            catalogues)
+
+
+def test_rows_token_reads_only_well_formed_rows():
+    toks = tokenize(_BATTERY, [])
+    assert [t for t in toks if t[0] == "rows"] == [("rows", "{", _BATTERY_START)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modellang, "_TOKEN_RE", TOKEN_PATH_RE)
+        assert all(t[0] != "rows" for t in tokenize(_BATTERY, []))
+    # after constant it is split back into its tokens
+    result = parse("dp a = constant R(r[g]) { 1 -> 2 }\nterm a\n")
+    assert [d.format("m.mcd") for d in result.diagnostics] == [
+        "m.mcd:1:29: error: expected '}', found '->'"]
+
+
+def test_a_failing_row_after_a_long_comment_backtracks_in_linear_time():
+    text = "dp c = catalogue F(f[W]) R(r[g]) {\n  1 -> 2, %s\n  3 -> 4 5 -> 6 @\n}\nterm c\n" % (
+        "# " * 400)
+    assert _read(text)[1] == [(3, 17, "unexpected character '@'"),
+                              (3, 10, "expected '}', found '5'")]
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(row_texts())
+@example(_BATTERY)
+@example(_GRADE + "dp c = catalogue R(r[g]) {\ndp -> 1,\n1 -> 2 }\nterm c\n")
+@example(_GRADE + "dp c = catalogue F(f[W]) R(r[g] {\n 1 -> 2,\ndp d = identity R(x[W])\nterm c\n")
+def test_rows_read_in_one_pass_equal_the_token_path(text):
+    fast = _read(text)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modellang, "_TOKEN_RE", TOKEN_PATH_RE)
+        assert _read(text) == fast
