@@ -221,7 +221,8 @@ _POINT = r"(?:\({s}{x}{s}(?:,{s}{x}{s})*\)|{x})".format(s=_ROW_SKIP, x=_SCALAR)
 _ROW = r"%s%s->%s%s%s" % (_POINT, _ROW_SKIP, _ROW_SKIP, _POINT, _ROW_SKIP)
 # what follows the "{" of a rows token (see tokenize): rows, each with a
 # comma after it but the last, which ends the run where no point starts
-_RUN = r"{s}(?:{r}(?:,{s}|(?![(A-Za-z0-9_$.])))+".format(s=_ROW_SKIP, r=_ROW)
+# and no scalar goes on
+_RUN = r"{s}(?:{r}(?:,{s}|(?![(A-Za-z0-9_$/^.])))+".format(s=_ROW_SKIP, r=_ROW)
 # one row of a run and the comma after it, if any: its points are groups
 # 1 and 2, found by their ends, as a bracket ends at the first ")" outside
 # a comment and a scalar holds no skip, comma, bracket or arrow

@@ -741,10 +741,10 @@ class TestFlatChains:
 TOKEN_PATH_RE = re.compile(modellang._TOKEN_RE.pattern.replace(modellang._RUN, "(?!)"))
 
 _ROW_SCALARS = ["1", "2", ".5", "1.", "1e3", "2E-2", "1e999", "10.0", "low", "high", "inf", "x_1",
-                "Wh/$", "dp", "term", "\u0663"]
+                "Wh/$", "a^b", "dp", "term", "\u0663"]
 # what may stand between two tokens: nothing, blanks, line ends (so the next
 # token is at column 1) and comments that hold row-like text
-_ROW_GAPS = ["", " ", " ", "\n", "\n    ", "\t", "\r\n", " # c (1, 2) -> 3, }\n", "#\n  ",
+_ROW_GAPS = ["", "", " ", "\n", "\n    ", "\t", "\r\n", " # c (1, 2) -> 3, }\n", "#\n  ",
              "# a # b # c\n"]
 _ROW_FAULTS = ["none", "none", "trailing comma", "double comma", "no arrow", "bad character",
                "dp at column 1", "no comma", "no close"]
@@ -796,7 +796,8 @@ def row_texts(draw):
     elif fault == "dp at column 1":
         toks[at:at] = ["\ndp"]
     elif fault == "no comma" and "," in toks:
-        toks.remove(",")
+        commas = [i for i, t in enumerate(toks) if t == ","]
+        del toks[commas[at % len(commas)]]
     gaps = draw(st.lists(st.sampled_from(_ROW_GAPS), min_size=len(toks) + 1,
                          max_size=len(toks) + 1))
     body = gaps[0] + "".join(t + g for t, g in zip(toks, gaps[1:]))
@@ -854,9 +855,23 @@ def test_a_failing_row_after_a_long_comment_backtracks_in_linear_time():
                               (3, 10, "expected '}', found '5'")]
 
 
+@pytest.mark.parametrize("after", ["", " ", "(", "x", "1", ".5", "/", ",", "#c\n", "}", "@", "->"])
+def test_a_run_ends_where_the_token_path_reads_on(after):
+    # each scalar ends a row, with what may follow it glued on
+    for scalar in _ROW_SCALARS:
+        for point in (scalar, "(%s)" % scalar):
+            text = _GRADE + "dp c = catalogue F(f[W]) R(r[g]) {\n 1 -> %s%s(2) -> 3 }\nterm c\n" % (
+                point, after)
+            fast = _read(text)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(modellang, "_TOKEN_RE", TOKEN_PATH_RE)
+                assert _read(text) == fast, text
+
+
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)
 @given(row_texts())
 @example(_BATTERY)
+@example(_GRADE + "dp c = catalogue F(f[W]) R(r[g]) { 1 -> Wh/$(2, 3) -> 4 }\nterm c\n")
 @example(_GRADE + "dp c = catalogue R(r[g]) {\ndp -> 1,\n1 -> 2 }\nterm c\n")
 @example(_GRADE + "dp c = catalogue F(f[W]) R(r[g] {\n 1 -> 2,\ndp d = identity R(x[W])\nterm c\n")
 def test_rows_read_in_one_pass_equal_the_token_path(text):
