@@ -57,10 +57,10 @@ duplicate name anywhere (posets, dps, uncertains share one namespace) is
 an error.  A token is a (kind, text, offset) tuple, read by one match
 with the whitespace and comments after it.  The one exception is a
 catalogue's rows: the "{" and the longest run of well-formed
-"point -> point" rows after it are one rows token, whose rows the parser
-reads in one pass, a regex match per row; a faulty row and all after it
-stay tokens, read one at a time, so every diagnostic is the one the
-token path gives.  Anywhere but after a catalogue's signature a rows
+"point -> point" rows after it, with comments only between rows, are
+one rows token, whose rows the parser reads in one pass, a regex match
+per row; any other row and all after it stay tokens, read one at a
+time, so every diagnostic is the one the token path gives.  Anywhere but after a catalogue's signature a rows
 token is split back into its tokens.  Parse-tree nodes are
 records, as terms are (dp.Node; the rule is in the dp docstring), and a
 node's span is the offset of its first token.  A diagnostic's line and
@@ -210,24 +210,26 @@ _WORD = r"[A-Za-z_$][A-Za-z0-9_$/^]*"
 _NUM = r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+"
 
 # A run of catalogue rows, "point -> point" joined by commas, that the
-# token path reads without a fault.  Its skips match what _SKIP does but
-# give back only whole comments, so a row that fails backtracks in linear
-# time.  A scalar is one word or number token, with ASCII digits only,
+# token path reads without a fault.  Between rows, skips match what
+# _SKIP does but give back only whole comments, so a row that fails
+# backtracks in linear time; a row itself holds whitespace and no
+# comment.  A scalar is one word or number token, with ASCII digits only,
 # and no word at the start of a line, so a run never spans a statement
 # keyword where recovery would stop.
 _ROW_SKIP = r"[ \t\r\n]*(?:#[^\n]*(?![^\n])[ \t\r\n]*)*"
+_BLANKS = r"[ \t\r\n]*"
 _SCALAR = r"(?:(?<!\n)%s|%s)" % (_WORD, _NUM.replace(r"\d", "[0-9]"))
-_POINT = r"(?:\({s}{x}{s}(?:,{s}{x}{s})*\)|{x})".format(s=_ROW_SKIP, x=_SCALAR)
-_ROW = r"%s%s->%s%s%s" % (_POINT, _ROW_SKIP, _ROW_SKIP, _POINT, _ROW_SKIP)
+_POINT = r"(?:\({s}{x}{s}(?:,{s}{x}{s})*\)|{x})".format(s=_BLANKS, x=_SCALAR)
 # what follows the "{" of a rows token (see tokenize): rows, each with a
 # comma after it but the last, which ends the run where no point starts
 # and no scalar goes on
-_RUN = r"{s}(?:{r}(?:,{s}|(?![(A-Za-z0-9_$/^.])))+".format(s=_ROW_SKIP, r=_ROW)
+_RUN = r"{s}(?:{p}{w}->{w}{p}{s}(?:,{s}|(?![(A-Za-z0-9_$/^.])))+".format(
+    s=_ROW_SKIP, p=_POINT, w=_BLANKS)
 # one row of a run and the comma after it, if any: its points are groups
-# 1 and 2, found by their ends, as a bracket ends at the first ")" outside
-# a comment and a scalar holds no skip, comma, bracket or arrow
-_ROW_RE = re.compile(r"{p}{s}->{s}{p}{s}(,?){s}".format(
-    p=r"(\([^)#]*(?:#[^\n]*[^)#]*)*\)|[A-Za-z0-9_.$/^]+(?:[+-][0-9]+)?)", s=_ROW_SKIP))
+# 1 and 2, found by their ends, as a scalar holds no blank, comma,
+# bracket or arrow
+_ROW_RE = re.compile(r"{p}{w}->{w}{p}{s}(,?){s}".format(
+    p=r"(\([^)]*\)|[A-Za-z0-9_.$/^]+(?:[+-][0-9]+)?)", w=_BLANKS, s=_ROW_SKIP))
 _TOKEN_RE = re.compile(
     r"(?:(?P<word>%s)" % _WORD
     + r"|(?P<rows>\{)" + _RUN
@@ -266,8 +268,6 @@ def tokenize(text: str, diagnostics: list) -> list[tuple]:
 def _point_values(text: str) -> list:
     """The values of a well-formed point's text, read as parse_point reads
     its tokens: float(text) for a number, the word otherwise."""
-    if "#" in text:
-        text = re.sub("#[^\n]*", "", text)
     parts = text[1:-1].split(",") if text[0] == "(" else (text,)
     return [float(s) if s[0] in "0123456789." else s for s in map(str.strip, parts)]
 

@@ -874,6 +874,7 @@ def test_a_run_ends_where_the_token_path_reads_on(after):
 @example(_GRADE + "dp c = catalogue F(f[W]) R(r[g]) { 1 -> Wh/$(2, 3) -> 4 }\nterm c\n")
 @example(_GRADE + "dp c = catalogue R(r[g]) {\ndp -> 1,\n1 -> 2 }\nterm c\n")
 @example(_GRADE + "dp c = catalogue F(f[W]) R(r[g] {\n 1 -> 2,\ndp d = identity R(x[W])\nterm c\n")
+@example(_GRADE + "dp c = catalogue F(f[W]) R(r) {\n1 -> 2,\ndp -> 3,\nterm -> 4 }\nterm c\n")
 def test_rows_read_in_one_pass_equal_the_token_path(text):
     fast = _read(text)
     with pytest.MonkeyPatch.context() as mp:
