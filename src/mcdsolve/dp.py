@@ -272,8 +272,7 @@ class Catalogue(DesignProblem):
                 self._cuts = like._cuts
             else:
                 fs = [fi for fi, _ in entries]
-                width = len(funsp.factors)
-                columns = (list(zip(*fs)) or [()] * width) if width > 1 else [fs]
+                columns = zip(*fs) if isinstance(funsp, ProductPoset) else (fs,)
                 self._cuts = tuple(sorted(set(column)) if isinstance(p, RealPlus) else None
                                    for column, p in zip(columns, funsp.factors))
             self._cells = {}

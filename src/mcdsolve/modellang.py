@@ -60,8 +60,9 @@ catalogue's rows: the "{" and the longest run of well-formed
 "point -> point" rows after it, with comments only between rows, are
 one rows token, whose rows the parser reads in one pass, a regex match
 per row; any other row and all after it stay tokens, read one at a
-time, so every diagnostic is the one the token path gives.  Anywhere but after a catalogue's signature a rows
-token is split back into its tokens.  Parse-tree nodes are
+time, so every diagnostic is the one the token path gives.  Anywhere
+but after a catalogue's signature a rows token is split back into its
+tokens.  Parse-tree nodes are
 records, as terms are (dp.Node; the rule is in the dp docstring), and a
 node's span is the offset of its first token.  A diagnostic's line and
 column are found from an offset when it is made, by bisecting a table
@@ -454,7 +455,6 @@ class _Parser:
         """Append the entries of the run of rows after brace, a rows token
         just read, as parse_point would read them; whether a comma ends it,
         so more rows may follow."""
-        m = None
         for m in _ROW_RE.finditer(self.text, _SKIP_RE.match(self.text, brace[2] + 1).end(),
                                   self.toks[self.i][2]):
             entries.append((PointNode(_point_values(m[1]), m.start(1)),
